@@ -6,7 +6,6 @@ oracles (winding number and ray-crossing parity) that must agree; clear
 polygonal joins certify same-region connectivity.
 """
 
-from ._accel import USING_NUMBA
 from .connectivity import ClearanceGrid, PolygonalJoin, path_carrier_gap, polygonal_join
 from .curves import (
     Affine,
@@ -43,7 +42,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .fixtures import FIXTURES, fixture
-from .geometry import Cone, Line, NotUnique, Point, Segment
+from .geometry import Point
 from .index import (
     Classification,
     CrossingRecord,
@@ -65,14 +64,13 @@ from .svg import render_svg
 
 __version__ = "0.1.0"
 
+# perfbench records this flag; the kernels have no numba lane, so it is always False
+USING_NUMBA = False
+
 __all__ = [
     "USING_NUMBA",
     "__version__",
     "Point",
-    "Segment",
-    "Line",
-    "Cone",
-    "NotUnique",
     "LinePiece",
     "ArcPiece",
     "CubicPiece",

@@ -7,14 +7,16 @@ rows before hitting these functions:
 * arc  : cx, cy, r, start_angle, sweep
 * cubic: x0, y0, x1, y1, x2, y2, x3, y3
 
-Scalar kernels are numba ``@njit`` functions; the same source runs un-jitted
-when numba is off.  Batch entry points (``winding_batch``, ``carrier_batch``,
-``pair_scan``, ``grid_path``) dispatch to vectorised numpy implementations in
-the fallback lane; see the module bottom.
+Each kernel has one implementation.  The scalar kernels
+(``carrier_dist_point``, ``ray_hits_point``) walk the pieces for one query
+point with explicit DFS stacks; the batch kernels (``winding_batch``,
+``carrier_batch``, ``pair_scan``, ``grid_path``) are vectorised numpy over
+all query points, sample pairs or grid cells at once.
 
 Why the winding sums are exact: every accepted node replaces a sub-path by
-its chord.  Sub-path and chord both live in the node's bounding box, so when
-the query point lies strictly outside that box the closed loop (sub-path
+its chord.  Sub-path and chord both live in the node's box (the control
+point box for a cubic, the chord box grown by the sagitta for an arc), so
+when the query point lies strictly outside that box the closed loop (sub-path
 forward, chord back) cannot wind around it, and the two integrals of
 dz/(z - zeta) coincide.  The chord integral is the principal complex log of
 the endpoint ratio because a segment never subtends an angle >= pi from a
@@ -28,15 +30,13 @@ import math
 
 import numpy as np
 
-from ._accel import njit, USING_NUMBA
-
 KIND_LINE = 0
 KIND_ARC = 1
 KIND_CUBIC = 2
 
 TWO_PI = 2.0 * math.pi
 
-# status codes shared by the scalar kernels
+# status codes shared by the kernels
 OK = 0
 ON_CARRIER = 1
 NODE_LIMIT = 2
@@ -47,9 +47,12 @@ _HIT_CAP = 64
 _RAY_T_MIN = 1e-12
 _BRACKET_WIDTH = 1e-4
 _ROOT_TOL = 1e-12
+# consecutive carrier samples per pruning box in the batch distance seed
+_SEED_RUN = 32
+# query points per block in the batch cubic refinement
+_REFINE_BLOCK = 4096
 
 
-@njit(cache=True)
 def _bbox_dist(px, py, xmin, ymin, xmax, ymax):
     dx = 0.0
     if px < xmin:
@@ -64,18 +67,6 @@ def _bbox_dist(px, py, xmin, ymin, xmax, ymax):
     return math.hypot(dx, dy)
 
 
-@njit(cache=True)
-def _log_ratio(w0x, w0y, w1x, w1y):
-    """Principal complex log of (w1 / w0) as (re, im)."""
-
-    n0 = w0x * w0x + w0y * w0y
-    n1 = w1x * w1x + w1y * w1y
-    re = 0.5 * math.log(n1 / n0)
-    im = math.atan2(w0x * w1y - w0y * w1x, w0x * w1x + w0y * w1y)
-    return re, im
-
-
-@njit(cache=True)
 def _seg_point_dist(px, py, x0, y0, x1, y1):
     ex, ey = x1 - x0, y1 - y0
     denom = ex * ex + ey * ey
@@ -89,7 +80,6 @@ def _seg_point_dist(px, py, x0, y0, x1, y1):
     return math.hypot(px - (x0 + t * ex), py - (y0 + t * ey))
 
 
-@njit(cache=True)
 def _angle_in_sweep(a0, sweep, theta):
     """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
 
@@ -106,7 +96,6 @@ def _angle_in_sweep(a0, sweep, theta):
     return -1.0
 
 
-@njit(cache=True)
 def _arc_point_dist(px, py, cx, cy, r, a0, sweep):
     wx, wy = px - cx, py - cy
     d = math.hypot(wx, wy)
@@ -121,7 +110,6 @@ def _arc_point_dist(px, py, cx, cy, r, a0, sweep):
     return min(e0, e1)
 
 
-@njit(cache=True)
 def _arc_span_bbox(cx, cy, r, alo, ahi):
     """Bounding box of the arc over angles [alo, ahi] (alo <= ahi)."""
 
@@ -145,7 +133,6 @@ def _arc_span_bbox(cx, cy, r, alo, ahi):
     return xmin, ymin, xmax, ymax
 
 
-@njit(cache=True)
 def _bern3(f0, f1, f2, f3, u):
     v = 1.0 - u
     return (
@@ -156,7 +143,6 @@ def _bern3(f0, f1, f2, f3, u):
     )
 
 
-@njit(cache=True)
 def _cubic_point(row, u):
     v = 1.0 - u
     b0 = v * v * v
@@ -168,7 +154,6 @@ def _cubic_point(row, u):
     return x, y
 
 
-@njit(cache=True)
 def _cubic_velocity(row, u):
     v = 1.0 - u
     c0 = 3.0 * v * v
@@ -179,141 +164,6 @@ def _cubic_velocity(row, u):
     return x, y
 
 
-@njit(cache=True)
-def winding_point(kinds, data, px, py):
-    """Accumulate the contour integral of dz/(z - p) piece by piece.
-
-    Returns (re, im, nodes, status).  The integral itself is re + i*im;
-    nodes counts accepted chords for the float round-off budget.
-    """
-
-    total_re = 0.0
-    total_im = 0.0
-    nodes = 0
-    stack = np.empty((_STACK_CAP, 10))
-    for i in range(kinds.shape[0]):
-        kind = kinds[i]
-        row = data[i]
-        if kind == KIND_LINE:
-            w0x, w0y = row[0] - px, row[1] - py
-            w1x, w1y = row[2] - px, row[3] - py
-            cr = w0x * w1y - w0y * w1x
-            dt = w0x * w1x + w0y * w1y
-            if (w0x == 0.0 and w0y == 0.0) or (w1x == 0.0 and w1y == 0.0):
-                return 0.0, 0.0, nodes, ON_CARRIER
-            if cr == 0.0 and dt < 0.0:
-                return 0.0, 0.0, nodes, ON_CARRIER
-            re, im = _log_ratio(w0x, w0y, w1x, w1y)
-            total_re += re
-            total_im += im
-            nodes += 1
-        elif kind == KIND_ARC:
-            cx, cy, r, a0, sweep = row[0], row[1], row[2], row[3], row[4]
-            sp = 0
-            stack[sp, 0] = 0.0
-            stack[sp, 1] = 1.0
-            sp += 1
-            while sp > 0:
-                sp -= 1
-                ulo = stack[sp, 0]
-                uhi = stack[sp, 1]
-                phi0 = a0 + sweep * ulo
-                phi1 = a0 + sweep * uhi
-                alo, ahi = (phi0, phi1) if phi1 >= phi0 else (phi1, phi0)
-                xmin, ymin, xmax, ymax = _arc_span_bbox(cx, cy, r, alo, ahi)
-                if _bbox_dist(px, py, xmin, ymin, xmax, ymax) > 0.0:
-                    w0x = cx + r * math.cos(phi0) - px
-                    w0y = cy + r * math.sin(phi0) - py
-                    w1x = cx + r * math.cos(phi1) - px
-                    w1y = cy + r * math.sin(phi1) - py
-                    re, im = _log_ratio(w0x, w0y, w1x, w1y)
-                    total_re += re
-                    total_im += im
-                    nodes += 1
-                else:
-                    if uhi - ulo < 1e-13:
-                        return 0.0, 0.0, nodes, ON_CARRIER
-                    if sp + 2 > _STACK_CAP:
-                        return 0.0, 0.0, nodes, NODE_LIMIT
-                    mid = 0.5 * (ulo + uhi)
-                    stack[sp, 0] = ulo
-                    stack[sp, 1] = mid
-                    sp += 1
-                    stack[sp, 0] = mid
-                    stack[sp, 1] = uhi
-                    sp += 1
-        else:
-            sp = 0
-            stack[sp, 0] = 0.0
-            stack[sp, 1] = 1.0
-            for c in range(8):
-                stack[sp, 2 + c] = row[c]
-            sp += 1
-            while sp > 0:
-                sp -= 1
-                ulo = stack[sp, 0]
-                uhi = stack[sp, 1]
-                x0, y0 = stack[sp, 2], stack[sp, 3]
-                x1, y1 = stack[sp, 4], stack[sp, 5]
-                x2, y2 = stack[sp, 6], stack[sp, 7]
-                x3, y3 = stack[sp, 8], stack[sp, 9]
-                xmin = min(min(x0, x1), min(x2, x3))
-                xmax = max(max(x0, x1), max(x2, x3))
-                ymin = min(min(y0, y1), min(y2, y3))
-                ymax = max(max(y0, y1), max(y2, y3))
-                if _bbox_dist(px, py, xmin, ymin, xmax, ymax) > 0.0:
-                    re, im = _log_ratio(x0 - px, y0 - py, x3 - px, y3 - py)
-                    total_re += re
-                    total_im += im
-                    nodes += 1
-                else:
-                    if uhi - ulo < 1e-13:
-                        return 0.0, 0.0, nodes, ON_CARRIER
-                    if sp + 2 > _STACK_CAP:
-                        return 0.0, 0.0, nodes, NODE_LIMIT
-                    m01x, m01y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-                    m12x, m12y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-                    m23x, m23y = 0.5 * (x2 + x3), 0.5 * (y2 + y3)
-                    ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
-                    bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
-                    mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-                    mid = 0.5 * (ulo + uhi)
-                    stack[sp, 0] = ulo
-                    stack[sp, 1] = mid
-                    stack[sp, 2] = x0
-                    stack[sp, 3] = y0
-                    stack[sp, 4] = m01x
-                    stack[sp, 5] = m01y
-                    stack[sp, 6] = ax
-                    stack[sp, 7] = ay
-                    stack[sp, 8] = mx
-                    stack[sp, 9] = my
-                    sp += 1
-                    stack[sp, 0] = mid
-                    stack[sp, 1] = uhi
-                    stack[sp, 2] = mx
-                    stack[sp, 3] = my
-                    stack[sp, 4] = bx
-                    stack[sp, 5] = by
-                    stack[sp, 6] = m23x
-                    stack[sp, 7] = m23y
-                    stack[sp, 8] = x3
-                    stack[sp, 9] = y3
-                    sp += 1
-    return total_re, total_im, nodes, OK
-
-
-@njit(cache=True)
-def _winding_batch_loop(kinds, data, pts, out):
-    for k in range(pts.shape[0]):
-        re, im, nodes, status = winding_point(kinds, data, pts[k, 0], pts[k, 1])
-        out[k, 0] = re
-        out[k, 1] = im
-        out[k, 2] = nodes
-        out[k, 3] = status
-
-
-@njit(cache=True)
 def ray_hits_point(kinds, data, px, py, vx, vy, out):
     """All forward ray/carrier intersections, unsorted.
 
@@ -488,7 +338,6 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
     return nh, OK
 
 
-@njit(cache=True)
 def _piece_bbox_dist(kind, row, px, py):
     if kind == KIND_LINE:
         xmin = min(row[0], row[2])
@@ -507,7 +356,6 @@ def _piece_bbox_dist(kind, row, px, py):
     return _bbox_dist(px, py, xmin, ymin, xmax, ymax)
 
 
-@njit(cache=True)
 def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
     """Certified enclosure [lo, hi] of the distance from p to the carrier.
 
@@ -528,7 +376,6 @@ def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
             i0 = i
     best_hi = math.inf
     lo_acc = math.inf
-    stack = np.empty((_STACK_CAP, 8))
     for k in range(n + 1):
         # nearest bbox first, then index order, so the skip test bites early
         if k == 0:
@@ -553,9 +400,13 @@ def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
                 best_hi = d
             if d < lo_acc:
                 lo_acc = d
-        else:
-            for s in range(offsets[i], offsets[i + 1]):
-                d = math.hypot(px - samples[s, 0], py - samples[s, 1])
+        elif offsets[i + 1] > offsets[i]:
+            # numpy's hypot and math.hypot agree to an ulp, so only samples
+            # next to the numpy minimum can hold the math.hypot minimum
+            seg = samples[offsets[i] : offsets[i + 1]]
+            dn = np.hypot(px - seg[:, 0], py - seg[:, 1])
+            for s in np.flatnonzero(dn <= dn.min() * (1.0 + 1e-12)):
+                d = math.hypot(px - seg[s, 0], py - seg[s, 1])
                 if d < best_hi:
                     best_hi = d
     for i in range(kinds.shape[0]):
@@ -563,26 +414,19 @@ def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
             continue
         if bd[i] >= best_hi:
             continue
-        row = data[i]
-        sp = 0
-        for c in range(8):
-            stack[sp, c] = row[c]
-        sp += 1
-        while sp > 0:
-            sp -= 1
-            x0, y0 = stack[sp, 0], stack[sp, 1]
-            x1, y1 = stack[sp, 2], stack[sp, 3]
-            x2, y2 = stack[sp, 4], stack[sp, 5]
-            x3, y3 = stack[sp, 6], stack[sp, 7]
-            xmin = min(min(x0, x1), min(x2, x3))
-            xmax = max(max(x0, x1), max(x2, x3))
-            ymin = min(min(y0, y1), min(y2, y3))
-            ymax = max(max(y0, y1), max(y2, y3))
+        # plain floats and a list stack: numpy scalars are slow one by one
+        stack = [tuple(data[i, :8].tolist())]
+        while stack:
+            x0, y0, x1, y1, x2, y2, x3, y3 = stack.pop()
+            # one sorted() per axis is cheaper than six nested min/max calls
+            xs = sorted((x0, x1, x2, x3))
+            ys = sorted((y0, y1, y2, y3))
+            xmin, xmax, ymin, ymax = xs[0], xs[3], ys[0], ys[3]
             db = _bbox_dist(px, py, xmin, ymin, xmax, ymax)
             if db >= best_hi:
                 continue
             diag = math.hypot(xmax - xmin, ymax - ymin)
-            if diag <= rel_tol * db + 1e-15 or sp + 2 > _STACK_CAP:
+            if diag <= rel_tol * db + 1e-15 or len(stack) + 2 > _STACK_CAP:
                 if db < lo_acc:
                     lo_acc = db
                 d0 = math.hypot(px - x0, py - y0)
@@ -595,134 +439,29 @@ def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
             ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
             bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
             mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            stack[sp, 0] = x0
-            stack[sp, 1] = y0
-            stack[sp, 2] = m01x
-            stack[sp, 3] = m01y
-            stack[sp, 4] = ax
-            stack[sp, 5] = ay
-            stack[sp, 6] = mx
-            stack[sp, 7] = my
-            sp += 1
-            stack[sp, 0] = mx
-            stack[sp, 1] = my
-            stack[sp, 2] = bx
-            stack[sp, 3] = by
-            stack[sp, 4] = m23x
-            stack[sp, 5] = m23y
-            stack[sp, 6] = x3
-            stack[sp, 7] = y3
-            sp += 1
+            stack.append((x0, y0, m01x, m01y, ax, ay, mx, my))
+            stack.append((mx, my, bx, by, m23x, m23y, x3, y3))
     lo = lo_acc if lo_acc < best_hi else best_hi
     if lo < 0.0:
         lo = 0.0
     return lo, best_hi
 
 
-@njit(cache=True)
-def _carrier_batch_loop(kinds, data, samples, offsets, pts, rel_tol, out):
-    for k in range(pts.shape[0]):
-        lo, hi = carrier_dist_point(
-            kinds, data, samples, offsets, pts[k, 0], pts[k, 1], rel_tol
-        )
-        out[k, 0] = lo
-        out[k, 1] = hi
+
+# ---------------------------------------------------------------------------
+# batch kernels
+# ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _pair_scan_loop(xy, ts, period, sep_floor, a, b, eps_levels, level_min):
-    """O(N^2) chord scan.
+def winding_batch(kinds, data, pts):
+    """Winding integrals for many points: returns (total, nodes, status).
 
-    Returns (min_gap, i_min, j_min) over pairs whose wrap-aware parameter
-    separation is >= sep_floor, and fills ``level_min`` so that after a
-    suffix-min pass level_min[k] is the smallest chord among pairs that are
-    admissible for eps_levels[k] (separation >= eps and both parameters
-    inside [a + eps/2, b - eps/2]).
+    ``total`` is the complex contour integral of dz/(z - p) per point,
+    ``nodes`` counts accepted chords for the float round-off budget, and
+    ``status`` is OK, ON_CARRIER or NODE_LIMIT.
     """
 
-    n = xy.shape[0]
-    nlev = eps_levels.shape[0]
-    best = math.inf
-    bi = -1
-    bj = -1
-    for i in range(n):
-        xi = xy[i, 0]
-        yi = xy[i, 1]
-        ti = ts[i]
-        for j in range(i + 1, n):
-            dt = ts[j] - ti
-            ws = dt
-            alt = period - dt
-            if alt < ws:
-                ws = alt
-            dx = xy[j, 0] - xi
-            dy = xy[j, 1] - yi
-            d = math.sqrt(dx * dx + dy * dy)
-            if ws >= sep_floor and d < best:
-                best = d
-                bi = i
-                bj = j
-            cap = dt
-            e1 = 2.0 * (ti - a)
-            if e1 < cap:
-                cap = e1
-            e2 = 2.0 * (b - ts[j])
-            if e2 < cap:
-                cap = e2
-            for k in range(nlev - 1, -1, -1):
-                if eps_levels[k] <= cap:
-                    if d < level_min[k]:
-                        level_min[k] = d
-                    break
-    return best, bi, bj
-
-
-@njit(cache=True)
-def _grid_bfs_loop(free, si, sj, gi, gj, parent):
-    """8-connected BFS over free cells; parent is linear-index array."""
-
-    ny, nx = free.shape
-    queue = np.empty(ny * nx, dtype=np.int64)
-    head = 0
-    tail = 0
-    start = si * nx + sj
-    goal = gi * nx + gj
-    parent[start] = start
-    queue[tail] = start
-    tail += 1
-    found = start == goal
-    while head < tail and not found:
-        cur = queue[head]
-        head += 1
-        ci = cur // nx
-        cj = cur % nx
-        for di in range(-1, 2):
-            for dj in range(-1, 2):
-                if di == 0 and dj == 0:
-                    continue
-                ni = ci + di
-                nj = cj + dj
-                if ni < 0 or ni >= ny or nj < 0 or nj >= nx:
-                    continue
-                if free[ni, nj] == 0:
-                    continue
-                lin = ni * nx + nj
-                if parent[lin] >= 0:
-                    continue
-                parent[lin] = cur
-                if lin == goal:
-                    found = True
-                queue[tail] = lin
-                tail += 1
-    return found
-
-
-# ---------------------------------------------------------------------------
-# vectorised numpy lane
-# ---------------------------------------------------------------------------
-
-
-def _winding_batch_numpy(kinds, data, pts):
+    pts = np.ascontiguousarray(pts, dtype=float)
     m = pts.shape[0]
     z = pts[:, 0] + 1j * pts[:, 1]
     total = np.zeros(m, dtype=complex)
@@ -832,146 +571,117 @@ def _winding_batch_numpy(kinds, data, pts):
     return total, nodes, status
 
 
-def _cubic_refine_numpy(row, px, py, best_hi, lo_acc, rel_tol):
-    ctrl = row[0::2] + 1j * row[1::2]
+def _refine_cubic(row, px, py, best_hi, lo_acc, rel_tol):
+    """Tighten ``best_hi``/``lo_acc`` in place by one cubic's control boxes.
+
+    ``ctl`` holds one control polygon per column, its rows laid out like a
+    data row (x0, y0, ..., x3, y3), so every step is elementwise over rows.
+    """
+
     m = px.shape[0]
     idx = np.arange(m)
-    cps = np.broadcast_to(ctrl, (m, 4)).copy()
+    ctl = np.repeat(np.asarray(row[:8], dtype=float)[:, None], m, axis=1)
     for _level in range(80):
         if idx.size == 0:
             break
-        xmin = cps.real.min(axis=1)
-        xmax = cps.real.max(axis=1)
-        ymin = cps.imag.min(axis=1)
-        ymax = cps.imag.max(axis=1)
+        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
+        xmin = np.minimum(np.minimum(x0, x1), np.minimum(x2, x3))
+        xmax = np.maximum(np.maximum(x0, x1), np.maximum(x2, x3))
+        ymin = np.minimum(np.minimum(y0, y1), np.minimum(y2, y3))
+        ymax = np.maximum(np.maximum(y0, y1), np.maximum(y2, y3))
         qx = px[idx]
         qy = py[idx]
         dx = np.maximum(np.maximum(xmin - qx, qx - xmax), 0.0)
         dy = np.maximum(np.maximum(ymin - qy, qy - ymax), 0.0)
         db = np.hypot(dx, dy)
         live = db < best_hi[idx]
-        idx = idx[live]
-        cps = cps[live]
-        db = db[live]
-        if idx.size == 0:
-            break
-        diag = np.hypot(
-            cps.real.max(axis=1) - cps.real.min(axis=1),
-            cps.imag.max(axis=1) - cps.imag.min(axis=1),
-        )
+        if not live.all():
+            idx = idx[live]
+            ctl = ctl[:, live]
+            db = db[live]
+            xmin, xmax = xmin[live], xmax[live]
+            ymin, ymax = ymin[live], ymax[live]
+            if idx.size == 0:
+                break
+        diag = np.hypot(xmax - xmin, ymax - ymin)
         done = diag <= rel_tol * db + 1e-15
         if _level == 79:
             done = np.ones_like(done)
         if done.any():
             di = idx[done]
             np.minimum.at(lo_acc, di, db[done])
-            d0 = np.hypot(px[di] - cps[done, 0].real, py[di] - cps[done, 0].imag)
+            d0 = np.hypot(px[di] - ctl[0, done], py[di] - ctl[1, done])
             np.minimum.at(best_hi, di, d0)
-        keep = ~done
-        idx = idx[keep]
-        p = cps[keep]
-        if idx.size == 0:
-            break
-        m01 = 0.5 * (p[:, 0] + p[:, 1])
-        m12 = 0.5 * (p[:, 1] + p[:, 2])
-        m23 = 0.5 * (p[:, 2] + p[:, 3])
-        pa = 0.5 * (m01 + m12)
-        pb = 0.5 * (m12 + m23)
-        pm = 0.5 * (pa + pb)
-        left = np.stack([p[:, 0], m01, pa, pm], axis=1)
-        right = np.stack([pm, pb, m23, p[:, 3]], axis=1)
+            keep = ~done
+            idx = idx[keep]
+            ctl = ctl[:, keep]
+            if idx.size == 0:
+                break
+        # de Casteljau split at u = 1/2: left half in the first k columns
+        k = idx.size
+        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
+        split = np.empty((8, 2 * k))
+        m01x, m01y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        m12x, m12y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        m23x, m23y = 0.5 * (x2 + x3), 0.5 * (y2 + y3)
+        ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
+        bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        for r, (left, right) in enumerate(
+            ((x0, mx), (y0, my), (m01x, bx), (m01y, by),
+             (ax, m23x), (ay, m23y), (mx, x3), (my, y3))
+        ):
+            split[r, :k] = left
+            split[r, k:] = right
         idx = np.concatenate([idx, idx])
-        cps = np.concatenate([left, right], axis=0)
+        ctl = split
 
 
-def _pair_scan_numpy(xy, ts, period, sep_floor, a, b, eps_levels, level_min):
-    n = xy.shape[0]
-    best = np.inf
-    bi = bj = -1
-    block = max(1, int(2e6) // max(n, 1))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        dt = ts[None, s:e] - ts[:, None]  # (n, B)
-        upper = dt > 0  # j > i pairs only
-        dx = xy[None, s:e, 0] - xy[:, None, 0]
-        dy = xy[None, s:e, 1] - xy[:, None, 1]
-        d = np.hypot(dx, dy)
-        ws = np.minimum(dt, period - dt)
-        mask = upper & (ws >= sep_floor)
-        if mask.any():
-            dm = np.where(mask, d, np.inf)
-            k = np.argmin(dm)
-            i0, j0 = np.unravel_index(k, dm.shape)
-            if dm[i0, j0] < best:
-                best = float(dm[i0, j0])
-                bi, bj = int(i0), int(j0 + s)
-        cap = np.minimum(
-            dt,
-            np.minimum(2.0 * (ts[:, None] - a), 2.0 * (b - ts[None, s:e])),
-        )
-        for k in range(eps_levels.shape[0]):
-            sel = upper & (cap >= eps_levels[k])
-            if k + 1 < eps_levels.shape[0]:
-                sel &= cap < eps_levels[k + 1]
-            if sel.any():
-                level_min[k] = min(level_min[k], float(d[sel].min()))
-    return best, bi, bj
+def _seed_from_samples(kinds, samples, offsets, px, py, best_hi):
+    """Lower ``best_hi`` in place to the nearest cubic sample, exactly.
 
+    Samples are grouped into runs of _SEED_RUN consecutive curve points.
+    The first sample of every run gives an upper bound u on the nearest
+    distance; a run whose bounding box lies farther than u cannot hold the
+    nearest sample, so only the remaining runs are scanned point by point.
+    The result equals the minimum over every sample.
+    """
 
-def _grid_bfs_numpy(free, si, sj, gi, gj):
-    ny, nx = free.shape
-    dist = np.full((ny, nx), -1, dtype=np.int64)
-    if not free[si, sj]:
-        return False, dist
-    dist[si, sj] = 0
-    frontier = np.zeros_like(free, dtype=bool)
-    frontier[si, sj] = True
-    freeb = free.astype(bool)
-    step = 0
-    while frontier.any():
-        if dist[gi, gj] >= 0:
-            return True, dist
-        step += 1
-        grown = np.zeros_like(frontier)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        grown[1:, 1:] |= frontier[:-1, :-1]
-        grown[1:, :-1] |= frontier[:-1, 1:]
-        grown[:-1, 1:] |= frontier[1:, :-1]
-        grown[:-1, :-1] |= frontier[1:, 1:]
-        grown &= freeb & (dist < 0)
-        dist[grown] = step
-        frontier = grown
-    return dist[gi, gj] >= 0, dist
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-# ---------------------------------------------------------------------------
-
-
-def winding_batch(kinds, data, pts):
-    """Vectorised winding integrals: returns (total complex, nodes, status)."""
-
-    pts = np.ascontiguousarray(pts, dtype=float)
-    if USING_NUMBA:
-        out = np.empty((pts.shape[0], 4))
-        _winding_batch_loop(kinds, data, pts, out)
-        total = out[:, 0] + 1j * out[:, 1]
-        return total, out[:, 2].astype(np.int64), out[:, 3].astype(np.int64)
-    return _winding_batch_numpy(kinds, data, pts)
+    cub = np.flatnonzero(kinds == KIND_CUBIC)
+    first, last = offsets[cub], offsets[cub + 1] - 1
+    nrun = (last - first + _SEED_RUN) // _SEED_RUN
+    if nrun.sum() == 0:
+        return
+    # run r of piece i starts at first[i] + r * _SEED_RUN; a short last run
+    # is padded with the piece's last sample, which leaves minima alone
+    r = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
+    start = np.repeat(first, nrun) + r * _SEED_RUN
+    cols = np.minimum(
+        start[:, None] + np.arange(_SEED_RUN), np.repeat(last, nrun)[:, None]
+    )
+    rx = samples[cols, 0]
+    ry = samples[cols, 1]
+    xmin, xmax = rx.min(axis=1), rx.max(axis=1)
+    ymin, ymax = ry.min(axis=1), ry.max(axis=1)
+    m = px.shape[0]
+    block = max(1, int(1e6) // cols.shape[0])
+    for s in range(0, m, block):
+        e = min(m, s + block)
+        qx = px[s:e, None]
+        qy = py[s:e, None]
+        u = np.hypot(qx - rx[None, :, 0], qy - ry[None, :, 0]).min(axis=1)
+        dx = np.maximum(np.maximum(xmin - qx, qx - xmax), 0.0)
+        dy = np.maximum(np.maximum(ymin - qy, qy - ymax), 0.0)
+        # the margin absorbs round-off in comparing box and sample distances
+        qi, ri = np.nonzero(np.hypot(dx, dy) <= u[:, None] * (1.0 + 1e-9))
+        d = np.hypot(px[s + qi, None] - rx[ri], py[s + qi, None] - ry[ri])
+        np.minimum.at(best_hi, s + qi, d.min(axis=1))
 
 
 def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3):
-    """Vectorised carrier-distance enclosures: returns (lo, hi) arrays."""
+    """Carrier-distance enclosures for many points: returns (lo, hi) arrays."""
 
     pts = np.ascontiguousarray(pts, dtype=float)
-    if USING_NUMBA:
-        out = np.empty((pts.shape[0], 2))
-        _carrier_batch_loop(kinds, data, samples, offsets, pts, rel_tol, out)
-        return out[:, 0], out[:, 1]
     px = pts[:, 0]
     py = pts[:, 1]
     m = pts.shape[0]
@@ -1009,20 +719,15 @@ def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3):
                 d = np.where(on, rad, np.minimum(d0, d1))
             np.minimum(best_hi, d, out=best_hi)
             np.minimum(lo_acc, d, out=lo_acc)
-        else:
-            seg = samples[offsets[i] : offsets[i + 1]]
-            if seg.shape[0]:
-                block = max(1, int(4e6) // max(seg.shape[0], 1))
-                for s in range(0, m, block):
-                    e = min(m, s + block)
-                    dd = np.hypot(
-                        px[s:e, None] - seg[None, :, 0],
-                        py[s:e, None] - seg[None, :, 1],
-                    ).min(axis=1)
-                    np.minimum(best_hi[s:e], dd, out=best_hi[s:e])
-    for i in range(kinds.shape[0]):
-        if kinds[i] == KIND_CUBIC:
-            _cubic_refine_numpy(data[i], px, py, best_hi, lo_acc, rel_tol)
+    _seed_from_samples(kinds, samples, offsets, px, py, best_hi)
+    # points are independent; blocks keep the refinement arrays in cache
+    for s in range(0, m, _REFINE_BLOCK):
+        e = min(m, s + _REFINE_BLOCK)
+        for i in range(kinds.shape[0]):
+            if kinds[i] == KIND_CUBIC:
+                _refine_cubic(
+                    data[i], px[s:e], py[s:e], best_hi[s:e], lo_acc[s:e], rel_tol
+                )
     lo = np.minimum(lo_acc, best_hi)
     np.maximum(lo, 0.0, out=lo)
     return lo, best_hi
@@ -1031,67 +736,97 @@ def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3):
 def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     """Chord-gap scan driving the injectivity and inverse-modulus tables.
 
-    Returns (min_gap, i_min, j_min, deltas) with deltas[k] the suffix-min
-    chord for eps_levels[k].
+    Returns (min_gap, i_min, j_min, deltas) over pairs i < j.  ``min_gap``
+    is the shortest chord among pairs whose wrap-aware parameter separation
+    is >= sep_floor.  deltas[k] is the shortest chord among pairs admissible
+    for eps_levels[k]: separation >= eps and both parameters inside
+    [a + eps/2, b - eps/2].
     """
 
     xy = np.ascontiguousarray(xy, dtype=float)
     ts = np.ascontiguousarray(ts, dtype=float)
     eps_levels = np.ascontiguousarray(eps_levels, dtype=float)
     level_min = np.full(eps_levels.shape[0], np.inf)
-    if USING_NUMBA:
-        best, bi, bj = _pair_scan_loop(
-            xy, ts, period, sep_floor, a, b, eps_levels, level_min
+    n = xy.shape[0]
+    best = np.inf
+    bi = bj = -1
+    block = max(1, int(2e6) // max(n, 1))
+    for s in range(0, n, block):
+        e = min(n, s + block)
+        dt = ts[None, s:e] - ts[:, None]  # (n, B)
+        upper = dt > 0  # j > i pairs only
+        dx = xy[None, s:e, 0] - xy[:, None, 0]
+        dy = xy[None, s:e, 1] - xy[:, None, 1]
+        d = np.hypot(dx, dy)
+        ws = np.minimum(dt, period - dt)
+        mask = upper & (ws >= sep_floor)
+        if mask.any():
+            dm = np.where(mask, d, np.inf)
+            k = np.argmin(dm)
+            i0, j0 = np.unravel_index(k, dm.shape)
+            if dm[i0, j0] < best:
+                best = float(dm[i0, j0])
+                bi, bj = int(i0), int(j0 + s)
+        # a pair is admissible for every level up to its cap; binning it by
+        # the largest such level and suffix-minimising below recovers deltas
+        cap = np.minimum(
+            dt,
+            np.minimum(2.0 * (ts[:, None] - a), 2.0 * (b - ts[None, s:e])),
         )
-    else:
-        best, bi, bj = _pair_scan_numpy(
-            xy, ts, period, sep_floor, a, b, eps_levels, level_min
-        )
+        for k in range(eps_levels.shape[0]):
+            sel = upper & (cap >= eps_levels[k])
+            if k + 1 < eps_levels.shape[0]:
+                sel &= cap < eps_levels[k + 1]
+            if sel.any():
+                level_min[k] = min(level_min[k], float(d[sel].min()))
     deltas = np.minimum.accumulate(level_min[::-1])[::-1]
     return best, bi, bj, deltas
 
 
 def grid_path(free, start, goal):
-    """Shortest 8-connected chain of free cells, or None."""
+    """Shortest 8-connected chain of free cells, or None.
+
+    Breadth-first search on a copy of the grid framed by blocked cells, so
+    the eight neighbours of a cell are fixed offsets of its flat index and
+    each step touches only the current frontier.  The walk back from the
+    goal moves through cells one step nearer the start.
+    """
 
     si, sj = start
     gi, gj = goal
     ny, nx = free.shape
     if not (free[si, sj] and free[gi, gj]):
         return None
-    if USING_NUMBA:
-        parent = np.full(ny * nx, -1, dtype=np.int64)
-        found = _grid_bfs_loop(free, si, sj, gi, gj, parent)
-        if not found:
+    w = nx + 2
+    unseen = np.zeros((ny + 2, w), dtype=bool)
+    unseen[1:-1, 1:-1] = free != 0
+    unseen = unseen.ravel()
+    dist = np.full(unseen.shape[0], -1, dtype=np.int64)
+    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    src = (si + 1) * w + sj + 1
+    dst = (gi + 1) * w + gj + 1
+    dist[src] = 0
+    unseen[src] = False
+    frontier = np.array([src])
+    step = 0
+    while dist[dst] < 0:
+        if frontier.size == 0:
             return None
-        path = []
-        cur = gi * nx + gj
-        start_lin = si * nx + sj
-        while cur != start_lin:
-            path.append((cur // nx, cur % nx))
-            cur = parent[cur]
-        path.append((si, sj))
-        path.reverse()
-        return path
-    found, dist = _grid_bfs_numpy(free, si, sj, gi, gj)
-    if not found:
-        return None
+        step += 1
+        nbrs = (frontier[:, None] + offsets).ravel()
+        frontier = np.unique(nbrs[unseen[nbrs]])
+        unseen[frontier] = False
+        dist[frontier] = step
+    dist = dist.reshape(ny + 2, w)
     path = [(gi, gj)]
-    ci, cj = gi, gj
-    d = dist[gi, gj]
-    while d > 0:
-        for di in (-1, 0, 1):
-            hit = False
-            for dj in (-1, 0, 1):
-                ni, nj = ci + di, cj + dj
-                if 0 <= ni < free.shape[0] and 0 <= nj < free.shape[1]:
-                    if dist[ni, nj] == d - 1:
-                        ci, cj = ni, nj
-                        hit = True
-                        break
-            if hit:
-                break
-        d -= 1
-        path.append((ci, cj))
+    ci, cj = gi + 1, gj + 1
+    for d in range(dist[ci, cj] - 1, -1, -1):
+        ci, cj = next(
+            (ni, nj)
+            for ni in (ci - 1, ci, ci + 1)
+            for nj in (cj - 1, cj, cj + 1)
+            if dist[ni, nj] == d
+        )
+        path.append((ci - 1, cj - 1))
     path.reverse()
     return path

@@ -243,7 +243,6 @@ class CarrierIndex:
     kinds: np.ndarray
     data: np.ndarray
     samples: np.ndarray
-    sample_params: np.ndarray
     offsets: np.ndarray
     sample_spacing: float
     lipschitz: tuple[float, ...]
@@ -258,20 +257,17 @@ class CarrierIndex:
         samples_per_piece: int = _DEFAULT_SAMPLES_PER_PIECE,
         rel_tol: float = 1e-3,
     ) -> "CarrierIndex":
-        n = spec.n_pieces
         kinds = np.array([p.kind for p in spec.pieces], dtype=np.int8)
         data = np.array([p.to_row() for p in spec.pieces], dtype=float)
         w = spec.piece_param_width()
         scale = 1.0 / w
         us = (np.arange(samples_per_piece) + 0.5) / samples_per_piece
         chunks = []
-        params = []
         offsets = [0]
         lips = []
-        for k, piece in enumerate(spec.pieces):
+        for piece in spec.pieces:
             pts = piece.points(us)
             chunks.append(pts)
-            params.append(spec.a + (k + us) * w)
             offsets.append(offsets[-1] + pts.shape[0])
             lips.append(piece.speed_bounds()[1] * scale)
         samples = np.concatenate(chunks, axis=0)
@@ -284,7 +280,6 @@ class CarrierIndex:
             kinds=kinds,
             data=data,
             samples=samples,
-            sample_params=np.concatenate(params),
             offsets=np.array(offsets, dtype=np.int64),
             sample_spacing=w / samples_per_piece,
             lipschitz=tuple(lips),
@@ -509,11 +504,16 @@ def transform_curve(jc: JordanCurve, t: Affine) -> JordanCurve:
 # ---------------------------------------------------------------------------
 
 
+def _is_num(val) -> bool:
+    # bool is an int subclass, but JSON true/false is never a coordinate
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _parse_xy(val, where: str) -> Point:
     if (
         not isinstance(val, (list, tuple))
         or len(val) != 2
-        or not all(isinstance(v, (int, float)) for v in val)
+        or not all(_is_num(v) for v in val)
     ):
         raise ParseError("expected a [x, y] pair of numbers", where)
     try:
@@ -523,7 +523,7 @@ def _parse_xy(val, where: str) -> Point:
 
 
 def _parse_num(val, where: str) -> float:
-    if not isinstance(val, (int, float)):
+    if not _is_num(val):
         raise ParseError("expected a number", where)
     return float(val)
 

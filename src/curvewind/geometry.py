@@ -1,32 +1,11 @@
-"""Primitive planar geometry: points, segments, lines, double cones.
-
-Everything here is immutable and pure.  Angles between lines are always
-reported as acute angles in [0, pi/2]; a "line" is unoriented even though it
-is stored as anchor plus unit direction.
-"""
+"""Planar points: an immutable finite-coordinate :class:`Point` and coercion."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "Point",
-    "Segment",
-    "Line",
-    "Cone",
-    "NotUnique",
-    "dist_point_segment",
-    "line_unique_intersection",
-    "cone_interior_distance",
-    "acute_angle",
-]
-
-_UNIT_TOL = 1e-12
-
-
-class NotUnique(ValueError):
-    """Two lines do not meet in a single well-separated point."""
+__all__ = ["Point"]
 
 
 def _require_finite(name: str, *vals: float) -> None:
@@ -79,136 +58,3 @@ def as_point(p) -> Point:
         return Point(p.real, p.imag)
     x, y = p
     return Point(float(x), float(y))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A straight segment with endpoint-inclusion flags.
-
-    The flags record whether each endpoint belongs to the set; they do not
-    change metric quantities (the distance to a segment equals the distance
-    to its closure) but callers that reason about open pieces need them.
-    """
-
-    start: Point
-    end: Point
-    include_start: bool = True
-    include_end: bool = True
-
-    def __post_init__(self) -> None:
-        if self.start == self.end:
-            raise ValueError("Segment endpoints must be distinct")
-
-    def length(self) -> float:
-        return self.start.dist(self.end)
-
-
-@dataclass(frozen=True)
-class Line:
-    """An unoriented line through ``anchor`` with unit ``direction``."""
-
-    anchor: Point
-    direction: Point
-
-    def __post_init__(self) -> None:
-        n = self.direction.norm()
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"Line direction must be unit length, |d| = {n!r}")
-
-    @classmethod
-    def through_points(cls, a: Point, b: Point) -> "Line":
-        d = b - a
-        n = d.norm()
-        if n == 0.0:
-            raise ValueError("cannot span a line from coincident points")
-        return cls(a, Point(d.x / n, d.y / n))
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A symmetric double cone (bow tie) with vertex, axis, and half_angle.
-
-    ``half_angle`` is the acute angle between each boundary line and the
-    line through the vertex perpendicular to ``axis``.  The cone therefore
-    opens around the axis with aperture pi/2 - half_angle measured from the
-    axis; ``half_angle`` near pi/2 gives a thin sliver around the axis,
-    near 0 a half-plane pair.  Both nappes (along +axis and -axis) belong
-    to the cone.
-    """
-
-    vertex: Point
-    axis: Point
-    half_angle: float
-
-    def __post_init__(self) -> None:
-        n = self.axis.norm()
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"Cone axis must be unit length, |a| = {n!r}")
-        if not (0.0 < self.half_angle < math.pi / 2):
-            raise ValueError("half_angle must lie strictly between 0 and pi/2")
-
-
-def dist_point_segment(p: Point, seg: Segment) -> float:
-    """Distance from ``p`` to ``seg`` via projection clamped to [0, 1]."""
-
-    d = seg.end - seg.start
-    w = p - seg.start
-    t = w.dot(d) / d.dot(d)
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    foot = Point(seg.start.x + t * d.x, seg.start.y + t * d.y)
-    return p.dist(foot)
-
-
-def acute_angle(u: Point, v: Point) -> float:
-    """Acute angle in [0, pi/2] between the lines spanned by ``u`` and ``v``."""
-
-    if u.norm() == 0.0 or v.norm() == 0.0:
-        raise ValueError("acute_angle needs nonzero vectors")
-    return math.atan2(abs(u.cross(v)), abs(u.dot(v)))
-
-
-def line_unique_intersection(
-    l1: Line, l2: Line, angle_tol: float = 1e-9
-) -> tuple[Point, float]:
-    """Intersection point of two lines plus their acute angle.
-
-    Raises :class:`NotUnique` when the acute angle between the lines is
-    <= ``angle_tol``: nearly parallel lines either miss or meet in an
-    ill-conditioned point, and coincident lines meet everywhere, so no
-    unique intersection is produced in either case.
-    """
-
-    theta = acute_angle(l1.direction, l2.direction)
-    if theta <= angle_tol:
-        raise NotUnique(
-            f"lines meet at angle {theta:.3e} <= tolerance {angle_tol:.3e}"
-        )
-    denom = l1.direction.cross(l2.direction)
-    rhs = l2.anchor - l1.anchor
-    t = rhs.cross(l2.direction) / denom
-    p = Point(l1.anchor.x + t * l1.direction.x, l1.anchor.y + t * l1.direction.y)
-    return p, theta
-
-
-def cone_interior_distance(z: Point, cone: Cone) -> float:
-    """Distance from ``z`` to the complement of the open double cone.
-
-    Zero when ``z`` lies outside the cone or on its boundary.  Inside, the
-    nearest complement point sits on one of the two boundary lines, so the
-    value is |z - vertex| * sin(aperture - beta) with beta the acute angle
-    from the axis; on the axis itself this reduces to
-    |z - vertex| * cos(half_angle).
-    """
-
-    w = z - cone.vertex
-    r = w.norm()
-    if r == 0.0:
-        return 0.0
-    beta = acute_angle(w, cone.axis)
-    aperture = math.pi / 2 - cone.half_angle
-    if beta >= aperture:
-        return 0.0
-    return r * math.sin(aperture - beta)

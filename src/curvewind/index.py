@@ -38,7 +38,6 @@ __all__ = [
     "winding_number",
     "ray_crossing_index",
     "classify",
-    "classify_grid",
     "outer_radius",
     "constant_index_radius",
     "RegionGrid",
@@ -330,12 +329,6 @@ def classify(
         rays_tried=tried,
         carrier_bounds=(lo, hi),
     )
-
-
-def classify_grid(jc: JordanCurve, pts: np.ndarray) -> list[Classification]:
-    """Classify many points (row per point).  Convenience loop over classify."""
-
-    return [classify(jc, (float(x), float(y))) for x, y in np.asarray(pts, float)]
 
 
 def outer_radius(jc: JordanCurve) -> float:

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from curvewind import Verdict, classify, validate_jordan
 from curvewind.fixtures import fixture
+from curvewind.geometry import Point
 
 GOOD_FIXTURES = ("circle", "ellipse", "rounded-square", "blob", "kidney")
 
@@ -39,3 +42,29 @@ def sample_classified(jc, n, rng, min_clearance=0.0, spread=1.3):
             if len(out) == n:
                 break
     return out
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A straight segment with distinct endpoints (acceptance criterion 5)."""
+
+    start: Point
+    end: Point
+
+    def __post_init__(self) -> None:
+        if self.start == self.end:
+            raise ValueError("Segment endpoints must be distinct")
+
+
+def dist_point_segment(p: Point, seg: Segment) -> float:
+    """Distance from ``p`` to ``seg`` via projection clamped to [0, 1]."""
+
+    d = seg.end - seg.start
+    w = p - seg.start
+    t = w.dot(d) / d.dot(d)
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    foot = Point(seg.start.x + t * d.x, seg.start.y + t * d.y)
+    return p.dist(foot)

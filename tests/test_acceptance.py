@@ -29,9 +29,9 @@ from curvewind import (
     validate_jordan,
     winding_number,
 )
-from curvewind.geometry import Point, Segment, dist_point_segment
+from curvewind.geometry import Point
 
-from conftest import GOOD_FIXTURES, sample_classified
+from conftest import GOOD_FIXTURES, Segment, dist_point_segment, sample_classified
 
 pytestmark = pytest.mark.acceptance
 

@@ -12,6 +12,7 @@ from curvewind import (
     NonSmoothPiece,
     ParseError,
     classify,
+    curve_from_dict,
     curve_from_json,
     curve_to_dict,
     curve_to_json,
@@ -243,6 +244,32 @@ def test_parse_errors_carry_positions():
             ' "start_angle": 0, "sweep": 1}]}'
         )
     assert "pieces[0]" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name,kind,field,value",
+    [
+        ("circle", "arc", ("radius",), True),
+        ("circle", "arc", ("start_angle",), False),
+        ("circle", "arc", ("sweep",), True),
+        ("circle", "arc", ("center",), [True, False]),
+        ("rounded-square", "line", ("from",), [True, 0.0]),
+        ("rounded-square", "line", ("to",), [0.0, False]),
+        ("blob", "cubic", ("points", 2), [1.0, True]),
+    ],
+    ids=["radius", "start_angle", "sweep", "center", "from", "to", "points[2]"],
+)
+def test_parse_rejects_bools(name, kind, field, value):
+    d = curve_to_dict(fixture(name))
+    i = next(k for k, p in enumerate(d["pieces"]) if p["type"] == kind)
+    owner = d["pieces"][i]
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    with pytest.raises(ParseError) as exc:
+        curve_from_dict(d)
+    where = f"pieces[{i}].{field[0]}" + "".join(f"[{k}]" for k in field[1:])
+    assert exc.value.where == where
 
 
 def test_curve_to_dict_schema():

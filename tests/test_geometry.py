@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvewind.geometry import (
-    Cone,
-    Line,
-    NotUnique,
-    Point,
-    Segment,
-    acute_angle,
-    as_point,
-    cone_interior_distance,
-    dist_point_segment,
-    line_unique_intersection,
-)
+from curvewind.geometry import Point, as_point
+
+from conftest import Segment, dist_point_segment
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -47,14 +38,6 @@ def test_segment_rejects_degenerate():
         Segment(Point(1.0, 1.0), Point(1.0, 1.0))
 
 
-def test_line_requires_unit_direction():
-    Line(Point(0.0, 0.0), Point(1.0, 0.0))
-    with pytest.raises(ValueError):
-        Line(Point(0.0, 0.0), Point(2.0, 0.0))
-    l = Line.through_points(Point(0.0, 0.0), Point(3.0, 4.0))
-    assert math.hypot(l.direction.x, l.direction.y) == pytest.approx(1.0)
-
-
 @given(finite, finite, finite, finite, finite, finite)
 @settings(max_examples=150, deadline=None)
 def test_dist_point_segment_matches_dense_sampling(px, py, ax, ay, bx, by):
@@ -69,76 +52,3 @@ def test_dist_point_segment_matches_dense_sampling(px, py, ax, ay, bx, by):
     step = math.hypot(bx - ax, by - ay) / 2000.0
     assert d <= dense + 1e-12
     assert d >= dense - step
-
-
-def test_line_unique_intersection():
-    l1 = Line.through_points(Point(0.0, 0.0), Point(1.0, 1.0))
-    l2 = Line.through_points(Point(1.0, 0.0), Point(0.0, 1.0))
-    p, theta = line_unique_intersection(l1, l2)
-    assert p.dist(Point(0.5, 0.5)) < 1e-12
-    assert theta == pytest.approx(math.pi / 2)
-
-
-def test_line_intersection_rejects_near_parallel():
-    l1 = Line.through_points(Point(0.0, 0.0), Point(1.0, 0.0))
-    l2 = Line.through_points(Point(0.0, 1.0), Point(1.0, 1.0 + 1e-12))
-    with pytest.raises(NotUnique):
-        line_unique_intersection(l1, l2)
-
-
-def test_acute_angle_range():
-    assert acute_angle(Point(1.0, 0.0), Point(-1.0, 0.0)) == pytest.approx(0.0)
-    assert acute_angle(Point(1.0, 0.0), Point(0.0, -3.0)) == pytest.approx(
-        math.pi / 2
-    )
-    assert acute_angle(Point(1.0, 0.0), Point(1.0, 1.0)) == pytest.approx(
-        math.pi / 4
-    )
-
-
-def _cone_boundary_oracle(cone: Cone, p: Point, n=4000, rmax=200.0) -> float:
-    """Distance to the double cone's boundary by dense sampling of its rays."""
-
-    aperture = math.pi / 2 - cone.half_angle
-    base = math.atan2(cone.axis.y, cone.axis.x)
-    best = p.dist(cone.vertex)
-    rs = np.linspace(0.0, rmax, n)
-    for rot in (aperture, -aperture, math.pi + aperture, math.pi - aperture):
-        ang = base + rot
-        xs = cone.vertex.x + rs * math.cos(ang)
-        ys = cone.vertex.y + rs * math.sin(ang)
-        best = min(best, float(np.hypot(xs - p.x, ys - p.y).min()))
-    return best
-
-
-def test_cone_interior_distance_on_axis_frozen():
-    # point 0.8 along the axis of a 45-degree cone: oracle distance is
-    # 0.8 * cos(pi/4); frozen value checked to full precision
-    cone = Cone(Point(0.0, 0.0), Point(1.0, 0.0), math.pi / 4)
-    p = Point(0.8, 0.0)
-    got = cone_interior_distance(p, cone)
-    assert got == pytest.approx(0.565685424949238, abs=1e-12)
-    assert got == pytest.approx(_cone_boundary_oracle(cone, p), abs=1e-3)
-
-
-def test_cone_interior_distance_outside_is_zero():
-    cone = Cone(Point(0.0, 0.0), Point(1.0, 0.0), math.pi / 3)
-    # aperture from axis is pi/6; this point sits 45 degrees off axis
-    assert cone_interior_distance(Point(1.0, 1.0), cone) == 0.0
-
-
-@given(finite, finite, st.floats(0.05, 1.5), st.floats(0.0, 2 * math.pi))
-@settings(max_examples=100, deadline=None)
-def test_cone_distance_bounded_by_oracle(px, py, half_angle, axis_angle):
-    cone = Cone(
-        Point(0.0, 0.0),
-        Point(math.cos(axis_angle), math.sin(axis_angle)),
-        half_angle,
-    )
-    p = Point(px, py)
-    got = cone_interior_distance(p, cone)
-    assert got >= 0.0
-    assert got <= p.dist(cone.vertex) + 1e-12
-    if got > 1e-6:
-        oracle = _cone_boundary_oracle(cone, p)
-        assert got <= oracle + max(1e-2, 1e-3 * p.dist(cone.vertex))

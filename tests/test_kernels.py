@@ -3,7 +3,7 @@
 The winding kernel is compared with adaptive quadrature of the defining
 integral; ray hits with closed-form/polyline intersections; carrier
 distances with brute-force dense sampling; the pair scan with an O(N^2)
-reference.  The same file exercises whichever lane is active.
+reference; grid paths with scipy's shortest paths on the free-cell graph.
 """
 
 import math
@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from curvewind import _kernels
 from curvewind.curves import CurveSpec, validate_jordan
@@ -249,3 +251,49 @@ def test_grid_bfs_finds_and_blocks():
     assert _kernels.grid_path(free, (2, 2), (18, 2)) is None
     free[2, 2] = 0
     assert _kernels.grid_path(free, (2, 2), (18, 2)) is None
+
+
+def _free_cell_graph(free):
+    """Adjacency of free cells joined to their free 8-neighbours."""
+
+    ny, nx = free.shape
+    rows, cols = [], []
+    for i, j in zip(*np.nonzero(free)):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                ni, nj = i + di, j + dj
+                if (di or dj) and 0 <= ni < ny and 0 <= nj < nx and free[ni, nj]:
+                    rows.append(i * nx + j)
+                    cols.append(ni * nx + nj)
+    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ny * nx, ny * nx))
+
+
+@pytest.mark.parametrize("seed,walled", [(0, False), (1, False), (2, False), (3, True)])
+def test_grid_path_is_shortest(seed, walled):
+    rng = np.random.default_rng(seed)
+    ny, nx = 24, 30
+    free = (rng.random((ny, nx)) > 0.4).astype(np.uint8)
+    if walled:
+        free[:, nx // 2] = 0  # no path from the left half to the right half
+    hops = shortest_path(_free_cell_graph(free), unweighted=True)
+    cells = np.argwhere(free)
+    reached = 0
+    for _ in range(8):
+        if walled:
+            (si, sj), = cells[rng.choice(np.flatnonzero(cells[:, 1] < nx // 2), 1)]
+            (gi, gj), = cells[rng.choice(np.flatnonzero(cells[:, 1] > nx // 2), 1)]
+        else:
+            (si, sj), (gi, gj) = cells[rng.choice(len(cells), 2, replace=False)]
+        want = hops[si * nx + sj, gi * nx + gj]
+        path = _kernels.grid_path(free, (si, sj), (gi, gj))
+        if not np.isfinite(want):
+            assert path is None
+            continue
+        reached += 1
+        assert path[0] == (si, sj) and path[-1] == (gi, gj)
+        for (i1, j1), (i2, j2) in zip(path, path[1:]):
+            assert max(abs(i1 - i2), abs(j1 - j2)) == 1
+            assert free[i2, j2]
+        assert len(path) - 1 == want
+    # each open grid must exercise real paths, the walled one none at all
+    assert reached == 0 if walled else reached >= 4
