@@ -10,8 +10,9 @@ rows before hitting these functions:
 Each kernel has one implementation.  The scalar kernels
 (``carrier_dist_point``, ``ray_hits_point``) walk the pieces for one query
 point with explicit DFS stacks; the batch kernels (``winding_batch``,
-``carrier_batch``, ``pair_scan``, ``grid_path``) are vectorised numpy over
-all query points, sample pairs or grid cells at once.
+``carrier_batch``, ``grid_path``) are vectorised numpy over all query points
+or grid cells at once, and the sample-pair kernels (``pair_scan``,
+``polyline_crossing``) over the sample pairs of many blocks at once.
 
 Why the winding sums are exact: every accepted node replaces a sub-path by
 its chord.  Sub-path and chord both live in the node's box (the control
@@ -51,6 +52,11 @@ _ROOT_TOL = 1e-12
 _SEED_RUN = 32
 # query points per block in the batch cubic refinement
 _REFINE_BLOCK = 4096
+# consecutive samples per block in the chord scan and the crossing test
+_SCAN_BLOCK = 32
+# block pairs per vectorised step, and block pairs filtered to find them
+_SCAN_STEP = 32
+_SCAN_WINDOW = 2048
 
 
 def _bbox_dist(px, py, xmin, ymin, xmax, ymax):
@@ -733,14 +739,63 @@ def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3):
     return lo, best_hi
 
 
+def _scan_blocks(n):
+    """Sample indices of the blocks of _SCAN_BLOCK consecutive samples.
+
+    A short last block is padded with the last sample, which leaves its box
+    alone and only repeats sample pairs that are already there.
+    """
+
+    nb = -(-n // _SCAN_BLOCK)
+    idx = np.arange(nb)[:, None] * _SCAN_BLOCK + np.arange(_SCAN_BLOCK)
+    return np.minimum(idx, n - 1)
+
+
+def _box_gaps(xy, cols):
+    """Axis gaps between the boxes of every block pair P <= Q.
+
+    Row P of ``cols`` lists the samples in box P.  Returns (P, Q, gx, gy);
+    a gap is 0 exactly where the two boxes overlap on that axis.
+    """
+
+    x = xy[cols, 0]
+    y = xy[cols, 1]
+    x0, x1 = x.min(axis=1), x.max(axis=1)
+    y0, y1 = y.min(axis=1), y.max(axis=1)
+    P, Q = np.triu_indices(cols.shape[0])
+    gx = np.maximum(np.maximum(x0[Q] - x1[P], x0[P] - x1[Q]), 0.0)
+    gy = np.maximum(np.maximum(y0[Q] - y1[P], y0[P] - y1[Q]), 0.0)
+    return P, Q, gx, gy
+
+
 def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     """Chord-gap scan driving the injectivity and inverse-modulus tables.
 
-    Returns (min_gap, i_min, j_min, deltas) over pairs i < j.  ``min_gap``
-    is the shortest chord among pairs whose wrap-aware parameter separation
-    is >= sep_floor.  deltas[k] is the shortest chord among pairs admissible
-    for eps_levels[k]: separation >= eps and both parameters inside
-    [a + eps/2, b - eps/2].
+    Returns (min_gap, i_min, j_min, deltas) over pairs i < j of samples
+    with increasing parameters ``ts``.  ``min_gap`` is the shortest chord
+    among pairs whose wrap-aware parameter separation is >= sep_floor;
+    among the pairs at exactly ``min_gap`` the witness is the smallest
+    (i, j).  deltas[k] is the shortest chord among pairs admissible for
+    eps_levels[k] (nondecreasing in k): separation >= eps and both
+    parameters inside [a + eps/2, b - eps/2].  A pair is admissible for
+    every level up to its cap, so the deltas are nondecreasing too.
+
+    Branch and bound over blocks of _SCAN_BLOCK consecutive samples, the
+    dual-tree pruning of Gray & Moore ("N-Body Problems in Statistical
+    Learning", NIPS 2000).  Block pairs P <= Q are visited in order of
+    increasing box distance, up to _SCAN_STEP pairs per vectorised step.
+    The box distance is rounded down two ulps with ``np.nextafter``: the
+    axis gaps round monotonically and hypot is faithful to an ulp, so the
+    result never exceeds a chord computed between the two blocks.  A
+    block pair is skipped when that distance is above both
+
+    * the current ``min_gap`` (or the pair holds no pair separated by
+      sep_floor or more), and
+    * the current deltas[k] at the highest level k that the largest cap
+      in the pair can reach (or it reaches none).
+
+    A skipped pair can change neither a minimum nor a tie, so the outputs
+    equal those of the full O(n^2) scan bit for bit.
     """
 
     xy = np.ascontiguousarray(xy, dtype=float)
@@ -750,37 +805,150 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     n = xy.shape[0]
     best = np.inf
     bi = bj = -1
-    block = max(1, int(2e6) // max(n, 1))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        dt = ts[None, s:e] - ts[:, None]  # (n, B)
-        upper = dt > 0  # j > i pairs only
-        dx = xy[None, s:e, 0] - xy[:, None, 0]
-        dy = xy[None, s:e, 1] - xy[:, None, 1]
-        d = np.hypot(dx, dy)
-        ws = np.minimum(dt, period - dt)
-        mask = upper & (ws >= sep_floor)
-        if mask.any():
-            dm = np.where(mask, d, np.inf)
-            k = np.argmin(dm)
-            i0, j0 = np.unravel_index(k, dm.shape)
-            if dm[i0, j0] < best:
-                best = float(dm[i0, j0])
-                bi, bj = int(i0), int(j0 + s)
-        # a pair is admissible for every level up to its cap; binning it by
-        # the largest such level and suffix-minimising below recovers deltas
-        cap = np.minimum(
-            dt,
-            np.minimum(2.0 * (ts[:, None] - a), 2.0 * (b - ts[None, s:e])),
+    if n < 2:
+        return best, bi, bj, level_min
+    cols = _scan_blocks(n)
+    P, Q, gx, gy = _box_gaps(xy, cols)
+    lower = np.nextafter(np.nextafter(np.hypot(gx, gy), 0.0), 0.0)
+    # block parameter ranges bound dt, the wrap-aware separation and the
+    # cap of each pair; float subtraction is monotone, so the bounds also
+    # hold for the values computed pair by pair
+    t_lo = ts[cols[:, 0]]
+    t_hi = ts[cols[:, -1]]
+    dt_max = t_hi[Q] - t_lo[P]
+    dt_min = np.where(P == Q, 0.0, t_lo[Q] - t_hi[P])
+    j1_ok = np.minimum(dt_max, period - dt_min) >= sep_floor
+    cap_max = np.minimum(
+        dt_max, np.minimum(2.0 * (t_hi[P] - a), 2.0 * (b - t_lo[Q]))
+    )
+    top = np.searchsorted(eps_levels, cap_max, side="right") - 1
+    order = np.argsort(lower, kind="stable")
+    P, Q, lower, j1_ok, top = (
+        P[order], Q[order], lower[order], j1_ok[order], top[order]
+    )
+    m = P.shape[0]
+    pos = 0
+    while pos < m:
+        # reach[k] is the J2 threshold of a pair whose top level is k; the
+        # appended -inf is read by top == -1, a pair that reaches no level
+        reach = np.append(np.minimum.accumulate(level_min[::-1])[::-1], -np.inf)
+        if lower[pos] > max(best, reach.max()):
+            break  # later pairs are no nearer
+        end = min(m, pos + _SCAN_WINDOW)
+        lw = lower[pos:end]
+        need = ((lw <= best) & j1_ok[pos:end]) | (lw <= reach[top[pos:end]])
+        hit = pos + np.flatnonzero(need)[:_SCAN_STEP]
+        pos = end if hit.size < _SCAN_STEP else int(hit[-1]) + 1
+        if not hit.size:
+            continue
+        # every sample pair of the chosen block pairs, computed exactly as
+        # in a full scan: rows i against columns j, one slab per block pair
+        I, J = cols[P[hit]], cols[Q[hit]]
+        ti = ts[I][:, :, None]
+        tj = ts[J][:, None, :]
+        dt = tj - ti
+        d = np.hypot(
+            xy[J, 0][:, None, :] - xy[I, 0][:, :, None],
+            xy[J, 1][:, None, :] - xy[I, 1][:, :, None],
         )
+        upper = dt > 0
+        ws = np.minimum(dt, period - dt)
+        dm = np.where(upper & (ws >= sep_floor), d, np.inf)
+        g = dm.min()
+        if g <= best and g < np.inf:
+            slab, r, c = np.nonzero(dm == g)
+            ii, jj = I[slab, r], J[slab, c]
+            w = np.lexsort((jj, ii))[0]
+            tie = (int(ii[w]), int(jj[w]))
+            if g < best or tie < (bi, bj):
+                best = float(g)
+                bi, bj = tie
+        # a pair is binned by the largest level its cap reaches
+        cap = np.minimum(dt, np.minimum(2.0 * (ti - a), 2.0 * (b - tj)))
+        lvl = np.searchsorted(eps_levels, cap, side="right") - 1
+        lvl[~upper] = -1
         for k in range(eps_levels.shape[0]):
-            sel = upper & (cap >= eps_levels[k])
-            if k + 1 < eps_levels.shape[0]:
-                sel &= cap < eps_levels[k + 1]
+            sel = lvl == k
             if sel.any():
                 level_min[k] = min(level_min[k], float(d[sel].min()))
     deltas = np.minimum.accumulate(level_min[::-1])[::-1]
     return best, bi, bj, deltas
+
+
+def polyline_crossing(xy):
+    """The smallest pair of non-adjacent sample segments that cross.
+
+    Segment k runs from sample k to sample k + 1, the last one back to
+    sample 0.  Returns (i, j), i < j, for the smallest pair of segments
+    that are not neighbours on the closed polyline and whose interiors
+    cross properly (strict orientation changes both ways), or (-1, -1).
+    Only block pairs whose boxes overlap are tested, each box spanning
+    its block's samples and the end of its last segment.
+    """
+
+    xy = np.ascontiguousarray(xy, dtype=float)
+    n = xy.shape[0]
+    if n < 4:
+        return -1, -1
+    cols = _scan_blocks(n)
+    ends = (cols[:, -1] + 1) % n
+    P, Q, gx, gy = _box_gaps(xy, np.concatenate([cols, ends[:, None]], axis=1))
+    # a run of segments that all point forward along the run's chord is
+    # monotone along it and cannot cross itself, so a block need not be
+    # tested against itself or its successor when their run is
+    seg = np.roll(xy, -1, axis=0) - xy
+    nxt = np.roll(np.arange(cols.shape[0]), -1)
+    mono_self = _forward(seg[cols], xy[ends] - xy[cols[:, 0]])
+    mono_next = _forward(
+        np.concatenate([seg[cols], seg[cols[nxt]]], axis=1),
+        xy[ends[nxt]] - xy[cols[:, 0]],
+    )
+    skip = ((P == Q) & mono_self[P]) | ((Q == nxt[P]) & mono_next[P])
+    skip |= (P == nxt[Q]) & mono_next[Q]
+    near = np.flatnonzero((gx == 0.0) & (gy == 0.0) & ~skip)
+    x, y = xy[:, 0], xy[:, 1]
+    found = (n, n)
+    for s in range(0, near.size, _SCAN_STEP):
+        k = near[s : s + _SCAN_STEP]
+        i = cols[P[k]][:, :, None]
+        j = cols[Q[k]][:, None, :]
+        i1, j1 = (i + 1) % n, (j + 1) % n
+        # first the segments j whose ends lie strictly on both sides of the
+        # line of segment i, few of them.  Neighbours share an endpoint,
+        # whose turn is exactly 0, so j > i is the only other mask needed
+        s0 = _orient(x[i], y[i], x[i1], y[i1], x[j], y[j])
+        s1 = _orient(x[i], y[i], x[i1], y[i1], x[j1], y[j1])
+        ok = (j > i) & (s0 * s1 < 0)
+        if not ok.any():
+            continue
+        ii = np.broadcast_to(i, ok.shape)[ok]
+        jj = np.broadcast_to(j, ok.shape)[ok]
+        ii1, jj1 = (ii + 1) % n, (jj + 1) % n
+        s0 = _orient(x[jj], y[jj], x[jj1], y[jj1], x[ii], y[ii])
+        s1 = _orient(x[jj], y[jj], x[jj1], y[jj1], x[ii1], y[ii1])
+        hit = s0 * s1 < 0
+        if hit.any():
+            ii, jj = ii[hit], jj[hit]
+            w = np.lexsort((jj, ii))[0]
+            found = min(found, (int(ii[w]), int(jj[w])))
+    return found if found[0] < n else (-1, -1)
+
+
+def _forward(seg, chord):
+    """Per row, whether every vector of ``seg`` points along ``chord``.
+
+    ``seg`` is (rows, k, 2) and ``chord`` (rows, 2); pointing along means a
+    positive dot product.
+    """
+
+    dots = seg[:, :, 0] * chord[:, None, 0] + seg[:, :, 1] * chord[:, None, 1]
+    return (dots > 0.0).all(axis=1)
+
+
+def _orient(px, py, qx, qy, rx, ry):
+    """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear."""
+
+    return np.sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
 
 
 def grid_path(free, start, goal):

@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .fixtures import FIXTURES, fixture
-from .index import Verdict, classify, region_grid, winding_number
+from .index import classify, region_grid, winding_number
 from .svg import render_svg
 
 

@@ -42,6 +42,8 @@ __all__ = [
     "curve_from_json",
 ]
 
+# joint and closure gaps are measured against these times the diameter of
+# the pieces' bounding box, so a certificate means the same at any scale
 JOINT_TOL = 1e-9
 CLOSURE_TOL = 1e-9
 EVAL_TOL = 1e-12
@@ -73,9 +75,14 @@ class CurveSpec:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"parameter interval must be finite with a < b, got {iv}")
         object.__setattr__(self, "interval", (a, b))
-        for k in range(len(pieces) - 1):
-            gap = pieces[k].point(1.0).dist(pieces[k + 1].point(0.0))
-            if gap > JOINT_TOL:
+        gaps = [
+            pieces[k].point(1.0).dist(pieces[k + 1].point(0.0))
+            for k in range(len(pieces) - 1)
+        ]
+        # exact joints, the usual case, pass without measuring the extent
+        tol = JOINT_TOL * _extent(pieces) if any(gaps) else 0.0
+        for k, gap in enumerate(gaps):
+            if gap > tol:
                 raise ValueError(
                     f"pieces {k} and {k + 1} do not meet: joint gap {gap:.3e}"
                 )
@@ -97,8 +104,12 @@ class CurveSpec:
         return self.pieces[-1].point(1.0).dist(self.pieces[0].point(0.0))
 
     @property
+    def closure_tol(self) -> float:
+        return CLOSURE_TOL * _extent(self.pieces)
+
+    @property
     def is_closed(self) -> bool:
-        return self.closure_gap <= CLOSURE_TOL
+        return self.closure_gap <= self.closure_tol
 
     def _locate(self, t: float) -> tuple[int, float]:
         a, b = self.interval
@@ -159,6 +170,13 @@ class CurveSpec:
         return (self.b - self.a) / self.n_pieces
 
 
+def _extent(pieces) -> float:
+    """Diameter of the pieces' bounding box, the length scale of the gaps."""
+
+    x0, y0, x1, y1 = zip(*(p.bbox() for p in pieces))
+    return math.hypot(max(x1) - min(x0), max(y1) - min(y0))
+
+
 def lin(z1, z2) -> CurveSpec:
     """The linear path from z1 to z2 on [0, 1]."""
 
@@ -169,12 +187,10 @@ def path_sum(c1: CurveSpec, c2: CurveSpec) -> CurveSpec:
     """Concatenate two paths whose endpoints meet, on [0, n1 + n2].
 
     Each operand keeps its own pacing only up to the affine time maps that
-    place the pieces on consecutive unit subintervals.
+    place the pieces on consecutive unit subintervals.  The joint between
+    them is checked like every other joint of the result.
     """
 
-    gap = c1.pieces[-1].point(1.0).dist(c2.pieces[0].point(0.0))
-    if gap > JOINT_TOL:
-        raise ValueError(f"paths do not meet: gap {gap:.3e}")
     return CurveSpec(c1.pieces + c2.pieces)
 
 
@@ -370,17 +386,17 @@ def validate_jordan(
     """Check closure, smoothness, and sample-scale injectivity at resolution h.
 
     Raises :class:`ClosureFailure`, :class:`NonSmoothPiece`, or
-    :class:`J1Failure` (with a witness pair); otherwise returns the curve
-    with J1/J2 certificates and a distance index attached.
+    :class:`J1Failure` (with a witness pair: the closest sample pair, or
+    the start parameters of two sample segments that cross); otherwise
+    returns the curve with J1/J2 certificates and a distance index attached.
     """
 
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("sample resolution h must be positive")
     gap = c.closure_gap
-    if gap > CLOSURE_TOL:
-        raise ClosureFailure(
-            c.pieces[0].point(0.0), c.pieces[-1].point(1.0), gap, CLOSURE_TOL
-        )
+    tol = c.closure_tol
+    if gap > tol:
+        raise ClosureFailure(c.pieces[0].point(0.0), c.pieces[-1].point(1.0), gap, tol)
     lows, highs = _speed_profile(c)
     flags = tuple(lo > 0.0 for lo in lows)
     if require_smooth and not all(flags):
@@ -402,6 +418,11 @@ def validate_jordan(
     threshold = _J1_FACTOR * min(loc1, loc2) * (h / h_eff)
     if min_gap < threshold:
         raise J1Failure(float(ts[i1]), float(ts[i2]), float(min_gap), threshold)
+    # a transversal crossing can fall between samples, half a step from the
+    # nearest sample pair; the sample polyline still crosses itself there
+    c1, c2 = _kernels.polyline_crossing(xy)
+    if c1 >= 0:
+        raise J1Failure(float(ts[c1]), float(ts[c2]), 0.0, threshold)
 
     entries = tuple(
         (float(e), float(d))

@@ -1,6 +1,5 @@
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from curvewind import Verdict, classify, validate_jordan

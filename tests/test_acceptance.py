@@ -27,7 +27,6 @@ from curvewind import (
     segment_integral,
     transform_curve,
     validate_jordan,
-    winding_number,
 )
 from curvewind.geometry import Point
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -24,7 +23,13 @@ from curvewind import (
     validate_jordan,
     winding_number,
 )
-from curvewind.fixtures import FIXTURES, cubic_blob, figure_eight, fixture
+from curvewind.fixtures import (
+    FIXTURES,
+    _catmull_rom_loop,
+    cubic_blob,
+    figure_eight,
+    fixture,
+)
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
@@ -140,6 +145,41 @@ def test_validate_rejects_open_path():
     half = CurveSpec((ArcPiece(Point(0, 0), 1.0, 0.0, math.pi),))
     with pytest.raises(ClosureFailure):
         validate_jordan(half, h=1e-3)
+
+
+SCALES = [10.0**k for k in range(-12, 13, 2)]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_closure_tolerance_scales_with_the_curve(scale):
+    m = Affine.scaling(scale).coeffs
+    half = CurveSpec((ArcPiece(Point(0, 0), scale, 0.0, math.pi),))
+    assert not half.is_closed
+    with pytest.raises(ClosureFailure):
+        validate_jordan(half, h=1e-3)
+    for name, make in FIXTURES.items():
+        spec = CurveSpec(tuple(p.transformed(m) for p in make().pieces))
+        assert spec.closure_gap <= spec.closure_tol, name
+    blob = CurveSpec(tuple(p.transformed(m) for p in cubic_blob().pieces))
+    assert validate_jordan(blob, h=1e-2).j1.min_gap > 0.0
+
+
+def test_lemniscate_crossing_between_samples_fails_injectivity():
+    # a Catmull-Rom loop through points of the lemniscate (cos t, sin 2t / 2)
+    # crosses itself once, on the y axis: the nearest samples across the
+    # crossing stay above the J1 threshold, but two sample segments cross
+    ts = [TWO_PI * (k + 0.25) / 12 for k in range(12)]
+    loop = _catmull_rom_loop([Point(math.cos(t), math.sin(2 * t) / 2) for t in ts])
+    for h in (1e-2, 1e-3):
+        with pytest.raises(J1Failure) as exc:
+            validate_jordan(loop, h=h)
+        err = exc.value
+        assert err.chord == 0.0
+        assert abs(err.t2 - err.t1) > 1.0
+        # the witnesses are mirror images, one sample step across the crossing
+        p1, p2 = loop.eval(err.t1), loop.eval(err.t2)
+        assert p1.dist(Point(-p2.x, p2.y)) < 1e-12
+        assert p1.dist(p2) < h
 
 
 def test_figure_eight_fails_injectivity_with_witness():

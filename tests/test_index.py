@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -18,12 +17,10 @@ from curvewind import (
     region_grid,
     segment_integral,
     transform_curve,
-    unit_circular_path,
     validate_jordan,
     winding_number,
 )
 from curvewind.curves import CurveSpec
-from curvewind.fixtures import cubic_blob
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece
 

@@ -3,10 +3,12 @@
 The winding kernel is compared with adaptive quadrature of the defining
 integral; ray hits with closed-form/polyline intersections; carrier
 distances with brute-force dense sampling; the pair scan with an O(N^2)
-reference; grid paths with scipy's shortest paths on the free-cell graph.
+reference, exactly; the crossing test with exact rational orientations;
+grid paths with scipy's shortest paths on the free-cell graph.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from curvewind import _kernels
-from curvewind.curves import CurveSpec, validate_jordan
-from curvewind.fixtures import cubic_blob, rounded_square
+from curvewind.curves import validate_jordan
+from curvewind.fixtures import FIXTURES, cubic_blob, fixture, rounded_square
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
@@ -206,35 +208,181 @@ def test_carrier_distance_enclosure_on_blob():
         assert h - l <= max(ci.lipschitz) * ci.sample_spacing + 1e-12
 
 
+def _pair_scan_oracle(xy, ts, period, sep_floor, a, b, eps_levels):
+    """The full O(n^2) chord scan, every pair i < j in one matrix."""
+
+    dt = ts[None, :] - ts[:, None]
+    upper = dt > 0
+    d = np.hypot(xy[None, :, 0] - xy[:, None, 0], xy[None, :, 1] - xy[:, None, 1])
+    ws = np.minimum(dt, period - dt)
+    dm = np.where(upper & (ws >= sep_floor), d, np.inf)
+    # argmin takes the first minimum in row-major order: the smallest (i, j)
+    i, j = np.unravel_index(np.argmin(dm), dm.shape)
+    best = float(dm[i, j])
+    if best == np.inf:
+        i = j = -1
+    cap = np.minimum(dt, np.minimum(2.0 * (ts[:, None] - a), 2.0 * (b - ts[None, :])))
+    deltas = np.full(len(eps_levels), np.inf)
+    for k, e in enumerate(eps_levels):
+        sel = upper & (cap >= e)
+        if sel.any():
+            deltas[k] = d[sel].min()
+    return best, int(i), int(j), deltas
+
+
+def _assert_scan_exact(xy, ts, period, sep, a, b, eps_levels):
+    got = _kernels.pair_scan(xy, ts, period, sep, a, b, eps_levels)
+    want = _pair_scan_oracle(xy, ts, period, sep, a, b, eps_levels)
+    assert got[:3] == want[:3]
+    assert np.array_equal(got[3], want[3])
+    return got
+
+
+def _validation_samples(spec, h):
+    """The samples, parameters and eps levels validate_jordan scans."""
+
+    a, b = spec.interval
+    period = b - a
+    n = max(int(math.ceil(period / h)), 8 * spec.n_pieces)
+    ts = a + (period / n) * np.arange(n)
+    eps_levels = np.array([f * period for f in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)])
+    return spec.points(ts), ts, period, h, a, b, eps_levels
+
+
 def test_pair_scan_matches_bruteforce():
     rng = np.random.default_rng(9)
     n = 400
-    period = 4.0
     a, b = 0.0, 4.0
     ts = np.sort(rng.uniform(a, b, size=n))
     xy = rng.normal(size=(n, 2))
-    sep = 0.05
     eps_levels = np.array([0.2, 0.5, 1.0, 1.6])
-    best, bi, bj, deltas = _kernels.pair_scan(xy, ts, period, sep, a, b, eps_levels)
+    _assert_scan_exact(xy, ts, b - a, 0.05, a, b, eps_levels)
 
-    gaps = np.hypot(
-        xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1]
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pair_scan_matches_bruteforce_on_fixtures(name):
+    _assert_scan_exact(*_validation_samples(fixture(name), 1e-2))
+
+
+@pytest.mark.parametrize(
+    "n", [2, 5, _kernels._SCAN_BLOCK - 1, _kernels._SCAN_BLOCK + 1]
+)
+def test_pair_scan_matches_bruteforce_around_one_block(n):
+    rng = np.random.default_rng(n)
+    ts = np.arange(n) / n
+    xy = rng.normal(size=(n, 2))
+    _assert_scan_exact(xy, ts, 1.0, 1.5 / n, 0.0, 1.0, np.array([0.1, 0.3]))
+
+
+def test_pair_scan_wrapping_pairs():
+    # samples 2 and n - 3 nearly meet: five steps apart across the seam,
+    # enough for sep_floor; samples 0 and n - 1 meet closer still, but only
+    # one step apart across the seam, so that pair is not admissible
+    rng = np.random.default_rng(3)
+    n = 300
+    ts = np.arange(n) / n
+    xy = 50.0 * rng.normal(size=(n, 2))
+    xy[n - 3] = xy[2] + (1e-3, 0.0)
+    xy[n - 1] = xy[0] + (1e-6, 0.0)
+    best, bi, bj, _ = _assert_scan_exact(
+        xy, ts, 1.0, 3.0 / n, 0.0, 1.0, np.array([0.1, 0.3])
     )
-    dt = np.abs(ts[:, None] - ts[None, :])
-    wrap = np.minimum(dt, period - dt)
-    iu = np.triu_indices(n, 1)
-    mask = wrap[iu] >= sep
-    ref_best = gaps[iu][mask].min()
-    assert best == pytest.approx(ref_best)
-    assert wrap[bi, bj] >= sep
-    assert gaps[bi, bj] == pytest.approx(best)
+    assert (bi, bj) == (2, n - 3)
+    assert best == pytest.approx(1e-3)
 
-    ti, tj = ts[iu[0]], ts[iu[1]]
-    cap = np.minimum(tj - ti, np.minimum(2 * (ti - a), 2 * (b - tj)))
-    for k, e in enumerate(eps_levels):
-        sel = cap >= e
-        ref = gaps[iu][sel].min() if sel.any() else np.inf
-        assert deltas[k] == pytest.approx(ref)
+
+def _hairpin(turn):
+    """Integer points out along y = 0 to sample ``turn`` and back along
+    y = 5, 10 apart in x: every pair straight across is exactly 5 apart."""
+
+    n = 2 * (turn + 1)
+    k = np.arange(n)
+    xy = np.stack([10.0 * np.where(k <= turn, k, n - 1 - k), 5.0 * (k > turn)], axis=1)
+    return xy, k / n
+
+
+def test_pair_scan_exact_tie_takes_smallest_pair(monkeypatch):
+    # blocks of 8 keep the oracle small.  The turn falls inside a block,
+    # whose box distance 0 puts its ties first; the smallest admissible
+    # pair (1, n - 2) lies in blocks 5 apart, visited steps later, and
+    # their caps reach no eps level, so only the J1 bound admits them
+    monkeypatch.setattr(_kernels, "_SCAN_BLOCK", 8)
+    xy, ts = _hairpin(499)
+    n = len(ts)
+    best, bi, bj, _ = _assert_scan_exact(
+        xy, ts, 1.0, 1.5 / n, 0.0, 1.0, np.array([0.1, 0.3])
+    )
+    assert (best, bi, bj) == (5.0, 1, n - 2)
+
+
+def test_pair_scan_level_minimum_behind_a_nearer_box(monkeypatch):
+    # with no J1-admissible pair (sep_floor > period / 2) only the J2 bound
+    # prunes.  One lifted sample per block (moved to y = 0.5, between two
+    # upper ones) gives 38 block pairs box distance 4.5 and chords of 5;
+    # one upper sample at y = 4.999 holds the level minimum in blocks
+    # 4.999 apart, visited a step after the current delta became 5
+    monkeypatch.setattr(_kernels, "_SCAN_BLOCK", 8)
+    xy, ts = _hairpin(499)
+    lifted = 8 * np.arange(12, 51) + 3
+    lifted = lifted[lifted // 8 != 250 // 8]
+    xy[lifted] += (5.0, 0.5)
+    xy[749, 1] = 4.999
+    best, bi, bj, deltas = _assert_scan_exact(
+        xy, ts, 1.0, 0.6, 0.0, 1.0, np.array([0.2])
+    )
+    assert (best, bi, bj) == (np.inf, -1, -1)
+    assert deltas.tolist() == [4.999]
+
+
+def _crossing_oracle(xy):
+    """Smallest pair of non-adjacent crossing segments, in exact arithmetic."""
+
+    pts = [(Fraction(x), Fraction(y)) for x, y in xy.tolist()]
+    n = len(pts)
+
+    def turn(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return (v > 0) - (v < 0)
+
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            p, q = pts[i], pts[(i + 1) % n]
+            r, s = pts[j], pts[(j + 1) % n]
+            if turn(p, q, r) * turn(p, q, s) < 0 and turn(r, s, p) * turn(r, s, q) < 0:
+                return i, j
+    return -1, -1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polyline_crossing_matches_exact_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for n in (4, 5, _kernels._SCAN_BLOCK + 1, 150):
+        th = TWO_PI * np.arange(n) / n
+        circle = np.stack([np.cos(th), np.sin(th)], axis=1)
+        step = TWO_PI / n
+        # a noisy circle zigzags across itself here and there; a random
+        # walk crosses itself everywhere
+        for xy in (
+            circle + rng.uniform(-0.6, 0.6) * step * rng.normal(size=(n, 2)),
+            np.cumsum(rng.normal(size=(n, 2)), axis=0),
+        ):
+            assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy)
+
+
+def test_polyline_crossing_finds_one_curl():
+    # a circle that makes one small loop inside one block: segments 103
+    # and 108 cross, and nothing else does
+    n = 400
+    th = TWO_PI * np.arange(n) / n
+    xy = np.stack([np.cos(th), np.sin(th)], axis=1)
+    assert _kernels.polyline_crossing(xy) == (-1, -1)
+    r = 3.0 * TWO_PI / n
+    loop = np.linspace(0.0, TWO_PI, 6, endpoint=False)[1:]
+    centre = xy[105] * (1.0 - r)
+    xy[104:109] = centre + r * np.stack(
+        [np.cos(th[105] + loop), np.sin(th[105] + loop)], axis=1
+    )
+    assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy) == (103, 108)
 
 
 def test_grid_bfs_finds_and_blocks():
