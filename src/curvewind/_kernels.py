@@ -7,12 +7,14 @@ rows before hitting these functions:
 * arc  : cx, cy, r, start_angle, sweep
 * cubic: x0, y0, x1, y1, x2, y2, x3, y3
 
-Each kernel has one implementation.  The scalar kernels
-(``carrier_dist_point``, ``ray_hits_point``) walk the pieces for one query
-point with explicit DFS stacks; the batch kernels (``winding_batch``,
-``carrier_batch``, ``grid_path``) are vectorised numpy over all query points
-or grid cells at once, and the sample-pair kernels (``pair_scan``,
-``polyline_crossing``) over the sample pairs of many blocks at once.
+Each kernel has one implementation.  ``ray_hits_point`` is the only one
+that walks the pieces for one query point, with an explicit DFS stack.  The
+batch kernels (``winding_batch``, ``carrier_batch``, ``grid_path``) are
+vectorised numpy over all query points or grid cells at once: the two
+refinements take all (point, piece) pairs of a block of points together,
+one subdivision level per step, and ``carrier_dist_point`` is
+``carrier_batch`` on one point.  The sample-pair kernels (``pair_scan``,
+``polyline_crossing``) run over the sample pairs of many blocks at once.
 
 Why the winding sums are exact: every accepted node replaces a sub-path by
 its chord.  Sub-path and chord both live in the node's box (the control
@@ -28,12 +30,11 @@ the query point, and the only error left is float round-off.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-KIND_LINE = 0
-KIND_ARC = 1
-KIND_CUBIC = 2
+from .pieces import FULL_TURN_TOL, KIND_ARC, KIND_CUBIC, KIND_LINE
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,13 +46,18 @@ NODE_LIMIT = 2
 # DFS stacks hold one pending sibling per level, so depth bounds the size
 _STACK_CAP = 256
 _HIT_CAP = 64
-_RAY_T_MIN = 1e-12
 _BRACKET_WIDTH = 1e-4
 _ROOT_TOL = 1e-12
+# an angle this far past either end of an arc's sweep still lies on it
+_SWEEP_TOL = 1e-12
+# subdivision levels of the carrier-distance refinement; a node that
+# reaches the last one is finished as it stands
+_REFINE_LEVELS = 80
 # consecutive carrier samples per pruning box in the batch distance seed
 _SEED_RUN = 32
-# query points per block in the batch cubic refinement
-_REFINE_BLOCK = 4096
+# (point, piece) and (point, sample run) pairs per block of query points
+# in the batch kernels
+_PAIR_BLOCK = 1 << 17
 # consecutive samples per block in the chord scan and the crossing test
 _SCAN_BLOCK = 32
 # block pairs per vectorised step, and block pairs filtered to find them
@@ -59,84 +65,20 @@ _SCAN_STEP = 32
 _SCAN_WINDOW = 2048
 
 
-def _bbox_dist(px, py, xmin, ymin, xmax, ymax):
-    dx = 0.0
-    if px < xmin:
-        dx = xmin - px
-    elif px > xmax:
-        dx = px - xmax
-    dy = 0.0
-    if py < ymin:
-        dy = ymin - py
-    elif py > ymax:
-        dy = py - ymax
-    return math.hypot(dx, dy)
-
-
-def _seg_point_dist(px, py, x0, y0, x1, y1):
-    ex, ey = x1 - x0, y1 - y0
-    denom = ex * ex + ey * ey
-    if denom == 0.0:
-        return math.hypot(px - x0, py - y0)
-    t = ((px - x0) * ex + (py - y0) * ey) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(px - (x0 + t * ex), py - (y0 + t * ey))
-
-
 def _angle_in_sweep(a0, sweep, theta):
     """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
 
     if sweep > 0.0:
         delta = (theta - a0) % TWO_PI
-        if delta <= sweep + 1e-12:
+        if delta <= sweep + _SWEEP_TOL:
             u = delta / sweep
             return u if u < 1.0 else 1.0
         return -1.0
     delta = (a0 - theta) % TWO_PI
-    if delta <= -sweep + 1e-12:
+    if delta <= -sweep + _SWEEP_TOL:
         u = delta / (-sweep)
         return u if u < 1.0 else 1.0
     return -1.0
-
-
-def _arc_point_dist(px, py, cx, cy, r, a0, sweep):
-    wx, wy = px - cx, py - cy
-    d = math.hypot(wx, wy)
-    if abs(abs(sweep) - TWO_PI) <= 1e-12:
-        return abs(d - r)
-    theta = math.atan2(wy, wx)
-    if _angle_in_sweep(a0, sweep, theta) >= 0.0:
-        return abs(d - r)
-    e0 = math.hypot(px - (cx + r * math.cos(a0)), py - (cy + r * math.sin(a0)))
-    a1 = a0 + sweep
-    e1 = math.hypot(px - (cx + r * math.cos(a1)), py - (cy + r * math.sin(a1)))
-    return min(e0, e1)
-
-
-def _arc_span_bbox(cx, cy, r, alo, ahi):
-    """Bounding box of the arc over angles [alo, ahi] (alo <= ahi)."""
-
-    x0, y0 = cx + r * math.cos(alo), cy + r * math.sin(alo)
-    x1, y1 = cx + r * math.cos(ahi), cy + r * math.sin(ahi)
-    xmin = min(x0, x1)
-    xmax = max(x0, x1)
-    ymin = min(y0, y1)
-    ymax = max(y0, y1)
-    half_pi = 0.5 * math.pi
-    k = math.ceil(alo / half_pi)
-    ang = k * half_pi
-    while ang <= ahi:
-        x = cx + r * math.cos(ang)
-        y = cy + r * math.sin(ang)
-        xmin = min(xmin, x)
-        xmax = max(xmax, x)
-        ymin = min(ymin, y)
-        ymax = max(ymax, y)
-        ang += half_pi
-    return xmin, ymin, xmax, ymax
 
 
 def _bern3(f0, f1, f2, f3, u):
@@ -170,10 +112,12 @@ def _cubic_velocity(row, u):
     return x, y
 
 
-def ray_hits_point(kinds, data, px, py, vx, vy, out):
+def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
     """All forward ray/carrier intersections, unsorted.
 
-    ``out`` is an (_HIT_CAP, 6) scratch array filled with rows
+    Only hits at ray parameters above ``t_min`` count as forward, so the
+    caller sets the floor to the curve's scale.  ``out`` is an
+    (_HIT_CAP, 6) scratch array filled with rows
     (t, piece, u, tan_x, tan_y, 0).  Returns (n_hits, status) where status
     is OK, ON_CARRIER for a collinear segment overlap, or NODE_LIMIT on
     overflow.  Tangential (even-order) contacts are deliberately not
@@ -198,12 +142,12 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                 if abs(perp) <= 1e-12 * max(1.0, elen):
                     f0 = rx * vx + ry * vy
                     f1 = (row[2] - px) * vx + (row[3] - py) * vy
-                    if f0 > _RAY_T_MIN or f1 > _RAY_T_MIN:
+                    if f0 > t_min or f1 > t_min:
                         return nh, ON_CARRIER
                 continue
             t = (rx * ey - ry * ex) / den
             u = (rx * vy - ry * vx) / den
-            if -1e-12 <= u <= 1.0 + 1e-12 and t > _RAY_T_MIN:
+            if -1e-12 <= u <= 1.0 + 1e-12 and t > t_min:
                 if nh >= _HIT_CAP:
                     return nh, NODE_LIMIT
                 uu = min(1.0, max(0.0, u))
@@ -224,7 +168,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
             sq = math.sqrt(disc)
             for sgn in range(2):
                 t = -b - sq if sgn == 0 else -b + sq
-                if t <= _RAY_T_MIN:
+                if t <= t_min:
                     continue
                 hx = ux + t * vx
                 hy = uy + t * vy
@@ -330,7 +274,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                 prev = u
                 hx, hy = _cubic_point(row, u)
                 t = (hx - px) * vx + (hy - py) * vy
-                if t <= _RAY_T_MIN:
+                if t <= t_min:
                     continue
                 if nh >= _HIT_CAP:
                     return nh, NODE_LIMIT
@@ -344,114 +288,15 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
     return nh, OK
 
 
-def _piece_bbox_dist(kind, row, px, py):
-    if kind == KIND_LINE:
-        xmin = min(row[0], row[2])
-        xmax = max(row[0], row[2])
-        ymin = min(row[1], row[3])
-        ymax = max(row[1], row[3])
-    elif kind == KIND_ARC:
-        alo = min(row[3], row[3] + row[4])
-        ahi = max(row[3], row[3] + row[4])
-        xmin, ymin, xmax, ymax = _arc_span_bbox(row[0], row[1], row[2], alo, ahi)
-    else:
-        xmin = min(min(row[0], row[2]), min(row[4], row[6]))
-        xmax = max(max(row[0], row[2]), max(row[4], row[6]))
-        ymin = min(min(row[1], row[3]), min(row[5], row[7]))
-        ymax = max(max(row[1], row[3]), max(row[5], row[7]))
-    return _bbox_dist(px, py, xmin, ymin, xmax, ymax)
+def carrier_dist_point(
+    kinds, data, samples, offsets, px, py, rel_tol, geo=None
+):
+    """``carrier_batch`` on the one point (px, py): returns floats (lo, hi)."""
 
-
-def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
-    """Certified enclosure [lo, hi] of the distance from p to the carrier.
-
-    Line and arc pieces are exact.  Cubic pieces refine control boxes until
-    each surviving box is small relative to its distance; ``samples`` seeds
-    the upper bound (de Casteljau node endpoints keep improving it since
-    they lie on the curve).  Pieces whose bounding box cannot beat the
-    running upper bound are skipped; every skipped candidate is >= the
-    final minimum, so the returned enclosure is identical to a full scan.
-    """
-
-    n = kinds.shape[0]
-    bd = np.empty(n)
-    i0 = 0
-    for i in range(n):
-        bd[i] = _piece_bbox_dist(kinds[i], data[i], px, py)
-        if bd[i] < bd[i0]:
-            i0 = i
-    best_hi = math.inf
-    lo_acc = math.inf
-    for k in range(n + 1):
-        # nearest bbox first, then index order, so the skip test bites early
-        if k == 0:
-            i = i0
-        elif k - 1 == i0:
-            continue
-        else:
-            i = k - 1
-            if bd[i] >= best_hi:
-                continue
-        kind = kinds[i]
-        row = data[i]
-        if kind == KIND_LINE:
-            d = _seg_point_dist(px, py, row[0], row[1], row[2], row[3])
-            if d < best_hi:
-                best_hi = d
-            if d < lo_acc:
-                lo_acc = d
-        elif kind == KIND_ARC:
-            d = _arc_point_dist(px, py, row[0], row[1], row[2], row[3], row[4])
-            if d < best_hi:
-                best_hi = d
-            if d < lo_acc:
-                lo_acc = d
-        elif offsets[i + 1] > offsets[i]:
-            # numpy's hypot and math.hypot agree to an ulp, so only samples
-            # next to the numpy minimum can hold the math.hypot minimum
-            seg = samples[offsets[i] : offsets[i + 1]]
-            dn = np.hypot(px - seg[:, 0], py - seg[:, 1])
-            for s in np.flatnonzero(dn <= dn.min() * (1.0 + 1e-12)):
-                d = math.hypot(px - seg[s, 0], py - seg[s, 1])
-                if d < best_hi:
-                    best_hi = d
-    for i in range(kinds.shape[0]):
-        if kinds[i] != KIND_CUBIC:
-            continue
-        if bd[i] >= best_hi:
-            continue
-        # plain floats and a list stack: numpy scalars are slow one by one
-        stack = [tuple(data[i, :8].tolist())]
-        while stack:
-            x0, y0, x1, y1, x2, y2, x3, y3 = stack.pop()
-            # one sorted() per axis is cheaper than six nested min/max calls
-            xs = sorted((x0, x1, x2, x3))
-            ys = sorted((y0, y1, y2, y3))
-            xmin, xmax, ymin, ymax = xs[0], xs[3], ys[0], ys[3]
-            db = _bbox_dist(px, py, xmin, ymin, xmax, ymax)
-            if db >= best_hi:
-                continue
-            diag = math.hypot(xmax - xmin, ymax - ymin)
-            if diag <= rel_tol * db + 1e-15 or len(stack) + 2 > _STACK_CAP:
-                if db < lo_acc:
-                    lo_acc = db
-                d0 = math.hypot(px - x0, py - y0)
-                if d0 < best_hi:
-                    best_hi = d0
-                continue
-            m01x, m01y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            m12x, m12y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-            m23x, m23y = 0.5 * (x2 + x3), 0.5 * (y2 + y3)
-            ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
-            bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
-            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            stack.append((x0, y0, m01x, m01y, ax, ay, mx, my))
-            stack.append((mx, my, bx, by, m23x, m23y, x3, y3))
-    lo = lo_acc if lo_acc < best_hi else best_hi
-    if lo < 0.0:
-        lo = 0.0
-    return lo, best_hi
-
+    lo, hi = carrier_batch(
+        kinds, data, samples, offsets, np.array([[px, py]]), rel_tol, geo
+    )
+    return float(lo[0]), float(hi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,284 +304,353 @@ def carrier_dist_point(kinds, data, samples, offsets, px, py, rel_tol):
 # ---------------------------------------------------------------------------
 
 
+def _point_blocks(m, per_point):
+    """Slices of query points with at most _PAIR_BLOCK pairs per block."""
+
+    step = max(1, _PAIR_BLOCK // max(1, per_point))
+    return [slice(s, s + step) for s in range(0, m, step)]
+
+
+def _control_polygons(kinds, data):
+    """The cubics' control polygons as a (4, 2, k) array: control point,
+    axis, piece."""
+
+    cubics = data[kinds == KIND_CUBIC, :8].reshape(-1, 4, 2)
+    return np.ascontiguousarray(cubics.transpose(1, 2, 0))
+
+
+def _node_gaps(ctl, q):
+    """Control boxes of the nodes and their axis gaps to the points.
+
+    ``ctl`` holds one control polygon per node, (4, 2, k), and ``q`` one
+    query point per node, (2, k).  Returns (lo, hi, gap): the (2, k) box
+    corners and the (2, k) distances from each point to its box along x
+    and y, 0 where it lies within.
+    """
+
+    lo = np.minimum.reduce(ctl)
+    hi = np.maximum.reduce(ctl)
+    gap = np.maximum(lo - q, q - hi)
+    np.maximum(gap, 0.0, out=gap)
+    return lo, hi, gap
+
+
+def _split(ctl):
+    """de Casteljau halves at u = 1/2 of (4, 2, k) control polygons: left
+    halves in the first k columns of the result, right halves in the last k.
+    """
+
+    # s holds p0, m01, a, mid, b, m23, p3: left is s[:4], right s[3:]
+    s = np.empty((7,) + ctl.shape[1:])
+    s[0::6] = ctl[0::3]
+    m = s[1:6:2]
+    np.add(ctl[:-1], ctl[1:], out=m)
+    m *= 0.5
+    ab = s[2:5:2]
+    np.add(m[:-1], m[1:], out=ab)
+    ab *= 0.5
+    np.add(ab[0], ab[1], out=s[3])
+    s[3] *= 0.5
+    return np.concatenate([s[:4], s[3:]], axis=2)
+
+
 def winding_batch(kinds, data, pts):
     """Winding integrals for many points: returns (total, nodes, status).
 
     ``total`` is the complex contour integral of dz/(z - p) per point,
     ``nodes`` counts accepted chords for the float round-off budget, and
-    ``status`` is OK, ON_CARRIER or NODE_LIMIT.
+    ``status`` is OK or ON_CARRIER.  Lines take one pass over all (point,
+    line) pairs; arcs and cubics each refine all their (point, piece)
+    pairs in one level loop, which ends once every node is accepted or too
+    narrow to split.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
     m = pts.shape[0]
-    z = pts[:, 0] + 1j * pts[:, 1]
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
-    for i in range(kinds.shape[0]):
-        kind = kinds[i]
-        row = data[i]
-        if kind == KIND_LINE:
-            w0 = (row[0] + 1j * row[1]) - z
-            w1 = (row[2] + 1j * row[3]) - z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.log(w1 / w0)
-            bad = ~np.isfinite(term)
-            status[bad] = ON_CARRIER
-            term[bad] = 0.0
-            total += term
-            nodes += 1
-        elif kind == KIND_ARC:
-            cx, cy, r, a0, sweep = row[:5]
-            c = cx + 1j * cy
-            idx = np.arange(m)
-            ulo = np.zeros(m)
-            uhi = np.ones(m)
-            for _level in range(80):
-                if idx.size == 0:
-                    break
-                phi0 = a0 + sweep * ulo
-                phi1 = a0 + sweep * uhi
-                e0 = c + r * np.exp(1j * phi0)
-                e1 = c + r * np.exp(1j * phi1)
-                # chord bbox inflated by the sagitta bounds the sub-arc hull
-                sag = r * (1.0 - np.cos(0.5 * np.abs(sweep) * (uhi - ulo)))
-                xmin = np.minimum(e0.real, e1.real) - sag
-                xmax = np.maximum(e0.real, e1.real) + sag
-                ymin = np.minimum(e0.imag, e1.imag) - sag
-                ymax = np.maximum(e0.imag, e1.imag) + sag
-                zz = z[idx]
-                dx = np.maximum(np.maximum(xmin - zz.real, zz.real - xmax), 0.0)
-                dy = np.maximum(np.maximum(ymin - zz.imag, zz.imag - ymax), 0.0)
-                outside = np.hypot(dx, dy) > 0.0
-                acc = np.where(outside)[0]
-                if acc.size:
-                    term = np.log((e1[acc] - zz[acc]) / (e0[acc] - zz[acc]))
-                    np.add.at(total, idx[acc], term)
-                    np.add.at(nodes, idx[acc], 1)
-                rest = np.where(~outside)[0]
-                if rest.size == 0:
-                    idx = idx[:0]
-                    break
-                narrow = (uhi[rest] - ulo[rest]) < 1e-13
-                status[idx[rest[narrow]]] = ON_CARRIER
-                rest = rest[~narrow]
-                mid = 0.5 * (ulo[rest] + uhi[rest])
-                idx = np.concatenate([idx[rest], idx[rest]])
-                ulo = np.concatenate([ulo[rest], mid])
-                uhi = np.concatenate([mid, uhi[rest]])
-            else:
-                status[idx] = NODE_LIMIT
-        else:
-            ctrl = row[:8].astype(complex)
-            ctrl = ctrl[0::2] + 1j * ctrl[1::2]
-            idx = np.arange(m)
-            cps = np.broadcast_to(ctrl, (m, 4)).copy()
-            widths = np.ones(m)
-            for _level in range(80):
-                if idx.size == 0:
-                    break
-                zz = z[idx]
-                xmin = cps.real.min(axis=1)
-                xmax = cps.real.max(axis=1)
-                ymin = cps.imag.min(axis=1)
-                ymax = cps.imag.max(axis=1)
-                dx = np.maximum(np.maximum(xmin - zz.real, zz.real - xmax), 0.0)
-                dy = np.maximum(np.maximum(ymin - zz.imag, zz.imag - ymax), 0.0)
-                outside = np.hypot(dx, dy) > 0.0
-                acc = np.where(outside)[0]
-                if acc.size:
-                    term = np.log(
-                        (cps[acc, 3] - zz[acc]) / (cps[acc, 0] - zz[acc])
-                    )
-                    np.add.at(total, idx[acc], term)
-                    np.add.at(nodes, idx[acc], 1)
-                rest = np.where(~outside)[0]
-                if rest.size == 0:
-                    idx = idx[:0]
-                    break
-                narrow = widths[rest] < 1e-13
-                status[idx[rest[narrow]]] = ON_CARRIER
-                rest = rest[~narrow]
-                p = cps[rest]
-                m01 = 0.5 * (p[:, 0] + p[:, 1])
-                m12 = 0.5 * (p[:, 1] + p[:, 2])
-                m23 = 0.5 * (p[:, 2] + p[:, 3])
-                pa = 0.5 * (m01 + m12)
-                pb = 0.5 * (m12 + m23)
-                pm = 0.5 * (pa + pb)
-                left = np.stack([p[:, 0], m01, pa, pm], axis=1)
-                right = np.stack([pm, pb, m23, p[:, 3]], axis=1)
-                idx = np.concatenate([idx[rest], idx[rest]])
-                cps = np.concatenate([left, right], axis=0)
-                widths = np.concatenate(
-                    [0.5 * widths[rest], 0.5 * widths[rest]]
-                )
-            else:
-                status[idx] = NODE_LIMIT
+    line = data[kinds == KIND_LINE]
+    arc = data[kinds == KIND_ARC]
+    ctl = _control_polygons(kinds, data)
+    for blk in _point_blocks(m, kinds.shape[0]):
+        z = pts[blk, 0] + 1j * pts[blk, 1]
+        acc, flagged = [], []
+        if line.shape[0]:
+            _wind_lines(line, z, acc, flagged)
+        if arc.shape[0]:
+            _wind_arcs(arc, z, acc, flagged)
+        if ctl.shape[2]:
+            _wind_cubics(ctl, z, acc, flagged)
+        idx = np.concatenate([a for a, _ in acc])
+        term = np.concatenate([t for _, t in acc])
+        b = z.shape[0]
+        total[blk] += np.bincount(idx, term.real, b) + 1j * np.bincount(
+            idx, term.imag, b
+        )
+        nodes[blk] += np.bincount(idx, minlength=b)
+        for f in flagged:
+            status[blk][f] = ON_CARRIER
     return total, nodes, status
 
 
-def _refine_cubic(row, px, py, best_hi, lo_acc, rel_tol):
-    """Tighten ``best_hi``/``lo_acc`` in place by one cubic's control boxes.
+def _wind_lines(line, z, acc, flagged):
+    """Exact chord terms of every (point, line) pair."""
 
-    ``ctl`` holds one control polygon per column, its rows laid out like a
-    data row (x0, y0, ..., x3, y3), so every step is elementwise over rows.
+    w0 = (line[:, 0] + 1j * line[:, 1]) - z[:, None]
+    w1 = (line[:, 2] + 1j * line[:, 3]) - z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.log(w1 / w0)
+    bad = ~np.isfinite(term)
+    term[bad] = 0.0
+    flagged.append(np.flatnonzero(bad.any(axis=1)))
+    acc.append((np.repeat(np.arange(z.shape[0]), line.shape[0]), term.ravel()))
+
+
+def _wind_arcs(arc, z, acc, flagged):
+    """Chord terms of every (point, arc) pair, refined on sub-arcs.
+
+    A node is the sub-arc [ulo, ulo + width] of local parameter; all nodes
+    of one level share the width.  Its chord box grown by the sagitta
+    bounds the sub-arc.
     """
 
-    m = px.shape[0]
-    idx = np.arange(m)
-    ctl = np.repeat(np.asarray(row[:8], dtype=float)[:, None], m, axis=1)
-    for _level in range(80):
-        if idx.size == 0:
+    na = arc.shape[0]
+    idx = np.repeat(np.arange(z.shape[0]), na)
+    j = np.tile(np.arange(na), z.shape[0])
+    ulo = np.zeros(idx.size)
+    width = 1.0
+    c = arc[:, 0] + 1j * arc[:, 1]
+    par = np.array([arc[:, 2], arc[:, 3], arc[:, 4], 0.5 * np.abs(arc[:, 4])])
+    q = np.stack([z.real, z.imag])
+    while idx.size:
+        r, a0, sweep, half = par.take(j, axis=1)
+        # both ends of every sub-arc, then its box: (end, axis, node)
+        e = c[j] + r * np.exp(1j * (a0 + sweep * np.stack([ulo, ulo + width])))
+        ends = np.stack([e.real, e.imag], axis=1)
+        sag = r * (1.0 - np.cos(half * width))
+        qn = q.take(idx, axis=1)
+        lo = np.minimum.reduce(ends) - sag
+        hi = np.maximum.reduce(ends) + sag
+        gap = np.maximum(lo - qn, qn - hi)
+        outside = np.maximum.reduce(gap) > 0.0
+        a = outside.nonzero()[0]
+        za = z[idx[a]]
+        acc.append((idx[a], np.log((e[1, a] - za) / (e[0, a] - za))))
+        rest = (~outside).nonzero()[0]
+        if width < 1e-13:
+            flagged.append(idx[rest])
             break
-        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
-        xmin = np.minimum(np.minimum(x0, x1), np.minimum(x2, x3))
-        xmax = np.maximum(np.maximum(x0, x1), np.maximum(x2, x3))
-        ymin = np.minimum(np.minimum(y0, y1), np.minimum(y2, y3))
-        ymax = np.maximum(np.maximum(y0, y1), np.maximum(y2, y3))
-        qx = px[idx]
-        qy = py[idx]
-        dx = np.maximum(np.maximum(xmin - qx, qx - xmax), 0.0)
-        dy = np.maximum(np.maximum(ymin - qy, qy - ymax), 0.0)
-        db = np.hypot(dx, dy)
-        live = db < best_hi[idx]
-        if not live.all():
-            idx = idx[live]
-            ctl = ctl[:, live]
-            db = db[live]
-            xmin, xmax = xmin[live], xmax[live]
-            ymin, ymax = ymin[live], ymax[live]
-            if idx.size == 0:
-                break
-        diag = np.hypot(xmax - xmin, ymax - ymin)
-        done = diag <= rel_tol * db + 1e-15
-        if _level == 79:
-            done = np.ones_like(done)
-        if done.any():
-            di = idx[done]
-            np.minimum.at(lo_acc, di, db[done])
-            d0 = np.hypot(px[di] - ctl[0, done], py[di] - ctl[1, done])
-            np.minimum.at(best_hi, di, d0)
-            keep = ~done
-            idx = idx[keep]
-            ctl = ctl[:, keep]
-            if idx.size == 0:
-                break
-        # de Casteljau split at u = 1/2: left half in the first k columns
-        k = idx.size
-        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
-        split = np.empty((8, 2 * k))
-        m01x, m01y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        m12x, m12y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        m23x, m23y = 0.5 * (x2 + x3), 0.5 * (y2 + y3)
-        ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
-        bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
-        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        for r, (left, right) in enumerate(
-            ((x0, mx), (y0, my), (m01x, bx), (m01y, by),
-             (ax, m23x), (ay, m23y), (mx, x3), (my, y3))
-        ):
-            split[r, :k] = left
-            split[r, k:] = right
+        width *= 0.5
+        idx, j, ulo = idx[rest], j[rest], ulo[rest]
         idx = np.concatenate([idx, idx])
-        ctl = split
+        j = np.concatenate([j, j])
+        ulo = np.concatenate([ulo, ulo + width])
 
 
-def _seed_from_samples(kinds, samples, offsets, px, py, best_hi):
+def _wind_cubics(ctl, z, acc, flagged):
+    """Chord terms of every (point, cubic) pair, refined on control boxes."""
+
+    nc = ctl.shape[2]
+    idx = np.repeat(np.arange(z.shape[0]), nc)
+    node = ctl.take(np.tile(np.arange(nc), z.shape[0]), axis=2)
+    q = np.stack([z.real, z.imag])
+    width = 1.0
+    while idx.size:
+        _, _, gap = _node_gaps(node, q.take(idx, axis=1))
+        outside = np.maximum.reduce(gap) > 0.0
+        a = outside.nonzero()[0]
+        za = z[idx[a]]
+        w0 = (node[0, 0, a] + 1j * node[0, 1, a]) - za
+        w1 = (node[3, 0, a] + 1j * node[3, 1, a]) - za
+        acc.append((idx[a], np.log(w1 / w0)))
+        rest = (~outside).nonzero()[0]
+        if width < 1e-13:
+            flagged.append(idx[rest])
+            break
+        width *= 0.5
+        idx = idx[rest]
+        idx = np.concatenate([idx, idx])
+        node = _split(node.take(rest, axis=2))
+
+
+class CarrierGeometry(NamedTuple):
+    """Per-curve arrays for ``carrier_batch``, independent of the queries.
+
+    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: rows cx, cy, r, a0,
+    sign of the sweep, the angular span on the arc (|sweep| + _SWEEP_TOL,
+    infinite for a full circle), then both end points, which
+    ``math.cos``/``math.sin`` evaluate.  Cubics: ``_control_polygons`` and
+    their boxes.  Seed runs: _SEED_RUN consecutive cubic samples per row,
+    and their boxes.
+    """
+
+    line: np.ndarray
+    arc: np.ndarray
+    ctl: np.ndarray
+    ctl_lo: np.ndarray
+    ctl_hi: np.ndarray
+    run_x: np.ndarray
+    run_y: np.ndarray
+    run_lo: np.ndarray
+    run_hi: np.ndarray
+
+
+def carrier_geometry(kinds, data, samples, offsets):
+    """The ``CarrierGeometry`` of one flattened curve and its samples."""
+
+    x0, y0, x1, y1 = data[kinds == KIND_LINE, :4].T
+    ex, ey = x1 - x0, y1 - y0
+    line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
+    arc = []
+    for cx, cy, r, a0, sweep in data[kinds == KIND_ARC, :5].tolist():
+        a1 = a0 + sweep
+        full = abs(abs(sweep) - TWO_PI) <= FULL_TURN_TOL
+        arc.append((
+            cx, cy, r, a0, math.copysign(1.0, sweep),
+            math.inf if full else abs(sweep) + _SWEEP_TOL,
+            cx + r * math.cos(a0), cy + r * math.sin(a0),
+            cx + r * math.cos(a1), cy + r * math.sin(a1),
+        ))
+    arc = np.array(arc).reshape(-1, 10).T.copy()
+    ctl = _control_polygons(kinds, data)
+    # run r of a piece starts at its sample r * _SEED_RUN; a short last run
+    # is padded with the piece's last sample, which leaves minima alone
+    cub = np.flatnonzero(kinds == KIND_CUBIC)
+    first, last = offsets[cub], offsets[cub + 1] - 1
+    nrun = (last - first + _SEED_RUN) // _SEED_RUN
+    r = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
+    start = np.repeat(first, nrun) + r * _SEED_RUN
+    cols = np.minimum(
+        start[:, None] + np.arange(_SEED_RUN), np.repeat(last, nrun)[:, None]
+    )
+    run_x = samples[cols, 0]
+    run_y = samples[cols, 1]
+    return CarrierGeometry(
+        line=line,
+        arc=arc,
+        ctl=ctl,
+        ctl_lo=ctl.min(axis=0),
+        ctl_hi=ctl.max(axis=0),
+        run_x=run_x,
+        run_y=run_y,
+        run_lo=np.array([run_x.min(axis=1), run_y.min(axis=1)]),
+        run_hi=np.array([run_x.max(axis=1), run_y.max(axis=1)]),
+    )
+
+
+def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3, geo=None):
+    """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
+
+    Line and arc pieces are exact.  Cubic pieces refine control boxes until
+    each surviving box is small relative to its distance; ``samples`` seed
+    the upper bound, and the start point of every refinement node keeps
+    lowering it, since it lies on the curve.  A node whose box cannot beat
+    the running upper bound is dropped; everything below it is no nearer
+    than the final bound, so the enclosure is the one a full refinement
+    gives, in whatever order nodes are visited.  ``geo`` is the curve's
+    ``carrier_geometry``, computed here when not given.
+    """
+
+    if geo is None:
+        geo = carrier_geometry(kinds, data, samples, offsets)
+    pts = np.ascontiguousarray(pts, dtype=float)
+    m = pts.shape[0]
+    best_hi = np.full(m, np.inf)
+    lo_acc = np.full(m, np.inf)
+    for blk in _point_blocks(m, kinds.shape[0] + geo.run_x.shape[0]):
+        q = pts[blk].T
+        _exact_pieces(geo, q, best_hi[blk], lo_acc[blk])
+        _seed_from_samples(geo, q, best_hi[blk])
+        _refine_cubics(geo, q, best_hi[blk], lo_acc[blk], rel_tol)
+    lo = np.minimum(lo_acc, best_hi)
+    np.maximum(lo, 0.0, out=lo)
+    return lo, best_hi
+
+
+def _exact_pieces(geo, q, best_hi, lo_acc):
+    """Lower ``best_hi`` and ``lo_acc`` in place to the line and arc
+    distances, one pass over all (point, piece) pairs of each kind."""
+
+    px, py = q[0][:, None], q[1][:, None]
+    parts = []
+    if geo.line.shape[1]:
+        x0, y0, ex, ey, denom = geo.line
+        t = np.clip(((px - x0) * ex + (py - y0) * ey) / denom, 0, 1)
+        parts.append(np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)))
+    if geo.arc.shape[1]:
+        cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
+        wx, wy = px - cx, py - cy
+        rad = np.abs(np.hypot(wx, wy) - r)
+        on = np.mod(sign * (np.arctan2(wy, wx) - a0), TWO_PI) <= span
+        ends = np.minimum(
+            np.hypot(px - e0x, py - e0y), np.hypot(px - e1x, py - e1y)
+        )
+        parts.append(np.where(on, rad, ends))
+    for d in parts:
+        d = d.min(axis=1)
+        np.minimum(best_hi, d, out=best_hi)
+        np.minimum(lo_acc, d, out=lo_acc)
+
+
+def _seed_from_samples(geo, q, best_hi):
     """Lower ``best_hi`` in place to the nearest cubic sample, exactly.
 
-    Samples are grouped into runs of _SEED_RUN consecutive curve points.
     The first sample of every run gives an upper bound u on the nearest
     distance; a run whose bounding box lies farther than u cannot hold the
     nearest sample, so only the remaining runs are scanned point by point.
     The result equals the minimum over every sample.
     """
 
-    cub = np.flatnonzero(kinds == KIND_CUBIC)
-    first, last = offsets[cub], offsets[cub + 1] - 1
-    nrun = (last - first + _SEED_RUN) // _SEED_RUN
-    if nrun.sum() == 0:
+    if not geo.run_x.shape[0]:
         return
-    # run r of piece i starts at first[i] + r * _SEED_RUN; a short last run
-    # is padded with the piece's last sample, which leaves minima alone
-    r = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
-    start = np.repeat(first, nrun) + r * _SEED_RUN
-    cols = np.minimum(
-        start[:, None] + np.arange(_SEED_RUN), np.repeat(last, nrun)[:, None]
-    )
-    rx = samples[cols, 0]
-    ry = samples[cols, 1]
-    xmin, xmax = rx.min(axis=1), rx.max(axis=1)
-    ymin, ymax = ry.min(axis=1), ry.max(axis=1)
-    m = px.shape[0]
-    block = max(1, int(1e6) // cols.shape[0])
-    for s in range(0, m, block):
-        e = min(m, s + block)
-        qx = px[s:e, None]
-        qy = py[s:e, None]
-        u = np.hypot(qx - rx[None, :, 0], qy - ry[None, :, 0]).min(axis=1)
-        dx = np.maximum(np.maximum(xmin - qx, qx - xmax), 0.0)
-        dy = np.maximum(np.maximum(ymin - qy, qy - ymax), 0.0)
-        # the margin absorbs round-off in comparing box and sample distances
-        qi, ri = np.nonzero(np.hypot(dx, dy) <= u[:, None] * (1.0 + 1e-9))
-        d = np.hypot(px[s + qi, None] - rx[ri], py[s + qi, None] - ry[ri])
-        np.minimum.at(best_hi, s + qi, d.min(axis=1))
+    qx, qy = q[0][:, None], q[1][:, None]
+    u = np.hypot(qx - geo.run_x[:, 0], qy - geo.run_y[:, 0]).min(axis=1)
+    dx = np.maximum(np.maximum(geo.run_lo[0] - qx, qx - geo.run_hi[0]), 0.0)
+    dy = np.maximum(np.maximum(geo.run_lo[1] - qy, qy - geo.run_hi[1]), 0.0)
+    # the margin absorbs round-off in comparing box and sample distances
+    qi, ri = np.nonzero(np.hypot(dx, dy) <= u[:, None] * (1.0 + 1e-9))
+    d = np.hypot(q[0, qi, None] - geo.run_x[ri], q[1, qi, None] - geo.run_y[ri])
+    np.minimum.at(best_hi, qi, d.min(axis=1))
 
 
-def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3):
-    """Carrier-distance enclosures for many points: returns (lo, hi) arrays."""
+def _refine_cubics(geo, q, best_hi, lo_acc, rel_tol):
+    """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
-    pts = np.ascontiguousarray(pts, dtype=float)
-    px = pts[:, 0]
-    py = pts[:, 1]
-    m = pts.shape[0]
-    best_hi = np.full(m, np.inf)
-    lo_acc = np.full(m, np.inf)
-    for i in range(kinds.shape[0]):
-        kind = kinds[i]
-        row = data[i]
-        if kind == KIND_LINE:
-            ex, ey = row[2] - row[0], row[3] - row[1]
-            denom = ex * ex + ey * ey
-            t = np.clip(((px - row[0]) * ex + (py - row[1]) * ey) / denom, 0, 1)
-            d = np.hypot(px - (row[0] + t * ex), py - (row[1] + t * ey))
-            np.minimum(best_hi, d, out=best_hi)
-            np.minimum(lo_acc, d, out=lo_acc)
-        elif kind == KIND_ARC:
-            cx, cy, r, a0, sweep = row[:5]
-            wx, wy = px - cx, py - cy
-            rad = np.abs(np.hypot(wx, wy) - r)
-            if abs(abs(sweep) - TWO_PI) <= 1e-12:
-                d = rad
-            else:
-                theta = np.arctan2(wy, wx)
-                if sweep > 0:
-                    on = np.mod(theta - a0, TWO_PI) <= sweep + 1e-12
-                else:
-                    on = np.mod(a0 - theta, TWO_PI) <= -sweep + 1e-12
-                a1 = a0 + sweep
-                d0 = np.hypot(
-                    px - (cx + r * math.cos(a0)), py - (cy + r * math.sin(a0))
-                )
-                d1 = np.hypot(
-                    px - (cx + r * math.cos(a1)), py - (cy + r * math.sin(a1))
-                )
-                d = np.where(on, rad, np.minimum(d0, d1))
-            np.minimum(best_hi, d, out=best_hi)
-            np.minimum(lo_acc, d, out=lo_acc)
-    _seed_from_samples(kinds, samples, offsets, px, py, best_hi)
-    # points are independent; blocks keep the refinement arrays in cache
-    for s in range(0, m, _REFINE_BLOCK):
-        e = min(m, s + _REFINE_BLOCK)
-        for i in range(kinds.shape[0]):
-            if kinds[i] == KIND_CUBIC:
-                _refine_cubic(
-                    data[i], px[s:e], py[s:e], best_hi[s:e], lo_acc[s:e], rel_tol
-                )
-    lo = np.minimum(lo_acc, best_hi)
-    np.maximum(lo, 0.0, out=lo)
-    return lo, best_hi
+    All (point, cubic) pairs whose control box is nearer than ``best_hi``
+    refine together, one level per step.  A node is finished when its box
+    is small next to its distance, or at the last level, and then lowers
+    ``lo_acc`` to that distance.
+    """
+
+    if not geo.ctl.shape[2]:
+        return
+    qq = q[:, :, None]
+    d = np.maximum(geo.ctl_lo[:, None, :] - qq, qq - geo.ctl_hi[:, None, :])
+    np.maximum(d, 0.0, out=d)
+    idx, piece = np.nonzero(np.hypot(d[0], d[1]) < best_hi[:, None])
+    ctl = geo.ctl.take(piece, axis=2)
+    fresh = 0
+    for level in range(_REFINE_LEVELS):
+        qn = q.take(idx, axis=1)
+        lo, hi, gap = _node_gaps(ctl, qn)
+        db = np.hypot(gap[0], gap[1])
+        # a start point lies on the curve; a left half keeps its parent's
+        d0 = qn[:, fresh:] - ctl[0, :, fresh:]
+        np.minimum.at(best_hi, idx[fresh:], np.hypot(d0[0], d0[1]))
+        live = db < best_hi[idx]
+        ext = hi - lo
+        done = np.hypot(ext[0], ext[1]) <= rel_tol * db + 1e-15
+        if level == _REFINE_LEVELS - 1:
+            done[:] = True
+        np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))
+        keep = (live > done).nonzero()[0]
+        if not keep.size:
+            break
+        fresh = keep.size
+        idx = idx[keep]
+        idx = np.concatenate([idx, idx])
+        ctl = _split(ctl.take(keep, axis=2))
 
 
 def _scan_blocks(n):

@@ -42,7 +42,6 @@ class ClearanceGrid:
     h: float
     clearance: float
     free: np.ndarray
-    lo: np.ndarray
 
     @classmethod
     def build(
@@ -64,9 +63,8 @@ class ClearanceGrid:
         gx, gy = np.meshgrid(xs, ys)
         centers = np.column_stack([gx.ravel(), gy.ravel()])
         lo, _ = jc.carrier.distance_batch(centers)
-        lo = lo.reshape(ny, nx)
-        free = (lo >= clearance + h * _FREE_MARGIN).astype(np.uint8)
-        return cls(origin=(x0, y0), h=h, clearance=clearance, free=free, lo=lo)
+        free = (lo >= clearance + h * _FREE_MARGIN).astype(np.uint8).reshape(ny, nx)
+        return cls(origin=(x0, y0), h=h, clearance=clearance, free=free)
 
     def cell_of(self, p: Point) -> tuple[int, int]:
         j = int(math.floor((p.x - self.origin[0]) / self.h))

@@ -11,6 +11,7 @@ that answers distance queries with certified [lower, upper] enclosures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -253,7 +254,9 @@ class CarrierIndex:
     carrier between certified bounds.  Line and arc queries are closed-form;
     cubic queries refine control boxes well past the sampling guarantee, so
     enclosures satisfy (upper - lower) <= lipschitz * sample_spacing with
-    room to spare.
+    room to spare.  ``distance`` and ``distance_batch`` run the same kernel,
+    ``_kernels.carrier_batch``, so one point gets one answer either way; the
+    kernel's per-curve arrays are built on the first query and kept.
     """
 
     kinds: np.ndarray
@@ -313,14 +316,22 @@ class CarrierIndex:
         """Certified [lower, upper] enclosure of the distance to the carrier."""
 
         p = as_point(z)
-        lo, hi = _kernels.carrier_dist_point(
-            self.kinds, self.data, self.samples, self.offsets, p.x, p.y, self.rel_tol
+        return _kernels.carrier_dist_point(
+            self.kinds, self.data, self.samples, self.offsets, p.x, p.y,
+            self.rel_tol, self._geometry,
         )
-        return float(lo), float(hi)
 
     def distance_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _kernels.carrier_batch(
-            self.kinds, self.data, self.samples, self.offsets, pts, self.rel_tol
+            self.kinds, self.data, self.samples, self.offsets, pts, self.rel_tol,
+            self._geometry,
+        )
+
+    @functools.cached_property
+    def _geometry(self) -> _kernels.CarrierGeometry:
+        # built on the first query, not in build(): validation never queries
+        return _kernels.carrier_geometry(
+            self.kinds, self.data, self.samples, self.offsets
         )
 
     def diameter(self) -> float:

@@ -63,6 +63,9 @@ _ISOLATION_FRACTION = 1e-6
 # local-parameter offset for probing which side of the ray line the curve
 # occupies just before/after a joint hit
 _JOINT_PROBE_DU = 1e-3
+# ray hits nearer the origin than this times the curve's diameter are not
+# counted as forward
+_RAY_T_MIN = 1e-12
 
 
 class Verdict(str, Enum):
@@ -71,7 +74,7 @@ class Verdict(str, Enum):
     NEAR_CARRIER = "near-carrier"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingResult:
     """Contour integral of dz/(z - p), normalised by 2*pi*i."""
 
@@ -87,7 +90,7 @@ class WindingResult:
         return self.residual + self.error_budget < _RESIDUAL_LIMIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingRecord:
     """One transversal ray/carrier crossing."""
 
@@ -99,7 +102,7 @@ class CrossingRecord:
     through_joint: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     point: tuple[float, float]
     verdict: Verdict
@@ -138,8 +141,6 @@ def winding_number(jc: JordanCurve, z, check_distance: bool = True) -> WindingRe
     total, nodes, status = _kernels.winding_batch(jc.carrier.kinds, jc.carrier.data, pts)
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
-    if status[0] == _kernels.NODE_LIMIT:
-        raise BudgetNotMet("winding refinement hit its node cap")
     integral = complex(total[0]) / (2j * math.pi)
     rounded = int(round(integral.real))
     residual = abs(integral - rounded)
@@ -167,7 +168,7 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
     vx, vy = direction.x / norm, direction.y / norm
     out = np.empty((_kernels._HIT_CAP, 6))
     nh, status = _kernels.ray_hits_point(
-        carrier.kinds, carrier.data, p.x, p.y, vx, vy, out
+        carrier.kinds, carrier.data, p.x, p.y, vx, vy, out, _RAY_T_MIN * carrier.diam
     )
     if status == _kernels.ON_CARRIER:
         raise DegenerateRay("ray runs along a straight piece")
@@ -321,7 +322,7 @@ def classify(
 
     inside = parity == 1 if parity is not None else wind.rounded != 0
     return Classification(
-        point=(p.x, p.y),
+        point=wind.point,
         verdict=Verdict.INSIDE if inside else Verdict.OUTSIDE,
         winding=wind,
         crossings=records,

@@ -346,11 +346,3 @@ class CubicPiece:
 
 
 Piece = LinePiece | ArcPiece | CubicPiece
-
-
-def start_point(piece: Piece) -> Point:
-    return piece.point(0.0)
-
-
-def end_point(piece: Piece) -> Point:
-    return piece.point(1.0)

@@ -200,6 +200,22 @@ def test_affine_invariance_of_verdicts(curves):
             assert ct.winding.rounded == c.winding.rounded
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_verdicts_hold_at_any_scale(curves, scale):
+    # the pieces are scaled one by one: transform_curve refuses maps this
+    # far from unit size
+    m = Affine.scaling(scale).coeffs
+    for name, jc in curves.items():
+        spec = CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces))
+        scaled = validate_jordan(spec, h=1e-2)
+        x0, y0, x1, y1 = jc.carrier.bbox
+        rng = np.random.default_rng(0)
+        pts = rng.uniform((x0 - 0.1, y0 - 0.1), (x1 + 0.1, y1 + 0.1), size=(60, 2))
+        for x, y in pts:
+            want = classify(jc, (x, y)).verdict
+            assert classify(scaled, (x * scale, y * scale)).verdict is want, name
+
+
 def test_reflection_negates_winding(curves):
     jc = curves["kidney"]
     jr = transform_curve(jc, Affine.reflection_x())

@@ -2,9 +2,10 @@
 
 The winding kernel is compared with adaptive quadrature of the defining
 integral; ray hits with closed-form/polyline intersections; carrier
-distances with brute-force dense sampling; the pair scan with an O(N^2)
-reference, exactly; the crossing test with exact rational orientations;
-grid paths with scipy's shortest paths on the free-cell graph.
+distances with brute-force dense sampling; the carrier and winding kernels
+with their earlier forms that refine one piece at a time; the pair scan
+with an O(N^2) reference, exactly; the crossing test with exact rational
+orientations; grid paths with scipy's shortest paths on the free-cell graph.
 """
 
 import math
@@ -17,10 +18,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from curvewind import _kernels
-from curvewind.curves import validate_jordan
+from curvewind.curves import CarrierIndex, validate_jordan
 from curvewind.fixtures import FIXTURES, cubic_blob, fixture, rounded_square
 from curvewind.geometry import Point
-from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
+from curvewind.pieces import (
+    KIND_ARC,
+    KIND_CUBIC,
+    KIND_LINE,
+    ArcPiece,
+    CubicPiece,
+    LinePiece,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,7 +115,7 @@ def test_winding_near_carrier_reports_on_carrier():
 def _ray(kinds, data, p, v):
     out = np.empty((_kernels._HIT_CAP, 6))
     nh, status = _kernels.ray_hits_point(
-        kinds, data, p[0], p[1], v[0], v[1], out
+        kinds, data, p[0], p[1], v[0], v[1], out, 1e-12
     )
     return out[:nh], status
 
@@ -206,6 +214,311 @@ def test_carrier_distance_enclosure_on_blob():
         assert l <= oracle + 1e-12
         assert h >= oracle - step
         assert h - l <= max(ci.lipschitz) * ci.sample_spacing + 1e-12
+
+
+def _winding_batch_oracle(kinds, data, pts):
+    """The winding kernel with one refinement loop per piece."""
+
+    pts = np.ascontiguousarray(pts, dtype=float)
+    m = pts.shape[0]
+    z = pts[:, 0] + 1j * pts[:, 1]
+    total = np.zeros(m, dtype=complex)
+    nodes = np.zeros(m, dtype=np.int64)
+    status = np.zeros(m, dtype=np.int64)
+    for i in range(kinds.shape[0]):
+        kind = kinds[i]
+        row = data[i]
+        if kind == KIND_LINE:
+            w0 = (row[0] + 1j * row[1]) - z
+            w1 = (row[2] + 1j * row[3]) - z
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = np.log(w1 / w0)
+            bad = ~np.isfinite(term)
+            status[bad] = _kernels.ON_CARRIER
+            term[bad] = 0.0
+            total += term
+            nodes += 1
+        elif kind == KIND_ARC:
+            cx, cy, r, a0, sweep = row[:5]
+            c = cx + 1j * cy
+            idx = np.arange(m)
+            ulo = np.zeros(m)
+            uhi = np.ones(m)
+            for _level in range(80):
+                if idx.size == 0:
+                    break
+                phi0 = a0 + sweep * ulo
+                phi1 = a0 + sweep * uhi
+                e0 = c + r * np.exp(1j * phi0)
+                e1 = c + r * np.exp(1j * phi1)
+                # chord bbox inflated by the sagitta bounds the sub-arc hull
+                sag = r * (1.0 - np.cos(0.5 * np.abs(sweep) * (uhi - ulo)))
+                xmin = np.minimum(e0.real, e1.real) - sag
+                xmax = np.maximum(e0.real, e1.real) + sag
+                ymin = np.minimum(e0.imag, e1.imag) - sag
+                ymax = np.maximum(e0.imag, e1.imag) + sag
+                zz = z[idx]
+                dx = np.maximum(np.maximum(xmin - zz.real, zz.real - xmax), 0.0)
+                dy = np.maximum(np.maximum(ymin - zz.imag, zz.imag - ymax), 0.0)
+                outside = np.hypot(dx, dy) > 0.0
+                acc = np.where(outside)[0]
+                if acc.size:
+                    term = np.log((e1[acc] - zz[acc]) / (e0[acc] - zz[acc]))
+                    np.add.at(total, idx[acc], term)
+                    np.add.at(nodes, idx[acc], 1)
+                rest = np.where(~outside)[0]
+                if rest.size == 0:
+                    idx = idx[:0]
+                    break
+                narrow = (uhi[rest] - ulo[rest]) < 1e-13
+                status[idx[rest[narrow]]] = _kernels.ON_CARRIER
+                rest = rest[~narrow]
+                mid = 0.5 * (ulo[rest] + uhi[rest])
+                idx = np.concatenate([idx[rest], idx[rest]])
+                ulo = np.concatenate([ulo[rest], mid])
+                uhi = np.concatenate([mid, uhi[rest]])
+            else:
+                status[idx] = _kernels.NODE_LIMIT
+        else:
+            ctrl = row[:8].astype(complex)
+            ctrl = ctrl[0::2] + 1j * ctrl[1::2]
+            idx = np.arange(m)
+            cps = np.broadcast_to(ctrl, (m, 4)).copy()
+            widths = np.ones(m)
+            for _level in range(80):
+                if idx.size == 0:
+                    break
+                zz = z[idx]
+                xmin = cps.real.min(axis=1)
+                xmax = cps.real.max(axis=1)
+                ymin = cps.imag.min(axis=1)
+                ymax = cps.imag.max(axis=1)
+                dx = np.maximum(np.maximum(xmin - zz.real, zz.real - xmax), 0.0)
+                dy = np.maximum(np.maximum(ymin - zz.imag, zz.imag - ymax), 0.0)
+                outside = np.hypot(dx, dy) > 0.0
+                acc = np.where(outside)[0]
+                if acc.size:
+                    term = np.log(
+                        (cps[acc, 3] - zz[acc]) / (cps[acc, 0] - zz[acc])
+                    )
+                    np.add.at(total, idx[acc], term)
+                    np.add.at(nodes, idx[acc], 1)
+                rest = np.where(~outside)[0]
+                if rest.size == 0:
+                    idx = idx[:0]
+                    break
+                narrow = widths[rest] < 1e-13
+                status[idx[rest[narrow]]] = _kernels.ON_CARRIER
+                rest = rest[~narrow]
+                p = cps[rest]
+                m01 = 0.5 * (p[:, 0] + p[:, 1])
+                m12 = 0.5 * (p[:, 1] + p[:, 2])
+                m23 = 0.5 * (p[:, 2] + p[:, 3])
+                pa = 0.5 * (m01 + m12)
+                pb = 0.5 * (m12 + m23)
+                pm = 0.5 * (pa + pb)
+                left = np.stack([p[:, 0], m01, pa, pm], axis=1)
+                right = np.stack([pm, pb, m23, p[:, 3]], axis=1)
+                idx = np.concatenate([idx[rest], idx[rest]])
+                cps = np.concatenate([left, right], axis=0)
+                widths = np.concatenate(
+                    [0.5 * widths[rest], 0.5 * widths[rest]]
+                )
+            else:
+                status[idx] = _kernels.NODE_LIMIT
+    return total, nodes, status
+
+
+def _refine_cubic_oracle(row, px, py, best_hi, lo_acc, rel_tol):
+    """Tighten ``best_hi``/``lo_acc`` in place by one cubic's control boxes.
+
+    ``ctl`` holds one control polygon per column, its rows laid out like a
+    data row (x0, y0, ..., x3, y3), so every step is elementwise over rows.
+    """
+
+    m = px.shape[0]
+    idx = np.arange(m)
+    ctl = np.repeat(np.asarray(row[:8], dtype=float)[:, None], m, axis=1)
+    for _level in range(80):
+        if idx.size == 0:
+            break
+        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
+        xmin = np.minimum(np.minimum(x0, x1), np.minimum(x2, x3))
+        xmax = np.maximum(np.maximum(x0, x1), np.maximum(x2, x3))
+        ymin = np.minimum(np.minimum(y0, y1), np.minimum(y2, y3))
+        ymax = np.maximum(np.maximum(y0, y1), np.maximum(y2, y3))
+        qx = px[idx]
+        qy = py[idx]
+        dx = np.maximum(np.maximum(xmin - qx, qx - xmax), 0.0)
+        dy = np.maximum(np.maximum(ymin - qy, qy - ymax), 0.0)
+        db = np.hypot(dx, dy)
+        live = db < best_hi[idx]
+        if not live.all():
+            idx = idx[live]
+            ctl = ctl[:, live]
+            db = db[live]
+            xmin, xmax = xmin[live], xmax[live]
+            ymin, ymax = ymin[live], ymax[live]
+            if idx.size == 0:
+                break
+        diag = np.hypot(xmax - xmin, ymax - ymin)
+        done = diag <= rel_tol * db + 1e-15
+        if _level == 79:
+            done = np.ones_like(done)
+        if done.any():
+            di = idx[done]
+            np.minimum.at(lo_acc, di, db[done])
+            d0 = np.hypot(px[di] - ctl[0, done], py[di] - ctl[1, done])
+            np.minimum.at(best_hi, di, d0)
+            keep = ~done
+            idx = idx[keep]
+            ctl = ctl[:, keep]
+            if idx.size == 0:
+                break
+        # de Casteljau split at u = 1/2: left half in the first k columns
+        k = idx.size
+        x0, y0, x1, y1, x2, y2, x3, y3 = ctl
+        split = np.empty((8, 2 * k))
+        m01x, m01y = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        m12x, m12y = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        m23x, m23y = 0.5 * (x2 + x3), 0.5 * (y2 + y3)
+        ax, ay = 0.5 * (m01x + m12x), 0.5 * (m01y + m12y)
+        bx, by = 0.5 * (m12x + m23x), 0.5 * (m12y + m23y)
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        for r, (left, right) in enumerate(
+            ((x0, mx), (y0, my), (m01x, bx), (m01y, by),
+             (ax, m23x), (ay, m23y), (mx, x3), (my, y3))
+        ):
+            split[r, :k] = left
+            split[r, k:] = right
+        idx = np.concatenate([idx, idx])
+        ctl = split
+
+
+def _nearest_sample_oracle(kinds, samples, offsets, px, py, best_hi):
+    """Lower ``best_hi`` in place to the nearest cubic sample, point by point."""
+
+    cub = np.flatnonzero(kinds == KIND_CUBIC)
+    if not cub.size:
+        return
+    xy = np.concatenate([samples[offsets[i] : offsets[i + 1]] for i in cub])
+    for k in range(px.shape[0]):
+        best_hi[k] = min(best_hi[k], np.hypot(px[k] - xy[:, 0], py[k] - xy[:, 1]).min())
+
+
+def _carrier_batch_oracle(kinds, data, samples, offsets, pts, rel_tol=1e-3):
+    """The carrier-distance kernel with one refinement loop per cubic."""
+
+    pts = np.ascontiguousarray(pts, dtype=float)
+    px = pts[:, 0]
+    py = pts[:, 1]
+    m = pts.shape[0]
+    best_hi = np.full(m, np.inf)
+    lo_acc = np.full(m, np.inf)
+    for i in range(kinds.shape[0]):
+        kind = kinds[i]
+        row = data[i]
+        if kind == KIND_LINE:
+            ex, ey = row[2] - row[0], row[3] - row[1]
+            denom = ex * ex + ey * ey
+            t = np.clip(((px - row[0]) * ex + (py - row[1]) * ey) / denom, 0, 1)
+            d = np.hypot(px - (row[0] + t * ex), py - (row[1] + t * ey))
+            np.minimum(best_hi, d, out=best_hi)
+            np.minimum(lo_acc, d, out=lo_acc)
+        elif kind == KIND_ARC:
+            cx, cy, r, a0, sweep = row[:5]
+            wx, wy = px - cx, py - cy
+            rad = np.abs(np.hypot(wx, wy) - r)
+            if abs(abs(sweep) - TWO_PI) <= 1e-12:
+                d = rad
+            else:
+                theta = np.arctan2(wy, wx)
+                if sweep > 0:
+                    on = np.mod(theta - a0, TWO_PI) <= sweep + 1e-12
+                else:
+                    on = np.mod(a0 - theta, TWO_PI) <= -sweep + 1e-12
+                a1 = a0 + sweep
+                d0 = np.hypot(
+                    px - (cx + r * math.cos(a0)), py - (cy + r * math.sin(a0))
+                )
+                d1 = np.hypot(
+                    px - (cx + r * math.cos(a1)), py - (cy + r * math.sin(a1))
+                )
+                d = np.where(on, rad, np.minimum(d0, d1))
+            np.minimum(best_hi, d, out=best_hi)
+            np.minimum(lo_acc, d, out=lo_acc)
+    _nearest_sample_oracle(kinds, samples, offsets, px, py, best_hi)
+    # points are independent; blocks keep the refinement arrays in cache
+    for s in range(0, m, 4096):
+        e = min(m, s + 4096)
+        for i in range(kinds.shape[0]):
+            if kinds[i] == KIND_CUBIC:
+                _refine_cubic_oracle(
+                    data[i], px[s:e], py[s:e], best_hi[s:e], lo_acc[s:e], rel_tol
+                )
+    lo = np.minimum(lo_acc, best_hi)
+    np.maximum(lo, 0.0, out=lo)
+    return lo, best_hi
+
+
+def _query_points(ci, spec):
+    """One point, 200 uniform points and a grid around the curve's padded
+    bounding box, then points next to the carrier and on it."""
+
+    x0, y0, x1, y1 = ci.bbox
+    pad = 0.2 * ci.diam
+    lo, hi = (x0 - pad, y0 - pad), (x1 + pad, y1 + pad)
+    rng = np.random.default_rng(17)
+    uniform = rng.uniform(lo, hi, size=(200, 2))
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 40), np.linspace(lo[1], hi[1], 40))
+    on = spec.points(rng.uniform(spec.a, spec.b, 60))
+    # 1e-13 diameters off is where the refinements' absolute floors act
+    off = np.repeat([1e-6, 1e-13, 0.0], 20)[:, None] * ci.diam
+    near = on + off * rng.normal(size=on.shape)
+    return uniform[:1], uniform, np.column_stack([gx.ravel(), gy.ravel()]), near
+
+
+_ORACLE_CURVES = sorted(FIXTURES) + ["blob64"]
+
+
+def _oracle_curve(name):
+    spec = cubic_blob(64) if name == "blob64" else fixture(name)
+    return CarrierIndex.build(spec), spec
+
+
+@pytest.mark.parametrize("name", _ORACLE_CURVES)
+def test_carrier_batch_matches_per_piece_oracle(name):
+    ci, spec = _oracle_curve(name)
+    for pts in _query_points(ci, spec):
+        lo, hi = ci.distance_batch(pts)
+        want_lo, want_hi = _carrier_batch_oracle(
+            ci.kinds, ci.data, ci.samples, ci.offsets, pts, ci.rel_tol
+        )
+        assert np.array_equal(lo, want_lo)
+        assert np.array_equal(hi, want_hi)
+
+
+@pytest.mark.parametrize("name", _ORACLE_CURVES)
+def test_distance_is_distance_batch_of_one_point(name):
+    ci, spec = _oracle_curve(name)
+    _, uniform, _, near = _query_points(ci, spec)
+    for x, y in np.concatenate([uniform[:20], near[::3]]):
+        lo, hi = ci.distance_batch(np.array([[x, y]]))
+        assert ci.distance((x, y)) == (lo[0], hi[0])
+
+
+@pytest.mark.parametrize("name", _ORACLE_CURVES)
+def test_winding_batch_matches_per_piece_oracle(name):
+    ci, spec = _oracle_curve(name)
+    for pts in _query_points(ci, spec):
+        total, nodes, status = _kernels.winding_batch(ci.kinds, ci.data, pts)
+        want_total, want_nodes, want_status = _winding_batch_oracle(
+            ci.kinds, ci.data, pts
+        )
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(status, want_status)
+        # summation order is all that differs
+        assert (np.abs(total - want_total) <= nodes * 5e-16 + 1e-14).all()
 
 
 def _pair_scan_oracle(xy, ts, period, sep_floor, a, b, eps_levels):
