@@ -10,21 +10,27 @@ rows before hitting these functions:
 Each kernel has one implementation.  ``ray_hits_point`` is the only one
 that walks the pieces for one query point, with an explicit DFS stack.  The
 batch kernels (``winding_batch``, ``carrier_batch``, ``grid_path``) are
-vectorised numpy over all query points or grid cells at once: the two
-refinements take all (point, piece) pairs of a block of points together,
-one subdivision level per step, and ``carrier_dist_point`` is
-``carrier_batch`` on one point.  The sample-pair kernels (``pair_scan``,
+vectorised numpy over all query points or grid cells at once: lines and
+arcs take one closed-form pass over all (point, piece) pairs, cubics refine
+all their (point, piece) pairs of a block of points together, one
+subdivision level per step, and ``carrier_dist_point`` is ``carrier_batch``
+on one point.  The sample-pair kernels (``pair_scan``,
 ``polyline_crossing``) run over the sample pairs of many blocks at once.
 
-Why the winding sums are exact: every accepted node replaces a sub-path by
-its chord.  Sub-path and chord both live in the node's box (the control
-point box for a cubic, the chord box grown by the sagitta for an arc), so
-when the query point lies strictly outside that box the closed loop (sub-path
-forward, chord back) cannot wind around it, and the two integrals of
-dz/(z - zeta) coincide.  The chord integral is the principal complex log of
-the endpoint ratio because a segment never subtends an angle >= pi from a
-point off the segment.  Refinement therefore stops as soon as boxes exclude
-the query point, and the only error left is float round-off.
+Why the winding sums are exact: each term is the principal complex log of
+a chord's endpoint ratio, which is the integral of dz/(z - zeta) along the
+chord because a segment never subtends an angle >= pi from a point off the
+segment.  A line is its own chord.  A cubic node replaces a sub-path by its
+chord; sub-path and chord both lie in the node's control box, so when the
+query point lies strictly outside that box the closed loop (sub-path
+forward, chord back) cannot wind around it, and the two integrals
+coincide.  Refinement stops as soon as boxes exclude the query point.  An
+arc needs no refinement: the arc followed by its chord in reverse bounds
+the circular segment between them, so that loop winds +-1 (the sign of
+the sweep) around points of the segment and 0 around all other points,
+and the arc's integral is its chord's plus 2*pi*i times that.  A full turn
+has no segment: its loop is the whole circle.  The only error left is
+float round-off.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ _BRACKET_WIDTH = 1e-4
 _ROOT_TOL = 1e-12
 # an angle this far past either end of an arc's sweep still lies on it
 _SWEEP_TOL = 1e-12
+# a point this far from an arc's circle, relative to the radius, and within
+# its sweep evaluates on the arc in the winding kernel
+_ON_ARC_TOL = 1e-12
+# cubic carrier-distance nodes are finished once their box diagonal is at
+# most this times their distance
+_REFINE_REL_TOL = 1e-3
 # subdivision levels of the carrier-distance refinement; a node that
 # reaches the last one is finished as it stands
 _REFINE_LEVELS = 80
@@ -139,7 +151,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
             elen = math.hypot(ex, ey)
             if abs(den) <= 1e-14 * elen:
                 perp = rx * vy - ry * vx
-                if abs(perp) <= 1e-12 * max(1.0, elen):
+                if abs(perp) <= 1e-12 * elen:
                     f0 = rx * vx + ry * vy
                     f1 = (row[2] - px) * vx + (row[3] - py) * vy
                     if f0 > t_min or f1 > t_min:
@@ -288,14 +300,10 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
     return nh, OK
 
 
-def carrier_dist_point(
-    kinds, data, samples, offsets, px, py, rel_tol, geo=None
-):
+def carrier_dist_point(kinds, data, samples, offsets, px, py, geo):
     """``carrier_batch`` on the one point (px, py): returns floats (lo, hi)."""
 
-    lo, hi = carrier_batch(
-        kinds, data, samples, offsets, np.array([[px, py]]), rel_tol, geo
-    )
+    lo, hi = carrier_batch(kinds, data, samples, offsets, np.array([[px, py]]), geo)
     return float(lo[0]), float(hi[0])
 
 
@@ -354,15 +362,34 @@ def _split(ctl):
     return np.concatenate([s[:4], s[3:]], axis=2)
 
 
+def _arc_rows(arc):
+    """Per-arc columns cx, cy, r, a0, sign of the sweep, the angular span on
+    the arc (|sweep| + _SWEEP_TOL, infinite for a full circle), then both
+    end points, which ``math.cos``/``math.sin`` evaluate: a (10, k) array
+    for the k data rows ``arc``."""
+
+    rows = []
+    for cx, cy, r, a0, sweep in arc[:, :5].tolist():
+        a1 = a0 + sweep
+        full = abs(abs(sweep) - TWO_PI) <= FULL_TURN_TOL
+        rows.append((
+            cx, cy, r, a0, math.copysign(1.0, sweep),
+            math.inf if full else abs(sweep) + _SWEEP_TOL,
+            cx + r * math.cos(a0), cy + r * math.sin(a0),
+            cx + r * math.cos(a1), cy + r * math.sin(a1),
+        ))
+    return np.array(rows).reshape(-1, 10).T.copy()
+
+
 def winding_batch(kinds, data, pts):
     """Winding integrals for many points: returns (total, nodes, status).
 
     ``total`` is the complex contour integral of dz/(z - p) per point,
-    ``nodes`` counts accepted chords for the float round-off budget, and
-    ``status`` is OK or ON_CARRIER.  Lines take one pass over all (point,
-    line) pairs; arcs and cubics each refine all their (point, piece)
-    pairs in one level loop, which ends once every node is accepted or too
-    narrow to split.
+    ``nodes`` counts chords for the float round-off budget, and ``status``
+    is OK or ON_CARRIER.  Lines and arcs take one exact pass over all
+    (point, piece) pairs, one chord each; cubics refine all their (point,
+    piece) pairs in one level loop, which ends once every node is accepted
+    or too narrow to split.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -370,92 +397,72 @@ def winding_batch(kinds, data, pts):
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
-    line = data[kinds == KIND_LINE]
-    arc = data[kinds == KIND_ARC]
+    chords = _chords(kinds, data) if (kinds != KIND_CUBIC).any() else None
     ctl = _control_polygons(kinds, data)
     for blk in _point_blocks(m, kinds.shape[0]):
         z = pts[blk, 0] + 1j * pts[blk, 1]
-        acc, flagged = [], []
-        if line.shape[0]:
-            _wind_lines(line, z, acc, flagged)
-        if arc.shape[0]:
-            _wind_arcs(arc, z, acc, flagged)
+        if chords is not None:
+            total[blk], on = _wind_chords(*chords, z)
+            nodes[blk] = chords[0].size
+            status[blk] = np.where(on, ON_CARRIER, OK)
         if ctl.shape[2]:
-            _wind_cubics(ctl, z, acc, flagged)
-        idx = np.concatenate([a for a, _ in acc])
-        term = np.concatenate([t for _, t in acc])
-        b = z.shape[0]
-        total[blk] += np.bincount(idx, term.real, b) + 1j * np.bincount(
-            idx, term.imag, b
-        )
-        nodes[blk] += np.bincount(idx, minlength=b)
-        for f in flagged:
-            status[blk][f] = ON_CARRIER
+            _wind_cubics(ctl, z, total[blk], nodes[blk], status[blk])
     return total, nodes, status
 
 
-def _wind_lines(line, z, acc, flagged):
-    """Exact chord terms of every (point, line) pair."""
+def _chords(kinds, data):
+    """(e0, e1, arc): the complex chord ends of the lines, then of the
+    arcs, and the arcs' ``_arc_rows``."""
 
-    w0 = (line[:, 0] + 1j * line[:, 1]) - z[:, None]
-    w1 = (line[:, 2] + 1j * line[:, 3]) - z[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.log(w1 / w0)
-    bad = ~np.isfinite(term)
-    term[bad] = 0.0
-    flagged.append(np.flatnonzero(bad.any(axis=1)))
-    acc.append((np.repeat(np.arange(z.shape[0]), line.shape[0]), term.ravel()))
+    line = data[kinds == KIND_LINE]
+    arc = _arc_rows(data[kinds == KIND_ARC])
+    e0 = np.concatenate([line[:, 0] + 1j * line[:, 1], arc[6] + 1j * arc[7]])
+    e1 = np.concatenate([line[:, 2] + 1j * line[:, 3], arc[8] + 1j * arc[9]])
+    return e0, e1, arc
 
 
-def _wind_arcs(arc, z, acc, flagged):
-    """Chord terms of every (point, arc) pair, refined on sub-arcs.
+def _wind_chords(e0, e1, arc, z):
+    """Exact terms of every (point, line) and (point, arc) pair, summed.
 
-    A node is the sub-arc [ulo, ulo + width] of local parameter; all nodes
-    of one level share the width.  Its chord box grown by the sagitta
-    bounds the sub-arc.
+    ``e0``, ``e1`` and ``arc`` are the curve's ``_chords``.  An arc adds a
+    whole turn, signed like its sweep, where z lies inside its circle and
+    on its side of the chord (right of the chord for a positive sweep); a
+    full turn has no chord side.  The log's branch follows the same sign
+    bit of the ratio's imaginary part, so a point on the chord gets the
+    arc's +-pi.  Returns (sums, on): ``on`` marks points where a log is not
+    finite or that lie within _ON_ARC_TOL of an arc.
     """
 
-    na = arc.shape[0]
-    idx = np.repeat(np.arange(z.shape[0]), na)
-    j = np.tile(np.arange(na), z.shape[0])
-    ulo = np.zeros(idx.size)
-    width = 1.0
-    c = arc[:, 0] + 1j * arc[:, 1]
-    par = np.array([arc[:, 2], arc[:, 3], arc[:, 4], 0.5 * np.abs(arc[:, 4])])
-    q = np.stack([z.real, z.imag])
-    while idx.size:
-        r, a0, sweep, half = par.take(j, axis=1)
-        # both ends of every sub-arc, then its box: (end, axis, node)
-        e = c[j] + r * np.exp(1j * (a0 + sweep * np.stack([ulo, ulo + width])))
-        ends = np.stack([e.real, e.imag], axis=1)
-        sag = r * (1.0 - np.cos(half * width))
-        qn = q.take(idx, axis=1)
-        lo = np.minimum.reduce(ends) - sag
-        hi = np.maximum.reduce(ends) + sag
-        gap = np.maximum(lo - qn, qn - hi)
-        outside = np.maximum.reduce(gap) > 0.0
-        a = outside.nonzero()[0]
-        za = z[idx[a]]
-        acc.append((idx[a], np.log((e[1, a] - za) / (e[0, a] - za))))
-        rest = (~outside).nonzero()[0]
-        if width < 1e-13:
-            flagged.append(idx[rest])
-            break
-        width *= 0.5
-        idx, j, ulo = idx[rest], j[rest], ulo[rest]
-        idx = np.concatenate([idx, idx])
-        j = np.concatenate([j, j])
-        ulo = np.concatenate([ulo, ulo + width])
+    zc = z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (e1 - zc) / (e0 - zc)
+        term = np.log(ratio)
+    bad = ~np.isfinite(term)
+    na = arc.shape[1]
+    if na:
+        cx, cy, r, a0, sign, span = arc[:6]
+        w = zc - (cx + 1j * cy)
+        rad = np.abs(w)
+        side = np.signbit(ratio[:, -na:].imag) == (sign > 0.0)
+        turn = (rad < r) & (side | np.isinf(span))
+        term[:, -na:] += np.where(turn, (2j * math.pi) * sign, 0.0)
+        on = np.mod(sign * (np.angle(w) - a0), TWO_PI) <= span
+        bad[:, -na:] |= on & (np.abs(rad - r) <= _ON_ARC_TOL * r)
+    term[bad] = 0.0
+    return term.sum(axis=1), bad.any(axis=1)
 
 
-def _wind_cubics(ctl, z, acc, flagged):
-    """Chord terms of every (point, cubic) pair, refined on control boxes."""
+def _wind_cubics(ctl, z, total, nodes, status):
+    """Add the chord terms of every (point, cubic) pair, refined on control
+    boxes, to the block's ``total``, ``nodes`` and ``status`` in place."""
 
+    b = z.shape[0]
     nc = ctl.shape[2]
-    idx = np.repeat(np.arange(z.shape[0]), nc)
-    node = ctl.take(np.tile(np.arange(nc), z.shape[0]), axis=2)
+    idx = np.repeat(np.arange(b), nc)
+    node = ctl.take(np.tile(np.arange(nc), b), axis=2)
     q = np.stack([z.real, z.imag])
     width = 1.0
+    acc = []
     while idx.size:
         _, _, gap = _node_gaps(node, q.take(idx, axis=1))
         outside = np.maximum.reduce(gap) > 0.0
@@ -466,23 +473,24 @@ def _wind_cubics(ctl, z, acc, flagged):
         acc.append((idx[a], np.log(w1 / w0)))
         rest = (~outside).nonzero()[0]
         if width < 1e-13:
-            flagged.append(idx[rest])
+            status[idx[rest]] = ON_CARRIER
             break
         width *= 0.5
         idx = idx[rest]
         idx = np.concatenate([idx, idx])
         node = _split(node.take(rest, axis=2))
+    idx = np.concatenate([i for i, _ in acc])
+    term = np.concatenate([t for _, t in acc])
+    total += np.bincount(idx, term.real, b) + 1j * np.bincount(idx, term.imag, b)
+    nodes += np.bincount(idx, minlength=b)
 
 
 class CarrierGeometry(NamedTuple):
     """Per-curve arrays for ``carrier_batch``, independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: rows cx, cy, r, a0,
-    sign of the sweep, the angular span on the arc (|sweep| + _SWEEP_TOL,
-    infinite for a full circle), then both end points, which
-    ``math.cos``/``math.sin`` evaluate.  Cubics: ``_control_polygons`` and
-    their boxes.  Seed runs: _SEED_RUN consecutive cubic samples per row,
-    and their boxes.
+    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: ``_arc_rows``.
+    Cubics: ``_control_polygons`` and their boxes.  Seed runs: _SEED_RUN
+    consecutive cubic samples per row, and their boxes.
     """
 
     line: np.ndarray
@@ -502,17 +510,7 @@ def carrier_geometry(kinds, data, samples, offsets):
     x0, y0, x1, y1 = data[kinds == KIND_LINE, :4].T
     ex, ey = x1 - x0, y1 - y0
     line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
-    arc = []
-    for cx, cy, r, a0, sweep in data[kinds == KIND_ARC, :5].tolist():
-        a1 = a0 + sweep
-        full = abs(abs(sweep) - TWO_PI) <= FULL_TURN_TOL
-        arc.append((
-            cx, cy, r, a0, math.copysign(1.0, sweep),
-            math.inf if full else abs(sweep) + _SWEEP_TOL,
-            cx + r * math.cos(a0), cy + r * math.sin(a0),
-            cx + r * math.cos(a1), cy + r * math.sin(a1),
-        ))
-    arc = np.array(arc).reshape(-1, 10).T.copy()
+    arc = _arc_rows(data[kinds == KIND_ARC])
     ctl = _control_polygons(kinds, data)
     # run r of a piece starts at its sample r * _SEED_RUN; a short last run
     # is padded with the piece's last sample, which leaves minima alone
@@ -539,7 +537,7 @@ def carrier_geometry(kinds, data, samples, offsets):
     )
 
 
-def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3, geo=None):
+def carrier_batch(kinds, data, samples, offsets, pts, geo):
     """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
 
     Line and arc pieces are exact.  Cubic pieces refine control boxes until
@@ -549,11 +547,9 @@ def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3, geo=None):
     the running upper bound is dropped; everything below it is no nearer
     than the final bound, so the enclosure is the one a full refinement
     gives, in whatever order nodes are visited.  ``geo`` is the curve's
-    ``carrier_geometry``, computed here when not given.
+    ``carrier_geometry``.
     """
 
-    if geo is None:
-        geo = carrier_geometry(kinds, data, samples, offsets)
     pts = np.ascontiguousarray(pts, dtype=float)
     m = pts.shape[0]
     best_hi = np.full(m, np.inf)
@@ -562,7 +558,7 @@ def carrier_batch(kinds, data, samples, offsets, pts, rel_tol=1e-3, geo=None):
         q = pts[blk].T
         _exact_pieces(geo, q, best_hi[blk], lo_acc[blk])
         _seed_from_samples(geo, q, best_hi[blk])
-        _refine_cubics(geo, q, best_hi[blk], lo_acc[blk], rel_tol)
+        _refine_cubics(geo, q, best_hi[blk], lo_acc[blk])
     lo = np.minimum(lo_acc, best_hi)
     np.maximum(lo, 0.0, out=lo)
     return lo, best_hi
@@ -614,7 +610,7 @@ def _seed_from_samples(geo, q, best_hi):
     np.minimum.at(best_hi, qi, d.min(axis=1))
 
 
-def _refine_cubics(geo, q, best_hi, lo_acc, rel_tol):
+def _refine_cubics(geo, q, best_hi, lo_acc):
     """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
     All (point, cubic) pairs whose control box is nearer than ``best_hi``
@@ -640,7 +636,7 @@ def _refine_cubics(geo, q, best_hi, lo_acc, rel_tol):
         np.minimum.at(best_hi, idx[fresh:], np.hypot(d0[0], d0[1]))
         live = db < best_hi[idx]
         ext = hi - lo
-        done = np.hypot(ext[0], ext[1]) <= rel_tol * db + 1e-15
+        done = np.hypot(ext[0], ext[1]) <= _REFINE_REL_TOL * db + 1e-15
         if level == _REFINE_LEVELS - 1:
             done[:] = True
         np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))

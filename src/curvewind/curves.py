@@ -56,7 +56,7 @@ EVAL_TOL = 1e-12
 _J1_FACTOR = 0.25
 
 _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
-_DEFAULT_SAMPLES_PER_PIECE = 512
+_SAMPLES_PER_PIECE = 512
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,6 @@ class J2Certificate:
 
     entries: tuple[tuple[float, float], ...]
 
-    def delta(self, eps: float) -> float:
-        """Largest tabulated delta valid for this eps."""
-
-        best = 0.0
-        for e, d in self.entries:
-            if e <= eps:
-                best = d
-        return best
-
 
 @dataclass(frozen=True)
 class CarrierIndex:
@@ -266,21 +257,15 @@ class CarrierIndex:
     sample_spacing: float
     lipschitz: tuple[float, ...]
     bboxes: tuple[tuple[float, float, float, float], ...]
-    rel_tol: float
     diam: float
 
     @classmethod
-    def build(
-        cls,
-        spec: CurveSpec,
-        samples_per_piece: int = _DEFAULT_SAMPLES_PER_PIECE,
-        rel_tol: float = 1e-3,
-    ) -> "CarrierIndex":
+    def build(cls, spec: CurveSpec) -> "CarrierIndex":
         kinds = np.array([p.kind for p in spec.pieces], dtype=np.int8)
         data = np.array([p.to_row() for p in spec.pieces], dtype=float)
         w = spec.piece_param_width()
         scale = 1.0 / w
-        us = (np.arange(samples_per_piece) + 0.5) / samples_per_piece
+        us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
         chunks = []
         offsets = [0]
         lips = []
@@ -300,10 +285,9 @@ class CarrierIndex:
             data=data,
             samples=samples,
             offsets=np.array(offsets, dtype=np.int64),
-            sample_spacing=w / samples_per_piece,
+            sample_spacing=w / _SAMPLES_PER_PIECE,
             lipschitz=tuple(lips),
             bboxes=tuple(p.bbox() for p in spec.pieces),
-            rel_tol=rel_tol,
             diam=float(np.sqrt(d2.max())),
         )
 
@@ -318,13 +302,12 @@ class CarrierIndex:
         p = as_point(z)
         return _kernels.carrier_dist_point(
             self.kinds, self.data, self.samples, self.offsets, p.x, p.y,
-            self.rel_tol, self._geometry,
+            self._geometry,
         )
 
     def distance_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _kernels.carrier_batch(
-            self.kinds, self.data, self.samples, self.offsets, pts, self.rel_tol,
-            self._geometry,
+            self.kinds, self.data, self.samples, self.offsets, pts, self._geometry
         )
 
     @functools.cached_property
@@ -392,7 +375,6 @@ def validate_jordan(
     c: CurveSpec,
     h: float = 1e-3,
     require_smooth: bool = True,
-    samples_per_piece: int = _DEFAULT_SAMPLES_PER_PIECE,
 ) -> JordanCurve:
     """Check closure, smoothness, and sample-scale injectivity at resolution h.
 
@@ -448,7 +430,7 @@ def validate_jordan(
         threshold=threshold,
     )
     j2 = J2Certificate(entries=entries)
-    carrier = CarrierIndex.build(c, samples_per_piece=samples_per_piece)
+    carrier = CarrierIndex.build(c)
     return JordanCurve(
         spec=c,
         j1=j1,
@@ -524,7 +506,10 @@ def transform_curve(jc: JordanCurve, t: Affine) -> JordanCurve:
     with arcs raises ValueError rather than silently changing the shape.
     """
 
-    if abs(t.det) <= 1e-12:
+    # the determinant scales like the squared norm of the linear part, so
+    # the test means the same for a map of any size
+    a, b, c, d, _, _ = t.coeffs
+    if abs(t.det) <= 1e-12 * (a * a + b * b + c * c + d * d):
         raise ValueError(f"transform is not invertible: det = {t.det!r}")
     pieces = tuple(p.transformed(t.coeffs) for p in jc.spec.pieces)
     spec = CurveSpec(pieces, jc.spec.interval)

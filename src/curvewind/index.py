@@ -1,12 +1,13 @@
 """Point classification by two independent oracles that must agree.
 
 The first oracle integrates dz/(z - p) around the curve and rounds the
-result to an integer winding number; node-splitting makes each accepted
-node's contribution an exact principal logarithm, so the only error is
-float round-off tracked in ``error_budget``.  The second oracle counts
-transversal crossings of a ray from p and reduces mod 2.  ``classify``
-runs both and raises :class:`OracleDisagreement` on any mismatch rather
-than guessing.
+result to an integer winding number.  Lines and arcs contribute in closed
+form, one chord log each (an arc adds a whole turn for points between it
+and its chord), and cubics are subdivided until each node's chord log is
+exact, so the only error is float round-off tracked in ``error_budget``.
+The second oracle counts transversal crossings of a ray from p and
+reduces mod 2.  ``classify`` runs both and raises
+:class:`OracleDisagreement` on any mismatch rather than guessing.
 """
 
 from __future__ import annotations
@@ -64,8 +65,12 @@ _ISOLATION_FRACTION = 1e-6
 # occupies just before/after a joint hit
 _JOINT_PROBE_DU = 1e-3
 # ray hits nearer the origin than this times the curve's diameter are not
-# counted as forward
+# counted as forward, and joint probes this near the ray line are on it
 _RAY_T_MIN = 1e-12
+# boundary witnesses start their normal probes this many diameters off the
+# curve and halve the offset at most this often
+_WITNESS_START = 0.05
+_WITNESS_HALVINGS = 40
 
 
 class Verdict(str, Enum):
@@ -87,7 +92,7 @@ class WindingResult:
 
     @property
     def ok(self) -> bool:
-        return self.residual + self.error_budget < _RESIDUAL_LIMIT
+        return _certified(self.residual, self.error_budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,18 +146,34 @@ def winding_number(jc: JordanCurve, z, check_distance: bool = True) -> WindingRe
     total, nodes, status = _kernels.winding_batch(jc.carrier.kinds, jc.carrier.data, pts)
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
-    integral = complex(total[0]) / (2j * math.pi)
-    rounded = int(round(integral.real))
-    residual = abs(integral - rounded)
-    budget = float(nodes[0]) * _PER_NODE + _BUDGET_FLOOR
+    integral, rounded, residual, budget = _round_windings(total, nodes)
     return WindingResult(
         point=(p.x, p.y),
-        integral=integral,
-        rounded=rounded,
-        residual=residual,
-        error_budget=budget,
+        integral=complex(integral[0]),
+        rounded=int(rounded[0]),
+        residual=float(residual[0]),
+        error_budget=float(budget[0]),
         nodes=int(nodes[0]),
     )
+
+
+def _round_windings(total, nodes):
+    """Winding integrals over 2*pi*i, their nearest integers, the distances
+    to them and the round-off budgets of ``nodes`` chords: the one rounding
+    rule of ``winding_number`` and ``region_grid``."""
+
+    integral = total / (2j * math.pi)
+    rounded = np.rint(integral.real)
+    residual = np.abs(integral - rounded)
+    budget = nodes * _PER_NODE + _BUDGET_FLOOR
+    return integral, rounded.astype(np.int64), residual, budget
+
+
+def _certified(residual, budget):
+    """Whether a rounded winding is certified: within the residual limit
+    even after the round-off budget."""
+
+    return residual + budget < _RESIDUAL_LIMIT
 
 
 def _ray_once(jc: JordanCurve, p: Point, direction: Point):
@@ -224,7 +245,7 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
         q_after = next_piece.point(_JOINT_PROBE_DU)
         s_before = vx * (q_before.y - p.y) - vy * (q_before.x - p.x)
         s_after = vx * (q_after.y - p.y) - vy * (q_after.x - p.x)
-        floor = 1e-12 * max(1.0, carrier.diam)
+        floor = _RAY_T_MIN * carrier.diam
         if abs(s_before) <= floor or abs(s_after) <= floor:
             raise DegenerateRay("joint probe still on the ray line")
         if (q_before.x - p.x) * vx + (q_before.y - p.y) * vy <= 0.0 or (
@@ -259,13 +280,7 @@ def ray_crossing_index(
     return len(records) % 2, records
 
 
-def classify(
-    jc: JordanCurve,
-    z,
-    eps_band: float | None = None,
-    max_rays: int = _MAX_RAYS,
-    require_both: bool = True,
-) -> Classification:
+def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classification:
     """Classify z inside/outside/near-carrier with both oracles in agreement.
 
     Rays start along +x and rotate by the golden angle on each degenerate
@@ -296,38 +311,27 @@ def classify(
             f"{wind.error_budget:.3e} exceeds {_RESIDUAL_LIMIT}"
         )
 
-    records = None
-    ray_dir = None
-    tried = 0
-    last: DegenerateRay | None = None
-    for k in range(max_rays):
+    for k in range(_MAX_RAYS):
         theta = k * _GOLDEN_ANGLE
         d = Point(math.cos(theta), math.sin(theta))
-        tried = k + 1
         try:
             records = _ray_once(jc, p, d)
-            ray_dir = (d.x, d.y)
             break
         except DegenerateRay as exc:
             last = exc
-    if records is None:
-        if require_both:
-            raise last if last is not None else DegenerateRay("no usable ray")
-        parity = None
     else:
-        parity = len(records) % 2
-
-    if parity is not None and abs(wind.rounded) != parity:
+        raise last
+    parity = len(records) % 2
+    if abs(wind.rounded) != parity:
         raise OracleDisagreement((p.x, p.y), wind, parity)
 
-    inside = parity == 1 if parity is not None else wind.rounded != 0
     return Classification(
         point=wind.point,
-        verdict=Verdict.INSIDE if inside else Verdict.OUTSIDE,
+        verdict=Verdict.INSIDE if parity == 1 else Verdict.OUTSIDE,
         winding=wind,
         crossings=records,
-        ray_direction=ray_dir,
-        rays_tried=tried,
+        ray_direction=(d.x, d.y),
+        rays_tried=k + 1,
         carrier_bounds=(lo, hi),
     )
 
@@ -383,10 +387,11 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     ys = y0 + h * np.arange(ny)
     gx, gy = np.meshgrid(xs, ys)
     centers = np.column_stack([gx.ravel(), gy.ravel()])
-    total, _, status = _kernels.winding_batch(jc.carrier.kinds, jc.carrier.data, centers)
-    winding = np.rint(total.imag / TWO_PI).astype(np.int64)
-    residual = np.abs(total / (2j * math.pi) - winding)
-    valid = (status == _kernels.OK) & (residual < _RESIDUAL_LIMIT)
+    total, nodes, status = _kernels.winding_batch(
+        jc.carrier.kinds, jc.carrier.data, centers
+    )
+    _, winding, residual, budget = _round_windings(total, nodes)
+    valid = (status == _kernels.OK) & _certified(residual, budget)
     return RegionGrid(spacing=h, centers=centers, winding=winding, valid=valid)
 
 
@@ -439,12 +444,7 @@ class Witness:
     delta: float
 
 
-def boundary_witnesses(
-    jc: JordanCurve,
-    params,
-    delta_max: float | None = None,
-    max_halvings: int = 40,
-) -> tuple[Witness, ...]:
+def boundary_witnesses(jc: JordanCurve, params) -> tuple[Witness, ...]:
     """For each parameter, find inside/outside points within delta of the curve.
 
     Probes along the normal, halving delta until both probes classify
@@ -453,9 +453,7 @@ def boundary_witnesses(
     """
 
     a, b = jc.interval
-    diam = jc.diameter()
     band = jc.default_eps_band()
-    start_delta = 0.05 * diam if delta_max is None else float(delta_max)
     out: list[Witness] = []
     for t in params:
         t = float(t)
@@ -466,9 +464,9 @@ def boundary_witnesses(
         if vn <= 0.0:
             raise WitnessNotFound(f"zero tangent at t = {t!r}")
         nx, ny = -v.y / vn, v.x / vn
-        delta = start_delta
+        delta = _WITNESS_START * jc.diameter()
         found = None
-        for _ in range(max_halvings):
+        for _ in range(_WITNESS_HALVINGS):
             if delta < 4.0 * band:
                 break
             p1 = Point(z.x + delta * nx, z.y + delta * ny)

@@ -21,6 +21,7 @@ from curvewind import (
     winding_number,
 )
 from curvewind.curves import CurveSpec
+from curvewind.fixtures import rounded_square
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece
 
@@ -214,6 +215,29 @@ def test_verdicts_hold_at_any_scale(curves, scale):
         for x, y in pts:
             want = classify(jc, (x, y)).verdict
             assert classify(scaled, (x * scale, y * scale)).verdict is want, name
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_joint_probe_floor_scales_with_the_curve(scale):
+    # the +x ray from (0, 0.7) leaves through the joint where the right
+    # side meets the upper right corner, so the first ray is decided by the
+    # joint probe, whose on-the-line floor must shrink with the curve
+    m = Affine.scaling(scale).coeffs
+    spec = CurveSpec(tuple(p.transformed(m) for p in rounded_square().pieces))
+    c = classify(validate_jordan(spec, h=1e-2), (0.0, 0.7 * scale))
+    assert c.verdict is Verdict.INSIDE
+    assert c.rays_tried == 1
+    assert c.crossings[0].through_joint
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-12])
+def test_transform_curve_keeps_verdicts_at_small_scales(curves, scale):
+    t = Affine.scaling(scale)
+    rng = np.random.default_rng(47)
+    for name, jc in curves.items():
+        small = transform_curve(jc, t)
+        for (x, y), c in sample_classified(jc, 20, rng):
+            assert classify(small, (x * scale, y * scale)).verdict is c.verdict, name
 
 
 def test_reflection_negates_winding(curves):

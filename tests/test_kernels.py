@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from curvewind import _kernels
-from curvewind.curves import CarrierIndex, validate_jordan
+from curvewind.curves import CarrierIndex, CurveSpec, validate_jordan
 from curvewind.fixtures import FIXTURES, cubic_blob, fixture, rounded_square
 from curvewind.geometry import Point
 from curvewind.pieces import (
@@ -406,7 +406,7 @@ def _nearest_sample_oracle(kinds, samples, offsets, px, py, best_hi):
         best_hi[k] = min(best_hi[k], np.hypot(px[k] - xy[:, 0], py[k] - xy[:, 1]).min())
 
 
-def _carrier_batch_oracle(kinds, data, samples, offsets, pts, rel_tol=1e-3):
+def _carrier_batch_oracle(kinds, data, samples, offsets, pts):
     """The carrier-distance kernel with one refinement loop per cubic."""
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -454,7 +454,8 @@ def _carrier_batch_oracle(kinds, data, samples, offsets, pts, rel_tol=1e-3):
         for i in range(kinds.shape[0]):
             if kinds[i] == KIND_CUBIC:
                 _refine_cubic_oracle(
-                    data[i], px[s:e], py[s:e], best_hi[s:e], lo_acc[s:e], rel_tol
+                    data[i], px[s:e], py[s:e], best_hi[s:e], lo_acc[s:e],
+                    _kernels._REFINE_REL_TOL,
                 )
     lo = np.minimum(lo_acc, best_hi)
     np.maximum(lo, 0.0, out=lo)
@@ -492,7 +493,7 @@ def test_carrier_batch_matches_per_piece_oracle(name):
     for pts in _query_points(ci, spec):
         lo, hi = ci.distance_batch(pts)
         want_lo, want_hi = _carrier_batch_oracle(
-            ci.kinds, ci.data, ci.samples, ci.offsets, pts, ci.rel_tol
+            ci.kinds, ci.data, ci.samples, ci.offsets, pts
         )
         assert np.array_equal(lo, want_lo)
         assert np.array_equal(hi, want_hi)
@@ -507,18 +508,81 @@ def test_distance_is_distance_batch_of_one_point(name):
         assert ci.distance((x, y)) == (lo[0], hi[0])
 
 
+def _assert_winding_matches_oracle(kinds, data, pts):
+    """The chord pass against the oracle's sub-arc refinement.
+
+    Arcs are one node each instead of one per accepted sub-arc, so nodes
+    are compared with the oracle run without the arcs; the oracle flags a
+    point within its narrowest sub-arc box, the kernel within _ON_ARC_TOL
+    of an arc, so its flags only add to the oracle's.  Where both are OK
+    the totals differ by round-off, within both sides' budgets.
+    """
+
+    total, nodes, status = _kernels.winding_batch(kinds, data, pts)
+    want_total, want_nodes, want_status = _winding_batch_oracle(kinds, data, pts)
+    keep = kinds != KIND_ARC
+    _, other_nodes, _ = _winding_batch_oracle(kinds[keep], data[keep], pts)
+    assert np.array_equal(nodes, other_nodes + np.count_nonzero(~keep))
+    on, want_on = status == _kernels.ON_CARRIER, want_status == _kernels.ON_CARRIER
+    assert (on | ~want_on).all()
+    ok = (status == _kernels.OK) & (want_status == _kernels.OK)
+    assert np.array_equal(
+        np.rint(total.imag / TWO_PI)[ok], np.rint(want_total.imag / TWO_PI)[ok]
+    )
+    budget = (nodes + want_nodes) * 5e-16 + 1e-14
+    assert (np.abs(total - want_total) <= budget)[ok].all()
+
+
 @pytest.mark.parametrize("name", _ORACLE_CURVES)
 def test_winding_batch_matches_per_piece_oracle(name):
     ci, spec = _oracle_curve(name)
     for pts in _query_points(ci, spec):
-        total, nodes, status = _kernels.winding_batch(ci.kinds, ci.data, pts)
-        want_total, want_nodes, want_status = _winding_batch_oracle(
-            ci.kinds, ci.data, pts
-        )
-        assert np.array_equal(nodes, want_nodes)
-        assert np.array_equal(status, want_status)
-        # summation order is all that differs
-        assert (np.abs(total - want_total) <= nodes * 5e-16 + 1e-14).all()
+        _assert_winding_matches_oracle(ci.kinds, ci.data, pts)
+
+
+def _arc_chord_curve(seed):
+    """An arc closed by its chord.  Seeds 0 and 1 are full turns of radius
+    1e-12, seeds 2 and 3 turns 1e-13 short of one of radius 1e12, each pair
+    both ways round; the others have random sweeps of either sign, radii
+    1e-12 to 1e12 and centres up to 1e3 radii off the origin."""
+
+    rng = np.random.default_rng(seed)
+    if seed < 4:
+        sweep = (TWO_PI - 1e-13 * (seed // 2)) * (-1) ** seed
+        r, shift = (1e-12, 1e12)[seed // 2], 0.0
+    else:
+        sweep = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, TWO_PI)
+        r, shift = 10.0 ** rng.uniform(-12, 12), rng.uniform(0.0, 1e3)
+    centre = Point(*(shift * r * rng.normal(size=2)))
+    arc = ArcPiece(centre, r, rng.uniform(-math.pi, math.pi), sweep)
+    if abs(sweep) == TWO_PI:
+        return CurveSpec((arc,))
+    return CurveSpec((arc, LinePiece(arc.point(1.0), arc.point(0.0))))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_winding_batch_matches_oracle_on_arc_chord_curves(seed):
+    spec = _arc_chord_curve(seed)
+    ci = CarrierIndex.build(spec)
+    for pts in _query_points(ci, spec):
+        _assert_winding_matches_oracle(ci.kinds, ci.data, pts)
+
+
+@pytest.mark.parametrize("sweep", [math.pi, -math.pi, 0.5, -2.0, 5.5, -6.0])
+def test_winding_on_an_arcs_chord_is_half_a_turn(sweep):
+    # a point on the chord sees the arc sweep +-pi.  The arc is symmetric
+    # about the x axis, so both ends have the same x, the points lie on the
+    # chord exactly and the ratio of the ends is real
+    a0 = -0.5 * sweep
+    arc = ArcPiece(Point(0.0, 0.0), 1.0, a0, sweep)
+    kinds, data = _rows([arc])
+    e0, e1 = arc.point(0.0), arc.point(1.0)
+    for t in (0.5, 0.1, 0.93):
+        z = (e0.x + t * (e1.x - e0.x), e0.y + t * (e1.y - e0.y))
+        total, nodes, status = _kernels.winding_batch(kinds, data, np.array([z]))
+        assert status[0] == _kernels.OK and nodes[0] == 1
+        assert total[0].imag == pytest.approx(math.copysign(math.pi, sweep), abs=1e-12)
+        assert abs(complex(total[0]) - _quad_winding([arc], z)) < 1e-7
 
 
 def _pair_scan_oracle(xy, ts, period, sep_floor, a, b, eps_levels):
