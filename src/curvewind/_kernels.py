@@ -8,14 +8,16 @@ rows before hitting these functions:
 * cubic: x0, y0, x1, y1, x2, y2, x3, y3
 
 Each kernel has one implementation.  ``ray_hits_point`` is the only one
-that walks the pieces for one query point, with an explicit DFS stack.  The
-batch kernels (``winding_batch``, ``carrier_batch``, ``grid_path``) are
-vectorised numpy over all query points or grid cells at once: lines and
-arcs take one closed-form pass over all (point, piece) pairs, cubics refine
-all their (point, piece) pairs of a block of points together, one
-subdivision level per step, and ``carrier_dist_point`` is ``carrier_batch``
-on one point.  The sample-pair kernels (``pair_scan``,
-``polyline_crossing``) run over the sample pairs of many blocks at once.
+that walks the pieces for one query point: a plain Python loop over
+floats that solves lines and arcs in closed form and brackets and bisects
+each cubic's sign changes.  The batch kernels (``winding_batch``,
+``carrier_batch``, ``grid_path``) are vectorised numpy over all query
+points or grid cells at once: lines and arcs take one closed-form pass
+over all (point, piece) pairs, cubics refine all their (point, piece)
+pairs of a block of points together, one subdivision level per step, and
+``carrier_dist_point`` is ``carrier_batch`` on one point.  The sample-pair
+kernels (``pair_scan``, ``polyline_crossing``) run over the sample pairs
+of many blocks at once.
 
 Why the winding sums are exact: each term is the principal complex log of
 a chord's endpoint ratio, which is the integral of dz/(z - zeta) along the
@@ -47,11 +49,10 @@ TWO_PI = 2.0 * math.pi
 # status codes shared by the kernels
 OK = 0
 ON_CARRIER = 1
+# no kernel returns NODE_LIMIT any more; only the benchmark tracer reads it
 NODE_LIMIT = 2
 
-# DFS stacks hold one pending sibling per level, so depth bounds the size
-_STACK_CAP = 256
-_HIT_CAP = 64
+# cubic ray brackets this narrow are bisected to _ROOT_TOL
 _BRACKET_WIDTH = 1e-4
 _ROOT_TOL = 1e-12
 # an angle this far past either end of an arc's sweep still lies on it
@@ -93,84 +94,63 @@ def _angle_in_sweep(a0, sweep, theta):
     return -1.0
 
 
-def _bern3(f0, f1, f2, f3, u):
+def _cubic_value(c0, c1, c2, c3, u):
+    """Value at u of the cubic with Bernstein coefficients c0..c3."""
+
     v = 1.0 - u
-    return (
-        v * v * v * f0
-        + 3.0 * v * v * u * f1
-        + 3.0 * v * u * u * f2
-        + u * u * u * f3
-    )
+    return v * v * v * c0 + 3.0 * v * v * u * c1 + 3.0 * v * u * u * c2 + u * u * u * c3
 
 
-def _cubic_point(row, u):
-    v = 1.0 - u
-    b0 = v * v * v
-    b1 = 3.0 * v * v * u
-    b2 = 3.0 * v * u * u
-    b3 = u * u * u
-    x = b0 * row[0] + b1 * row[2] + b2 * row[4] + b3 * row[6]
-    y = b0 * row[1] + b1 * row[3] + b2 * row[5] + b3 * row[7]
-    return x, y
+def _bisect_root(f, lo, hi, flo):
+    """The sign change of the Bernstein cubic ``f`` on [lo, hi] to within
+    _ROOT_TOL; ``flo`` is its value at lo."""
 
-
-def _cubic_velocity(row, u):
-    v = 1.0 - u
-    c0 = 3.0 * v * v
-    c1 = 6.0 * v * u
-    c2 = 3.0 * u * u
-    x = c0 * (row[2] - row[0]) + c1 * (row[4] - row[2]) + c2 * (row[6] - row[4])
-    y = c0 * (row[3] - row[1]) + c1 * (row[5] - row[3]) + c2 * (row[7] - row[5])
-    return x, y
+    while hi - lo > _ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        fm = _cubic_value(*f, mid)
+        if fm == 0.0:
+            return mid
+        if (flo > 0.0) != (fm > 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
     """All forward ray/carrier intersections, unsorted.
 
     Only hits at ray parameters above ``t_min`` count as forward, so the
-    caller sets the floor to the curve's scale.  ``out`` is an
-    (_HIT_CAP, 6) scratch array filled with rows
-    (t, piece, u, tan_x, tan_y, 0).  Returns (n_hits, status) where status
-    is OK, ON_CARRIER for a collinear segment overlap, or NODE_LIMIT on
-    overflow.  Tangential (even-order) contacts are deliberately not
-    reported: they contribute an even crossing count, so parity is
-    unaffected; near-tangencies that do split into close root pairs are
-    caught later by the isolation window.
+    caller sets the floor to the curve's scale.  ``out`` is an empty list;
+    each hit is appended to it as a tuple (t, piece, u, tan_x, tan_y).
+    Returns (len(out), status) where status is OK, or ON_CARRIER as soon as
+    a collinear segment overlap turns up.  Tangential (even-order) contacts
+    are deliberately not reported: they contribute an even crossing count,
+    so parity is unaffected; near-tangencies that do split into close root
+    pairs are caught later by the isolation window.
     """
 
-    nh = 0
-    froots = np.empty(16)
-    stack = np.empty((_STACK_CAP, 6))
-    for i in range(kinds.shape[0]):
-        kind = kinds[i]
-        row = data[i]
+    for i, (kind, row) in enumerate(zip(kinds.tolist(), data.tolist())):
         if kind == KIND_LINE:
-            ex, ey = row[2] - row[0], row[3] - row[1]
-            rx, ry = row[0] - px, row[1] - py
+            x0, y0, x1, y1 = row[:4]
+            ex, ey = x1 - x0, y1 - y0
+            rx, ry = x0 - px, y0 - py
             den = vx * ey - vy * ex
             elen = math.hypot(ex, ey)
             if abs(den) <= 1e-14 * elen:
                 perp = rx * vy - ry * vx
                 if abs(perp) <= 1e-12 * elen:
                     f0 = rx * vx + ry * vy
-                    f1 = (row[2] - px) * vx + (row[3] - py) * vy
+                    f1 = (x1 - px) * vx + (y1 - py) * vy
                     if f0 > t_min or f1 > t_min:
-                        return nh, ON_CARRIER
+                        return len(out), ON_CARRIER
                 continue
             t = (rx * ey - ry * ex) / den
             u = (rx * vy - ry * vx) / den
             if -1e-12 <= u <= 1.0 + 1e-12 and t > t_min:
-                if nh >= _HIT_CAP:
-                    return nh, NODE_LIMIT
-                uu = min(1.0, max(0.0, u))
-                out[nh, 0] = t
-                out[nh, 1] = i
-                out[nh, 2] = uu
-                out[nh, 3] = ex
-                out[nh, 4] = ey
-                nh += 1
+                out.append((t, i, min(1.0, max(0.0, u)), ex, ey))
         elif kind == KIND_ARC:
-            cx, cy, r, a0, sweep = row[0], row[1], row[2], row[3], row[4]
+            cx, cy, r, a0, sweep = row[:5]
             ux, uy = px - cx, py - cy
             b = vx * ux + vy * uy
             c = ux * ux + uy * uy - r * r
@@ -178,75 +158,33 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
             if disc < 0.0:
                 continue
             sq = math.sqrt(disc)
-            for sgn in range(2):
-                t = -b - sq if sgn == 0 else -b + sq
+            for t in (-b - sq, -b + sq):
                 if t <= t_min:
                     continue
-                hx = ux + t * vx
-                hy = uy + t * vy
-                theta = math.atan2(hy, hx)
-                uu = _angle_in_sweep(a0, sweep, theta)
-                if uu < 0.0:
-                    continue
-                if nh >= _HIT_CAP:
-                    return nh, NODE_LIMIT
-                out[nh, 0] = t
-                out[nh, 1] = i
-                out[nh, 2] = uu
-                out[nh, 3] = -hy * sweep
-                out[nh, 4] = hx * sweep
-                nh += 1
+                hx, hy = ux + t * vx, uy + t * vy
+                u = _angle_in_sweep(a0, sweep, math.atan2(hy, hx))
+                if u >= 0.0:
+                    out.append((t, i, u, -hy * sweep, hx * sweep))
         else:
-            f0 = (row[0] - px) * vy - (row[1] - py) * vx
-            f1 = (row[2] - px) * vy - (row[3] - py) * vx
-            f2 = (row[4] - px) * vy - (row[5] - py) * vx
-            f3 = (row[6] - px) * vy - (row[7] - py) * vx
-            nroots = 0
-            sp = 0
-            stack[sp, 0] = 0.0
-            stack[sp, 1] = 1.0
-            stack[sp, 2] = f0
-            stack[sp, 3] = f1
-            stack[sp, 4] = f2
-            stack[sp, 5] = f3
-            sp += 1
-            while sp > 0:
-                sp -= 1
-                ulo, uhi = stack[sp, 0], stack[sp, 1]
-                g0, g1 = stack[sp, 2], stack[sp, 3]
-                g2, g3 = stack[sp, 4], stack[sp, 5]
+            x0, y0, x1, y1, x2, y2, x3, y3 = row
+            # the control points' signed offsets from the ray line are the
+            # Bernstein coefficients of the curve's offset
+            f = (
+                (x0 - px) * vy - (y0 - py) * vx,
+                (x1 - px) * vy - (y1 - py) * vx,
+                (x2 - px) * vy - (y2 - py) * vx,
+                (x3 - px) * vy - (y3 - py) * vx,
+            )
+            roots = []
+            brackets = [(0.0, 1.0, *f)]
+            while brackets:
+                ulo, uhi, g0, g1, g2, g3 = brackets.pop()
                 if (g0 > 0.0 and g1 > 0.0 and g2 > 0.0 and g3 > 0.0) or (
                     g0 < 0.0 and g1 < 0.0 and g2 < 0.0 and g3 < 0.0
                 ):
                     continue
-                if uhi - ulo <= _BRACKET_WIDTH:
-                    root = -1.0
-                    if g0 == 0.0:
-                        root = ulo
-                    elif g3 == 0.0 and uhi == 1.0:
-                        root = 1.0
-                    elif (g0 > 0.0) != (g3 > 0.0):
-                        lo, hi = ulo, uhi
-                        flo = g0
-                        while hi - lo > _ROOT_TOL:
-                            mid = 0.5 * (lo + hi)
-                            fm = _bern3(f0, f1, f2, f3, mid)
-                            if fm == 0.0:
-                                lo = mid
-                                hi = mid
-                                break
-                            if (flo > 0.0) != (fm > 0.0):
-                                hi = mid
-                            else:
-                                lo = mid
-                                flo = fm
-                        root = 0.5 * (lo + hi)
-                    if root >= 0.0 and nroots < 16:
-                        froots[nroots] = root
-                        nroots += 1
-                else:
-                    if sp + 2 > _STACK_CAP:
-                        return nh, NODE_LIMIT
+                if uhi - ulo > _BRACKET_WIDTH:
+                    # de Casteljau split at the midpoint
                     m01 = 0.5 * (g0 + g1)
                     m12 = 0.5 * (g1 + g2)
                     m23 = 0.5 * (g2 + g3)
@@ -254,50 +192,33 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
                     gb = 0.5 * (m12 + m23)
                     gm = 0.5 * (ga + gb)
                     mid = 0.5 * (ulo + uhi)
-                    stack[sp, 0] = ulo
-                    stack[sp, 1] = mid
-                    stack[sp, 2] = g0
-                    stack[sp, 3] = m01
-                    stack[sp, 4] = ga
-                    stack[sp, 5] = gm
-                    sp += 1
-                    stack[sp, 0] = mid
-                    stack[sp, 1] = uhi
-                    stack[sp, 2] = gm
-                    stack[sp, 3] = gb
-                    stack[sp, 4] = m23
-                    stack[sp, 5] = g3
-                    sp += 1
-            # sort, dedup, convert to forward hits
-            for a_i in range(1, nroots):
-                key = froots[a_i]
-                b_i = a_i - 1
-                while b_i >= 0 and froots[b_i] > key:
-                    froots[b_i + 1] = froots[b_i]
-                    b_i -= 1
-                froots[b_i + 1] = key
+                    brackets.append((ulo, mid, g0, m01, ga, gm))
+                    brackets.append((mid, uhi, gm, gb, m23, g3))
+                elif g0 == 0.0:
+                    roots.append(ulo)
+                elif g3 == 0.0 and uhi == 1.0:
+                    roots.append(1.0)
+                elif (g0 > 0.0) != (g3 > 0.0):
+                    roots.append(_bisect_root(f, ulo, uhi, g0))
+            roots.sort()
             # adjacent brackets re-find a shared root within ~2 * _ROOT_TOL;
             # genuine distinct crossings are never that close in parameter
             prev = -1.0
-            for k in range(nroots):
-                u = froots[k]
-                if prev >= 0.0 and u - prev < 1e-11:
+            for u in roots:
+                if u - prev < 1e-11:
                     continue
                 prev = u
-                hx, hy = _cubic_point(row, u)
+                hx = _cubic_value(x0, x1, x2, x3, u)
+                hy = _cubic_value(y0, y1, y2, y3, u)
                 t = (hx - px) * vx + (hy - py) * vy
                 if t <= t_min:
                     continue
-                if nh >= _HIT_CAP:
-                    return nh, NODE_LIMIT
-                tx, ty = _cubic_velocity(row, u)
-                out[nh, 0] = t
-                out[nh, 1] = i
-                out[nh, 2] = u
-                out[nh, 3] = tx
-                out[nh, 4] = ty
-                nh += 1
-    return nh, OK
+                v = 1.0 - u
+                c0, c1, c2 = 3.0 * v * v, 6.0 * v * u, 3.0 * u * u
+                tx = c0 * (x1 - x0) + c1 * (x2 - x1) + c2 * (x3 - x2)
+                ty = c0 * (y1 - y0) + c1 * (y2 - y1) + c2 * (y3 - y2)
+                out.append((t, i, u, tx, ty))
+    return len(out), OK
 
 
 def carrier_dist_point(kinds, data, samples, offsets, px, py, geo):

@@ -129,23 +129,25 @@ def _segment_clear(
     q: Point,
     clearance: float,
     spacing: float,
-    grid: "ClearanceGrid | None" = None,
+    grid: ClearanceGrid,
 ) -> bool:
+    """Whether the segment p-q keeps ``clearance``, sampled at ``spacing``
+    on a ``grid`` built for that clearance with h = 4 * spacing."""
+
     pts = _segment_samples(p, q, spacing)
-    if grid is not None and spacing <= 0.25 * grid.h and grid.clearance >= clearance:
-        # any point of a free cell clears: the centre certifies
-        # clearance + h*(sqrt(2)/2 + 1/4) and the Lipschitz slack to the
-        # farthest corner eats sqrt(2)/2 * h, leaving clearance + h/4
-        # >= clearance + spacing/2.  Only strays need an exact scan.
-        jj = np.floor((pts[:, 0] - grid.origin[0]) / grid.h).astype(np.int64)
-        ii = np.floor((pts[:, 1] - grid.origin[1]) / grid.h).astype(np.int64)
-        ny, nx = grid.free.shape
-        inb = (ii >= 0) & (ii < ny) & (jj >= 0) & (jj < nx)
-        certified = np.zeros(pts.shape[0], dtype=bool)
-        certified[inb] = grid.free[ii[inb], jj[inb]] == 1
-        pts = pts[~certified]
-        if pts.shape[0] == 0:
-            return True
+    # any point of a free cell clears: the centre certifies
+    # clearance + h*(sqrt(2)/2 + 1/4) and the Lipschitz slack to the
+    # farthest corner eats sqrt(2)/2 * h, leaving clearance + h/4
+    # >= clearance + spacing/2.  Only strays need an exact scan.
+    jj = np.floor((pts[:, 0] - grid.origin[0]) / grid.h).astype(np.int64)
+    ii = np.floor((pts[:, 1] - grid.origin[1]) / grid.h).astype(np.int64)
+    ny, nx = grid.free.shape
+    inb = (ii >= 0) & (ii < ny) & (jj >= 0) & (jj < nx)
+    certified = np.zeros(pts.shape[0], dtype=bool)
+    certified[inb] = grid.free[ii[inb], jj[inb]] == 1
+    pts = pts[~certified]
+    if pts.shape[0] == 0:
+        return True
     lo, _ = jc.carrier.distance_batch(pts)
     return bool(lo.min() >= clearance + spacing / 2.0)
 

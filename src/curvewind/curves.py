@@ -81,7 +81,7 @@ class CurveSpec:
             for k in range(len(pieces) - 1)
         ]
         # exact joints, the usual case, pass without measuring the extent
-        tol = JOINT_TOL * _extent(pieces) if any(gaps) else 0.0
+        tol = JOINT_TOL * self._extent() if any(gaps) else 0.0
         for k, gap in enumerate(gaps):
             if gap > tol:
                 raise ValueError(
@@ -106,7 +106,7 @@ class CurveSpec:
 
     @property
     def closure_tol(self) -> float:
-        return CLOSURE_TOL * _extent(self.pieces)
+        return CLOSURE_TOL * self._extent()
 
     @property
     def is_closed(self) -> bool:
@@ -170,12 +170,18 @@ class CurveSpec:
     def piece_param_width(self) -> float:
         return (self.b - self.a) / self.n_pieces
 
+    @functools.cached_property
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(x0, y0, x1, y1) around the boxes of all pieces."""
 
-def _extent(pieces) -> float:
-    """Diameter of the pieces' bounding box, the length scale of the gaps."""
+        x0, y0, x1, y1 = zip(*(p.bbox() for p in self.pieces))
+        return (min(x0), min(y0), max(x1), max(y1))
 
-    x0, y0, x1, y1 = zip(*(p.bbox() for p in pieces))
-    return math.hypot(max(x1) - min(x0), max(y1) - min(y0))
+    def _extent(self) -> float:
+        """Diameter of ``bbox``, the length scale of the gaps."""
+
+        x0, y0, x1, y1 = self.bbox
+        return math.hypot(x1 - x0, y1 - y0)
 
 
 def lin(z1, z2) -> CurveSpec:
@@ -256,7 +262,7 @@ class CarrierIndex:
     offsets: np.ndarray
     sample_spacing: float
     lipschitz: tuple[float, ...]
-    bboxes: tuple[tuple[float, float, float, float], ...]
+    bbox: tuple[float, float, float, float]
     diam: float
 
     @classmethod
@@ -287,14 +293,9 @@ class CarrierIndex:
             offsets=np.array(offsets, dtype=np.int64),
             sample_spacing=w / _SAMPLES_PER_PIECE,
             lipschitz=tuple(lips),
-            bboxes=tuple(p.bbox() for p in spec.pieces),
+            bbox=spec.bbox,
             diam=float(np.sqrt(d2.max())),
         )
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs0, ys0, xs1, ys1 = zip(*self.bboxes)
-        return (min(xs0), min(ys0), max(xs1), max(ys1))
 
     def distance(self, z) -> tuple[float, float]:
         """Certified [lower, upper] enclosure of the distance to the carrier."""

@@ -187,18 +187,15 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
         raise ValueError("ray direction must be nonzero")
     # kernels measure the ray parameter as arc length, so normalise here
     vx, vy = direction.x / norm, direction.y / norm
-    out = np.empty((_kernels._HIT_CAP, 6))
-    nh, status = _kernels.ray_hits_point(
-        carrier.kinds, carrier.data, p.x, p.y, vx, vy, out, _RAY_T_MIN * carrier.diam
+    found = []
+    _, status = _kernels.ray_hits_point(
+        carrier.kinds, carrier.data, p.x, p.y, vx, vy, found, _RAY_T_MIN * carrier.diam
     )
     if status == _kernels.ON_CARRIER:
         raise DegenerateRay("ray runs along a straight piece")
-    if status == _kernels.NODE_LIMIT:
-        raise DegenerateRay("ray produced too many candidate hits")
 
     hits = []
-    for row in out[:nh]:
-        t, piece, u, tx, ty = row[0], int(row[1]), row[2], row[3], row[4]
+    for t, piece, u, tx, ty in found:
         if u >= 1.0 - _JOINT_U_TOL:
             joint = (piece + 1) % n
         elif u <= _JOINT_U_TOL:
@@ -413,15 +410,13 @@ def region_distance(
     res = jc.diameter() / 256.0 if resolution is None else float(resolution)
     if target not in ("inside", "outside", "opposite"):
         raise ValueError(f"unknown target region {target!r}")
-    own: Verdict | None = None
+    own = classify(jc, p).verdict
     if target == "opposite":
-        own = classify(jc, p).verdict
         if own is Verdict.NEAR_CARRIER:
             raise PointTooClose("ambiguous side: point is near the carrier")
         want_inside = own is Verdict.OUTSIDE
     else:
         want_inside = target == "inside"
-        own = classify(jc, p).verdict
     if (own is Verdict.INSIDE) == want_inside and own is not Verdict.NEAR_CARRIER:
         return 0.0
     if grid is None:

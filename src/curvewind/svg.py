@@ -81,12 +81,6 @@ def _path_data(spec: CurveSpec, fr: _Frame) -> str:
     return " ".join(parts)
 
 
-def _spec_bbox(spec: CurveSpec) -> tuple[float, float, float, float]:
-    boxes = [p.bbox() for p in spec.pieces]
-    xs0, ys0, xs1, ys1 = zip(*boxes)
-    return (min(xs0), min(ys0), max(xs1), max(ys1))
-
-
 def render_svg(
     spec: CurveSpec,
     size: int = 640,
@@ -103,8 +97,7 @@ def render_svg(
     is a :class:`~curvewind.connectivity.PolygonalJoin`.
     """
 
-    bbox = _spec_bbox(spec)
-    fr = _frame_for(bbox, size)
+    fr = _frame_for(spec.bbox, size)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',

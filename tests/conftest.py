@@ -3,8 +3,10 @@ from dataclasses import dataclass
 import pytest
 
 from curvewind import Verdict, classify, validate_jordan
+from curvewind.curves import CurveSpec
 from curvewind.fixtures import fixture
 from curvewind.geometry import Point
+from curvewind.pieces import LinePiece
 
 GOOD_FIXTURES = ("circle", "ellipse", "rounded-square", "blob", "kidney")
 
@@ -14,6 +16,18 @@ def curves():
     """All well-formed fixtures, validated once per session."""
 
     return {name: validate_jordan(fixture(name), h=1e-3) for name in GOOD_FIXTURES}
+
+
+def comb(teeth: int = 40) -> CurveSpec:
+    """A polygon with ``teeth`` unit-tall teeth of width 1/2 on a bar below
+    y = 0: a ray from (0.25, 0.5) along +x crosses 2 * teeth - 1 sides."""
+
+    verts = []
+    for k in range(teeth):
+        verts += [Point(k, 0.0), Point(k, 1.0), Point(k + 0.5, 1.0), Point(k + 0.5, 0.0)]
+    verts += [Point(teeth, 0.0), Point(teeth, -1.0), Point(0.0, -1.0)]
+    n = len(verts)
+    return CurveSpec(tuple(LinePiece(verts[k], verts[(k + 1) % n]) for k in range(n)))
 
 
 def sample_classified(jc, n, rng, min_clearance=0.0, spread=1.3):

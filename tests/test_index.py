@@ -25,7 +25,7 @@ from curvewind.fixtures import rounded_square
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece
 
-from conftest import sample_classified
+from conftest import comb, sample_classified
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +61,19 @@ def test_ray_crossing_circle_from_center(curves):
     parity, records = ray_crossing_index(jc, (2.0, 0.0), (1.0, 0.01))
     assert parity == 0
     assert len(records) in (0, 2)
+
+
+def test_ray_crossing_more_than_64_hits():
+    # a ray from inside the first tooth along +x leaves it and then enters
+    # and leaves each of the other 39 teeth
+    jc = validate_jordan(comb(40), h=1e-2)
+    parity, records = ray_crossing_index(jc, (0.25, 0.5), (1.0, 0.0))
+    assert parity == 1
+    assert len(records) == 79
+    c = classify(jc, (0.25, 0.5))
+    assert c.verdict is Verdict.INSIDE
+    assert len(c.crossings) == 79
+    assert c.rays_tried == 1
 
 
 def test_classify_agrees_on_grids(curves):

@@ -1,9 +1,10 @@
 """Kernel-level checks against independent oracles.
 
 The winding kernel is compared with adaptive quadrature of the defining
-integral; ray hits with closed-form/polyline intersections; carrier
-distances with brute-force dense sampling; the carrier and winding kernels
-with their earlier forms that refine one piece at a time; the pair scan
+integral; ray hits with closed-form/polyline intersections and, exactly,
+with their earlier stack-based kernel; carrier distances with brute-force
+dense sampling; the carrier and winding kernels with their earlier forms
+that refine one piece at a time; the pair scan
 with an O(N^2) reference, exactly; the crossing test with exact rational
 orientations; grid paths with scipy's shortest paths on the free-cell graph.
 """
@@ -21,6 +22,7 @@ from curvewind import _kernels
 from curvewind.curves import CarrierIndex, CurveSpec, validate_jordan
 from curvewind.fixtures import FIXTURES, cubic_blob, fixture, rounded_square
 from curvewind.geometry import Point
+from curvewind.index import _GOLDEN_ANGLE
 from curvewind.pieces import (
     KIND_ARC,
     KIND_CUBIC,
@@ -29,6 +31,8 @@ from curvewind.pieces import (
     CubicPiece,
     LinePiece,
 )
+
+from conftest import comb
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,11 +117,11 @@ def test_winding_near_carrier_reports_on_carrier():
 
 
 def _ray(kinds, data, p, v):
-    out = np.empty((_kernels._HIT_CAP, 6))
-    nh, status = _kernels.ray_hits_point(
-        kinds, data, p[0], p[1], v[0], v[1], out, 1e-12
-    )
-    return out[:nh], status
+    """One ray's hits as an (n, 5) array of (t, piece, u, tan_x, tan_y) rows."""
+
+    hits = []
+    _, status = _kernels.ray_hits_point(kinds, data, p[0], p[1], v[0], v[1], hits, 1e-12)
+    return np.array(hits, dtype=float).reshape(-1, 5), status
 
 
 def test_ray_hits_line_piece():
@@ -155,6 +159,17 @@ def test_ray_misses_partial_arc():
     hits, status = _ray(kinds, data, (-2.0, -0.5), (-1.0, 0.0))
     assert status == _kernels.OK
     assert hits.shape[0] == 0
+
+
+def test_ray_root_on_a_bracket_edge_is_reported_once():
+    # the side function's Bernstein coefficients are (1, 1, -1, -1), so its
+    # value at u = 1/2 is exactly 0 and the brackets on both sides of 1/2
+    # find the same root
+    kinds, data = _rows([CubicPiece(Point(0, -1), Point(1, -1), Point(-1, 1), Point(0, 1))])
+    hits, status = _ray(kinds, data, (-5.0, 0.0), (1.0, 0.0))
+    assert status == _kernels.OK
+    assert hits.shape[0] == 1
+    assert hits[0, 2] == pytest.approx(0.5, abs=1e-11)
 
 
 def _polyline_crossings(piece, p, v, n=200001):
@@ -483,7 +498,12 @@ _ORACLE_CURVES = sorted(FIXTURES) + ["blob64"]
 
 
 def _oracle_curve(name):
-    spec = cubic_blob(64) if name == "blob64" else fixture(name)
+    if name == "blob64":
+        spec = cubic_blob(64)
+    elif name == "comb":
+        spec = comb()
+    else:
+        spec = fixture(name)
     return CarrierIndex.build(spec), spec
 
 
@@ -583,6 +603,269 @@ def test_winding_on_an_arcs_chord_is_half_a_turn(sweep):
         assert status[0] == _kernels.OK and nodes[0] == 1
         assert total[0].imag == pytest.approx(math.copysign(math.pi, sweep), abs=1e-12)
         assert abs(complex(total[0]) - _quad_winding([arc], z)) < 1e-7
+
+
+# The ray kernel as it was written for numba: numpy scratch rows, an explicit
+# DFS stack and an insertion sort.  Its hit cap is raised from 64 so that it
+# never binds on the test curves.
+_STACK_CAP = 256
+_HIT_CAP = 256
+_BRACKET_WIDTH = _kernels._BRACKET_WIDTH
+_ROOT_TOL = _kernels._ROOT_TOL
+_angle_in_sweep = _kernels._angle_in_sweep
+OK, ON_CARRIER, NODE_LIMIT = _kernels.OK, _kernels.ON_CARRIER, _kernels.NODE_LIMIT
+
+
+def _bern3(f0, f1, f2, f3, u):
+    v = 1.0 - u
+    return (
+        v * v * v * f0
+        + 3.0 * v * v * u * f1
+        + 3.0 * v * u * u * f2
+        + u * u * u * f3
+    )
+
+
+def _cubic_point(row, u):
+    v = 1.0 - u
+    b0 = v * v * v
+    b1 = 3.0 * v * v * u
+    b2 = 3.0 * v * u * u
+    b3 = u * u * u
+    x = b0 * row[0] + b1 * row[2] + b2 * row[4] + b3 * row[6]
+    y = b0 * row[1] + b1 * row[3] + b2 * row[5] + b3 * row[7]
+    return x, y
+
+
+def _cubic_velocity(row, u):
+    v = 1.0 - u
+    c0 = 3.0 * v * v
+    c1 = 6.0 * v * u
+    c2 = 3.0 * u * u
+    x = c0 * (row[2] - row[0]) + c1 * (row[4] - row[2]) + c2 * (row[6] - row[4])
+    y = c0 * (row[3] - row[1]) + c1 * (row[5] - row[3]) + c2 * (row[7] - row[5])
+    return x, y
+
+
+def _ray_hits_oracle(kinds, data, px, py, vx, vy, out, t_min):
+    """Rows (t, piece, u, tan_x, tan_y, 0) of ``out``: returns (n_hits, status)."""
+
+    nh = 0
+    froots = np.empty(16)
+    stack = np.empty((_STACK_CAP, 6))
+    for i in range(kinds.shape[0]):
+        kind = kinds[i]
+        row = data[i]
+        if kind == KIND_LINE:
+            ex, ey = row[2] - row[0], row[3] - row[1]
+            rx, ry = row[0] - px, row[1] - py
+            den = vx * ey - vy * ex
+            elen = math.hypot(ex, ey)
+            if abs(den) <= 1e-14 * elen:
+                perp = rx * vy - ry * vx
+                if abs(perp) <= 1e-12 * elen:
+                    f0 = rx * vx + ry * vy
+                    f1 = (row[2] - px) * vx + (row[3] - py) * vy
+                    if f0 > t_min or f1 > t_min:
+                        return nh, ON_CARRIER
+                continue
+            t = (rx * ey - ry * ex) / den
+            u = (rx * vy - ry * vx) / den
+            if -1e-12 <= u <= 1.0 + 1e-12 and t > t_min:
+                if nh >= _HIT_CAP:
+                    return nh, NODE_LIMIT
+                uu = min(1.0, max(0.0, u))
+                out[nh, 0] = t
+                out[nh, 1] = i
+                out[nh, 2] = uu
+                out[nh, 3] = ex
+                out[nh, 4] = ey
+                nh += 1
+        elif kind == KIND_ARC:
+            cx, cy, r, a0, sweep = row[0], row[1], row[2], row[3], row[4]
+            ux, uy = px - cx, py - cy
+            b = vx * ux + vy * uy
+            c = ux * ux + uy * uy - r * r
+            disc = b * b - c
+            if disc < 0.0:
+                continue
+            sq = math.sqrt(disc)
+            for sgn in range(2):
+                t = -b - sq if sgn == 0 else -b + sq
+                if t <= t_min:
+                    continue
+                hx = ux + t * vx
+                hy = uy + t * vy
+                theta = math.atan2(hy, hx)
+                uu = _angle_in_sweep(a0, sweep, theta)
+                if uu < 0.0:
+                    continue
+                if nh >= _HIT_CAP:
+                    return nh, NODE_LIMIT
+                out[nh, 0] = t
+                out[nh, 1] = i
+                out[nh, 2] = uu
+                out[nh, 3] = -hy * sweep
+                out[nh, 4] = hx * sweep
+                nh += 1
+        else:
+            f0 = (row[0] - px) * vy - (row[1] - py) * vx
+            f1 = (row[2] - px) * vy - (row[3] - py) * vx
+            f2 = (row[4] - px) * vy - (row[5] - py) * vx
+            f3 = (row[6] - px) * vy - (row[7] - py) * vx
+            nroots = 0
+            sp = 0
+            stack[sp, 0] = 0.0
+            stack[sp, 1] = 1.0
+            stack[sp, 2] = f0
+            stack[sp, 3] = f1
+            stack[sp, 4] = f2
+            stack[sp, 5] = f3
+            sp += 1
+            while sp > 0:
+                sp -= 1
+                ulo, uhi = stack[sp, 0], stack[sp, 1]
+                g0, g1 = stack[sp, 2], stack[sp, 3]
+                g2, g3 = stack[sp, 4], stack[sp, 5]
+                if (g0 > 0.0 and g1 > 0.0 and g2 > 0.0 and g3 > 0.0) or (
+                    g0 < 0.0 and g1 < 0.0 and g2 < 0.0 and g3 < 0.0
+                ):
+                    continue
+                if uhi - ulo <= _BRACKET_WIDTH:
+                    root = -1.0
+                    if g0 == 0.0:
+                        root = ulo
+                    elif g3 == 0.0 and uhi == 1.0:
+                        root = 1.0
+                    elif (g0 > 0.0) != (g3 > 0.0):
+                        lo, hi = ulo, uhi
+                        flo = g0
+                        while hi - lo > _ROOT_TOL:
+                            mid = 0.5 * (lo + hi)
+                            fm = _bern3(f0, f1, f2, f3, mid)
+                            if fm == 0.0:
+                                lo = mid
+                                hi = mid
+                                break
+                            if (flo > 0.0) != (fm > 0.0):
+                                hi = mid
+                            else:
+                                lo = mid
+                                flo = fm
+                        root = 0.5 * (lo + hi)
+                    if root >= 0.0 and nroots < 16:
+                        froots[nroots] = root
+                        nroots += 1
+                else:
+                    if sp + 2 > _STACK_CAP:
+                        return nh, NODE_LIMIT
+                    m01 = 0.5 * (g0 + g1)
+                    m12 = 0.5 * (g1 + g2)
+                    m23 = 0.5 * (g2 + g3)
+                    ga = 0.5 * (m01 + m12)
+                    gb = 0.5 * (m12 + m23)
+                    gm = 0.5 * (ga + gb)
+                    mid = 0.5 * (ulo + uhi)
+                    stack[sp, 0] = ulo
+                    stack[sp, 1] = mid
+                    stack[sp, 2] = g0
+                    stack[sp, 3] = m01
+                    stack[sp, 4] = ga
+                    stack[sp, 5] = gm
+                    sp += 1
+                    stack[sp, 0] = mid
+                    stack[sp, 1] = uhi
+                    stack[sp, 2] = gm
+                    stack[sp, 3] = gb
+                    stack[sp, 4] = m23
+                    stack[sp, 5] = g3
+                    sp += 1
+            # sort, dedup, convert to forward hits
+            for a_i in range(1, nroots):
+                key = froots[a_i]
+                b_i = a_i - 1
+                while b_i >= 0 and froots[b_i] > key:
+                    froots[b_i + 1] = froots[b_i]
+                    b_i -= 1
+                froots[b_i + 1] = key
+            # adjacent brackets re-find a shared root within ~2 * _ROOT_TOL;
+            # genuine distinct crossings are never that close in parameter
+            prev = -1.0
+            for k in range(nroots):
+                u = froots[k]
+                if prev >= 0.0 and u - prev < 1e-11:
+                    continue
+                prev = u
+                hx, hy = _cubic_point(row, u)
+                t = (hx - px) * vx + (hy - py) * vy
+                if t <= t_min:
+                    continue
+                if nh >= _HIT_CAP:
+                    return nh, NODE_LIMIT
+                tx, ty = _cubic_velocity(row, u)
+                out[nh, 0] = t
+                out[nh, 1] = i
+                out[nh, 2] = u
+                out[nh, 3] = tx
+                out[nh, 4] = ty
+                nh += 1
+    return nh, OK
+
+
+_RAY_CURVES = _ORACLE_CURVES + ["comb"]
+
+
+def _ray_cases(spec, ci):
+    """(point, unit direction) pairs: 200 seeded points around the curve,
+    each shot along +x, along the next three golden-angle directions that
+    classify tries and through a random piece joint; then a ray along each
+    of the first five line pieces, from behind its start."""
+
+    x0, y0, x1, y1 = ci.bbox
+    pad = 0.2 * ci.diam
+    rng = np.random.default_rng(29)
+    pts = rng.uniform((x0 - pad, y0 - pad), (x1 + pad, y1 + pad), size=(200, 2))
+    joints = rng.integers(spec.n_pieces, size=len(pts))
+    cases = []
+    for (px, py), j in zip(pts.tolist(), joints.tolist()):
+        q = spec.pieces[j].point(0.0)
+        dirs = [(1.0, 0.0), (q.x - px, q.y - py)]
+        dirs += [(math.cos(k * _GOLDEN_ANGLE), math.sin(k * _GOLDEN_ANGLE)) for k in (1, 2, 3)]
+        cases += [((px, py), d) for d in dirs]
+    lines = [pc for pc in spec.pieces if isinstance(pc, LinePiece)][:5]
+    for pc in lines:
+        dx, dy = pc.end.x - pc.start.x, pc.end.y - pc.start.y
+        cases.append(((pc.start.x - 0.5 * dx, pc.start.y - 0.5 * dy), (dx, dy)))
+    unit = [(p, (vx / math.hypot(vx, vy), vy / math.hypot(vx, vy))) for p, (vx, vy) in cases]
+    return unit, len(lines)
+
+
+@pytest.mark.parametrize("name", _RAY_CURVES)
+def test_ray_hits_match_stack_kernel_oracle(name):
+    ci, spec = _oracle_curve(name)
+    t_min = 1e-12 * ci.diam
+    cases, n_lines = _ray_cases(spec, ci)
+    on_carrier = most = 0
+    for (px, py), (vx, vy) in cases:
+        hits = []
+        n, status = _kernels.ray_hits_point(ci.kinds, ci.data, px, py, vx, vy, hits, t_min)
+        rows = np.empty((_HIT_CAP, 6))
+        want_n, want_status = _ray_hits_oracle(
+            ci.kinds, ci.data, px, py, vx, vy, rows, t_min
+        )
+        assert want_status != _kernels.NODE_LIMIT
+        assert type(n) is int
+        assert (n, status) == (want_n, want_status)
+        assert hits == [
+            (float(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4]))
+            for r in rows[:want_n]
+        ]
+        on_carrier += status == _kernels.ON_CARRIER
+        most = max(most, n)
+    # every ray along a line piece runs along the carrier
+    assert on_carrier >= n_lines
+    if name == "comb":
+        assert most > 64
 
 
 def _pair_scan_oracle(xy, ts, period, sep_floor, a, b, eps_levels):

@@ -1,20 +1,49 @@
-"""The benchmark tracer finds every library name it wraps.
+"""The benchmark tracer finds every library name it wraps and still counts.
 
 ``perfbench/tracing.py`` replaces each traced callable through its owner's
-namespace, so a renamed or deleted library name would only surface as a
-KeyError in a traced benchmark run.
+namespace and reads its counts from fixed arguments and results, so a
+renamed or deleted library name, or a kernel whose signature moved, would
+otherwise only surface in a traced benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
+from curvewind import connectivity, curves, index
+from curvewind.fixtures import fixture
 
-def test_traced_names_exist():
+
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_exist():
+    tracing = _load_tracing()
     missing = [
         name for name, owner, attr in tracing.targets() if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_tracer_counts_every_counted_layer():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer().install()
+    try:
+        jc = curves.validate_jordan(fixture("circle"), h=1e-2)
+        index.classify(jc, (0.2, 0.1))
+        index.region_grid(jc, 0.1)
+        connectivity.ClearanceGrid.build(jc, 0.05, 0.05)
+        connectivity.polygonal_join(jc, (0.2, 0.1), (-0.3, -0.2), clearance=0.05, h=0.05)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in tracing.COUNTERS:
+        counts = {k: v for k, v in summary[name].items() if k not in ("calls", "s", "self_s")}
+        assert counts, name
+        # node_limit counts refinements that ran out of nodes: none should
+        assert {k: v for k, v in counts.items() if k != "node_limit" and v <= 0} == {}, name
+        assert counts.get("node_limit", 0) == 0, name
