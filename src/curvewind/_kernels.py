@@ -19,6 +19,27 @@ pairs of a block of points together, one subdivision level per step, and
 kernels (``pair_scan``, ``polyline_crossing``) run over the sample pairs
 of many blocks at once.
 
+Threshold carrier queries: most callers of ``carrier_batch`` only ask
+whether a point's distance is at least some ``need``, as in Bishop's
+dichotomy "d >= r or d < r + eps", which an approximation decides.  Given
+``need``, a point stops refining as soon as either
+
+* its upper bound ``hi`` is below ``need``: the full refinement only
+  lowers ``hi``, and its ``lo`` is at most ``hi``; or
+* its lower envelope is at least ``need`` (and ``hi`` is not below it).
+  The envelope is the minimum of the distances of its finished nodes and
+  the box distances of its live ones.  A de Casteljau child's control box
+  lies inside its parent's, so no descendant of a live node finishes
+  nearer than that node's box, and every curve point that could still
+  lower ``hi`` lies in a live box: the full ``lo`` is at least the
+  envelope.
+
+A stopped point's live boxes join its finished distances, so the
+enclosure returned still contains the full one, and ``lo >= need`` and
+``hi < need`` come out exactly as without ``need``.  The level-0 control
+boxes and the cubics' start points decide most points before any sample
+is read.
+
 Why the winding sums are exact: each term is the principal complex log of
 a chord's endpoint ratio, which is the integral of dz/(z - zeta) along the
 chord because a segment never subtends an angle >= pi from a point off the
@@ -221,10 +242,12 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
     return len(out), OK
 
 
-def carrier_dist_point(kinds, data, samples, offsets, px, py, geo):
+def carrier_dist_point(kinds, data, samples, offsets, px, py, geo, need=None):
     """``carrier_batch`` on the one point (px, py): returns floats (lo, hi)."""
 
-    lo, hi = carrier_batch(kinds, data, samples, offsets, np.array([[px, py]]), geo)
+    lo, hi = carrier_batch(
+        kinds, data, samples, offsets, np.array([[px, py]]), geo, need
+    )
     return float(lo[0]), float(hi[0])
 
 
@@ -302,7 +325,7 @@ def _arc_rows(arc):
     return np.array(rows).reshape(-1, 10).T.copy()
 
 
-def winding_batch(kinds, data, pts):
+def winding_batch(kinds, geo, pts):
     """Winding integrals for many points: returns (total, nodes, status).
 
     ``total`` is the complex contour integral of dz/(z - p) per point,
@@ -310,7 +333,7 @@ def winding_batch(kinds, data, pts):
     is OK or ON_CARRIER.  Lines and arcs take one exact pass over all
     (point, piece) pairs, one chord each; cubics refine all their (point,
     piece) pairs in one level loop, which ends once every node is accepted
-    or too narrow to split.
+    or too narrow to split.  ``geo`` is the curve's ``carrier_geometry``.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -318,40 +341,27 @@ def winding_batch(kinds, data, pts):
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
-    chords = _chords(kinds, data) if (kinds != KIND_CUBIC).any() else None
-    ctl = _control_polygons(kinds, data)
     for blk in _point_blocks(m, kinds.shape[0]):
         z = pts[blk, 0] + 1j * pts[blk, 1]
-        if chords is not None:
-            total[blk], on = _wind_chords(*chords, z)
-            nodes[blk] = chords[0].size
+        if geo.e0.size:
+            total[blk], on = _wind_chords(geo.e0, geo.e1, geo.arc, z)
+            nodes[blk] = geo.e0.size
             status[blk] = np.where(on, ON_CARRIER, OK)
-        if ctl.shape[2]:
-            _wind_cubics(ctl, z, total[blk], nodes[blk], status[blk])
+        if geo.ctl.shape[2]:
+            _wind_cubics(geo.ctl, z, total[blk], nodes[blk], status[blk])
     return total, nodes, status
-
-
-def _chords(kinds, data):
-    """(e0, e1, arc): the complex chord ends of the lines, then of the
-    arcs, and the arcs' ``_arc_rows``."""
-
-    line = data[kinds == KIND_LINE]
-    arc = _arc_rows(data[kinds == KIND_ARC])
-    e0 = np.concatenate([line[:, 0] + 1j * line[:, 1], arc[6] + 1j * arc[7]])
-    e1 = np.concatenate([line[:, 2] + 1j * line[:, 3], arc[8] + 1j * arc[9]])
-    return e0, e1, arc
 
 
 def _wind_chords(e0, e1, arc, z):
     """Exact terms of every (point, line) and (point, arc) pair, summed.
 
-    ``e0``, ``e1`` and ``arc`` are the curve's ``_chords``.  An arc adds a
-    whole turn, signed like its sweep, where z lies inside its circle and
-    on its side of the chord (right of the chord for a positive sweep); a
-    full turn has no chord side.  The log's branch follows the same sign
-    bit of the ratio's imaginary part, so a point on the chord gets the
-    arc's +-pi.  Returns (sums, on): ``on`` marks points where a log is not
-    finite or that lie within _ON_ARC_TOL of an arc.
+    ``e0``, ``e1`` and ``arc`` are the curve's ``CarrierGeometry`` fields.
+    An arc adds a whole turn, signed like its sweep, where z lies inside
+    its circle and on its side of the chord (right of the chord for a
+    positive sweep); a full turn has no chord side.  The log's branch
+    follows the same sign bit of the ratio's imaginary part, so a point on
+    the chord gets the arc's +-pi.  Returns (sums, on): ``on`` marks points
+    where a log is not finite or that lie within _ON_ARC_TOL of an arc.
     """
 
     zc = z[:, None]
@@ -407,15 +417,19 @@ def _wind_cubics(ctl, z, total, nodes, status):
 
 
 class CarrierGeometry(NamedTuple):
-    """Per-curve arrays for ``carrier_batch``, independent of the queries.
+    """Per-curve arrays for ``carrier_batch`` and ``winding_batch``,
+    independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: ``_arc_rows``.
-    Cubics: ``_control_polygons`` and their boxes.  Seed runs: _SEED_RUN
+    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: ``_arc_rows``.  Chords:
+    the complex chord ends of the lines, then of the arcs.  Cubics:
+    ``_control_polygons`` and their boxes.  Seed runs: _SEED_RUN
     consecutive cubic samples per row, and their boxes.
     """
 
     line: np.ndarray
     arc: np.ndarray
+    e0: np.ndarray
+    e1: np.ndarray
     ctl: np.ndarray
     ctl_lo: np.ndarray
     ctl_hi: np.ndarray
@@ -448,6 +462,8 @@ def carrier_geometry(kinds, data, samples, offsets):
     return CarrierGeometry(
         line=line,
         arc=arc,
+        e0=np.concatenate([x0 + 1j * y0, arc[6] + 1j * arc[7]]),
+        e1=np.concatenate([x1 + 1j * y1, arc[8] + 1j * arc[9]]),
         ctl=ctl,
         ctl_lo=ctl.min(axis=0),
         ctl_hi=ctl.max(axis=0),
@@ -458,31 +474,51 @@ def carrier_geometry(kinds, data, samples, offsets):
     )
 
 
-def carrier_batch(kinds, data, samples, offsets, pts, geo):
+def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
     """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
 
     Line and arc pieces are exact.  Cubic pieces refine control boxes until
-    each surviving box is small relative to its distance; ``samples`` seed
-    the upper bound, and the start point of every refinement node keeps
-    lowering it, since it lies on the curve.  A node whose box cannot beat
-    the running upper bound is dropped; everything below it is no nearer
-    than the final bound, so the enclosure is the one a full refinement
-    gives, in whatever order nodes are visited.  ``geo`` is the curve's
-    ``carrier_geometry``.
+    each surviving box is small relative to its distance; every cubic's
+    start point and the ``samples`` seed the upper bound, and the start
+    point of every refinement node keeps lowering it, since it lies on the
+    curve.  A node whose box cannot beat the running upper bound is
+    dropped; everything below it is no nearer than the final bound, so the
+    enclosure is the one a full refinement gives, in whatever order nodes
+    are visited.  ``geo`` is the curve's ``carrier_geometry``.
+
+    ``need``, one number or one per point, makes this a threshold query:
+    a point stops refining once the stop rule in the module docstring
+    holds.  Its (lo, hi) then contains the full enclosure, and ``lo >=
+    need`` and ``hi < need`` are what they are without ``need``; a point
+    the rule never stops gets the full enclosure bit for bit.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
     m = pts.shape[0]
     best_hi = np.full(m, np.inf)
     lo_acc = np.full(m, np.inf)
+    if need is not None:
+        need = np.broadcast_to(np.asarray(need, dtype=float), (m,))
     for blk in _point_blocks(m, kinds.shape[0] + geo.run_x.shape[0]):
         q = pts[blk].T
         _exact_pieces(geo, q, best_hi[blk], lo_acc[blk])
-        _seed_from_samples(geo, q, best_hi[blk])
-        _refine_cubics(geo, q, best_hi[blk], lo_acc[blk])
+        if geo.ctl.shape[2]:
+            _cubic_pieces(
+                geo, q, best_hi[blk], lo_acc[blk], None if need is None else need[blk]
+            )
     lo = np.minimum(lo_acc, best_hi)
     np.maximum(lo, 0.0, out=lo)
     return lo, best_hi
+
+
+def _stopped(env, best_hi, lo_acc, need):
+    """The points that the stop rule decides, given their lower envelopes
+    ``env`` (at most ``lo_acc``); a decided point's envelope becomes its
+    ``lo_acc`` in place, so its enclosure keeps containing the full one."""
+
+    stop = (best_hi < need) | (env >= need)
+    np.copyto(lo_acc, env, where=stop)
+    return stop
 
 
 def _exact_pieces(geo, q, best_hi, lo_acc):
@@ -510,19 +546,49 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         np.minimum(lo_acc, d, out=lo_acc)
 
 
+def _cubic_pieces(geo, q, best_hi, lo_acc, need):
+    """Tighten ``best_hi``/``lo_acc`` in place by the cubic pieces.
+
+    The cubics' start points lower ``best_hi``, then the samples
+    (``_seed_from_samples``), then ``_refine_cubics`` finishes.  With
+    ``need``, the level-0 control boxes give every point an envelope, and
+    points the stop rule decides on it skip the seed and the refinement.
+    """
+
+    qq = q[:, :, None]
+    d = np.maximum(geo.ctl_lo[:, None, :] - qq, qq - geo.ctl_hi[:, None, :])
+    np.maximum(d, 0.0, out=d)
+    db = np.hypot(d[0], d[1])
+    d = qq - geo.ctl[0][:, None, :]
+    np.minimum(best_hi, np.hypot(d[0], d[1]).min(axis=1), out=best_hi)
+    todo = np.arange(q.shape[1])
+    if need is not None:
+        env = np.minimum(lo_acc, db.min(axis=1))
+        todo = (~_stopped(env, best_hi, lo_acc, need)).nonzero()[0]
+        if not todo.size:
+            return
+    hi = best_hi[todo]
+    _seed_from_samples(geo, q[:, todo], hi)
+    best_hi[todo] = hi
+    if need is not None:
+        # the seed can only settle a point below need
+        todo = (~_stopped(env, best_hi, lo_acc, need)).nonzero()[0]
+    _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need)
+
+
 def _seed_from_samples(geo, q, best_hi):
     """Lower ``best_hi`` in place to the nearest cubic sample, exactly.
 
-    The first sample of every run gives an upper bound u on the nearest
-    distance; a run whose bounding box lies farther than u cannot hold the
-    nearest sample, so only the remaining runs are scanned point by point.
-    The result equals the minimum over every sample.
+    The first sample of every run, and ``best_hi`` itself, give an upper
+    bound u on the result; a run whose bounding box lies farther than u
+    cannot hold a sample that lowers it, so only the remaining runs are
+    scanned point by point.  The result equals the minimum of ``best_hi``
+    and every sample.
     """
 
-    if not geo.run_x.shape[0]:
-        return
     qx, qy = q[0][:, None], q[1][:, None]
     u = np.hypot(qx - geo.run_x[:, 0], qy - geo.run_y[:, 0]).min(axis=1)
+    np.minimum(u, best_hi, out=u)
     dx = np.maximum(np.maximum(geo.run_lo[0] - qx, qx - geo.run_hi[0]), 0.0)
     dy = np.maximum(np.maximum(geo.run_lo[1] - qy, qy - geo.run_hi[1]), 0.0)
     # the margin absorbs round-off in comparing box and sample distances
@@ -531,23 +597,21 @@ def _seed_from_samples(geo, q, best_hi):
     np.minimum.at(best_hi, qi, d.min(axis=1))
 
 
-def _refine_cubics(geo, q, best_hi, lo_acc):
+def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need):
     """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
-    All (point, cubic) pairs whose control box is nearer than ``best_hi``
-    refine together, one level per step.  A node is finished when its box
-    is small next to its distance, or at the last level, and then lowers
-    ``lo_acc`` to that distance.
+    The (point, cubic) pairs of the points ``todo`` whose control box
+    distance ``db`` is below ``best_hi`` refine together, one level per
+    step; their start points have lowered ``best_hi`` already.  A node is
+    finished when its box is small next to its distance, or at the last
+    level, and then lowers ``lo_acc`` to that distance.  With ``need``, a
+    point leaves the loop as soon as the stop rule decides it.
     """
 
-    if not geo.ctl.shape[2]:
-        return
-    qq = q[:, :, None]
-    d = np.maximum(geo.ctl_lo[:, None, :] - qq, qq - geo.ctl_hi[:, None, :])
-    np.maximum(d, 0.0, out=d)
-    idx, piece = np.nonzero(np.hypot(d[0], d[1]) < best_hi[:, None])
+    i, piece = np.nonzero(db[todo] < best_hi[todo, None])
+    idx = todo[i]
     ctl = geo.ctl.take(piece, axis=2)
-    fresh = 0
+    fresh = idx.size
     for level in range(_REFINE_LEVELS):
         qn = q.take(idx, axis=1)
         lo, hi, gap = _node_gaps(ctl, qn)
@@ -562,6 +626,10 @@ def _refine_cubics(geo, q, best_hi, lo_acc):
             done[:] = True
         np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))
         keep = (live > done).nonzero()[0]
+        if need is not None and keep.size:
+            env = lo_acc.copy()
+            np.minimum.at(env, idx[keep], db[keep])
+            keep = keep[~_stopped(env, best_hi, lo_acc, need)[idx[keep]]]
         if not keep.size:
             break
         fresh = keep.size

@@ -62,8 +62,9 @@ class ClearanceGrid:
         ys = y0 + h * (np.arange(ny) + 0.5)
         gx, gy = np.meshgrid(xs, ys)
         centers = np.column_stack([gx.ravel(), gy.ravel()])
-        lo, _ = jc.carrier.distance_batch(centers)
-        free = (lo >= clearance + h * _FREE_MARGIN).astype(np.uint8).reshape(ny, nx)
+        need = clearance + h * _FREE_MARGIN
+        lo, _ = jc.carrier.distance_batch(centers, need)
+        free = (lo >= need).astype(np.uint8).reshape(ny, nx)
         return cls(origin=(x0, y0), h=h, clearance=clearance, free=free)
 
     def cell_of(self, p: Point) -> tuple[int, int]:
@@ -148,8 +149,9 @@ def _segment_clear(
     pts = pts[~certified]
     if pts.shape[0] == 0:
         return True
-    lo, _ = jc.carrier.distance_batch(pts)
-    return bool(lo.min() >= clearance + spacing / 2.0)
+    need = clearance + spacing / 2.0
+    lo, _ = jc.carrier.distance_batch(pts, need)
+    return bool(lo.min() >= need)
 
 
 def polygonal_join(
@@ -169,12 +171,13 @@ def polygonal_join(
     """
 
     p1, p2 = as_point(z1), as_point(z2)
+    need = clearance + h
     for p in (p1, p2):
-        lo, _ = jc.carrier.distance(p)
-        if lo < clearance + h:
+        lo, hi = jc.carrier.distance(p, need)
+        if lo < need:
             raise PointTooClose(
-                f"endpoint ({p.x!r}, {p.y!r}) has clearance {lo:.3e}, "
-                f"needs {clearance + h:.3e}"
+                f"endpoint ({p.x!r}, {p.y!r}) has clearance in "
+                f"[{lo:.3e}, {hi:.3e}], needs {need:.3e}"
             )
     if grid is None or not (grid.contains(p1) and grid.contains(p2)):
         x0, y0, x1, y1 = jc.carrier.bbox

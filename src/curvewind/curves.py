@@ -253,7 +253,17 @@ class CarrierIndex:
     enclosures satisfy (upper - lower) <= lipschitz * sample_spacing with
     room to spare.  ``distance`` and ``distance_batch`` run the same kernel,
     ``_kernels.carrier_batch``, so one point gets one answer either way; the
-    kernel's per-curve arrays are built on the first query and kept.
+    kernel's per-curve arrays, ``geometry``, are built on the first query
+    and kept.
+
+    A caller that only asks whether the distance is at least some ``need``
+    passes it, and each point stops refining once the answer is certain:
+    when its upper bound falls below ``need``, or when the distances of its
+    finished refinement nodes and the boxes of its live ones are all at
+    least ``need``.  A child's control box lies inside its parent's, so
+    the full lower bound is no smaller than that.  The enclosure returned
+    then contains the full one, and ``lo >= need`` and ``hi < need`` are
+    what the full enclosure gives.
     """
 
     kinds: np.ndarray
@@ -297,22 +307,32 @@ class CarrierIndex:
             diam=float(np.sqrt(d2.max())),
         )
 
-    def distance(self, z) -> tuple[float, float]:
-        """Certified [lower, upper] enclosure of the distance to the carrier."""
+    def distance(self, z, need: float | None = None) -> tuple[float, float]:
+        """Certified [lower, upper] enclosure of the distance to the carrier,
+        only as tight as deciding ``lower >= need`` takes when ``need`` is
+        given."""
 
         p = as_point(z)
         return _kernels.carrier_dist_point(
             self.kinds, self.data, self.samples, self.offsets, p.x, p.y,
-            self._geometry,
+            self.geometry, need,
         )
 
-    def distance_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def distance_batch(
+        self, pts: np.ndarray, need=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``distance`` for many points; ``need`` is one number or one per
+        point."""
+
         return _kernels.carrier_batch(
-            self.kinds, self.data, self.samples, self.offsets, pts, self._geometry
+            self.kinds, self.data, self.samples, self.offsets, pts, self.geometry,
+            need,
         )
 
     @functools.cached_property
-    def _geometry(self) -> _kernels.CarrierGeometry:
+    def geometry(self) -> _kernels.CarrierGeometry:
+        """The kernels' per-curve arrays (``_kernels.carrier_geometry``)."""
+
         # built on the first query, not in build(): validation never queries
         return _kernels.carrier_geometry(
             self.kinds, self.data, self.samples, self.offsets

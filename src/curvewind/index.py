@@ -56,6 +56,9 @@ _PER_NODE = 5e-16
 _BUDGET_FLOOR = 1e-14
 _RESIDUAL_LIMIT = 0.25
 
+# the least positive float: lo >= it decides lo > 0
+_LEAST_POSITIVE = math.ulp(0.0)
+
 _MIN_CROSS_ANGLE = 1e-4
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_RAYS = 32
@@ -87,8 +90,11 @@ class WindingResult:
     integral: complex
     rounded: int
     residual: float
-    error_budget: float
     nodes: int
+
+    @property
+    def error_budget(self) -> float:
+        return _budget(self.nodes)
 
     @property
     def ok(self) -> bool:
@@ -109,13 +115,29 @@ class CrossingRecord:
 
 @dataclass(frozen=True, slots=True)
 class Classification:
+    """A verdict with the evidence for it.
+
+    ``carrier_bounds`` is a certified enclosure of the distance from the
+    point to the carrier, only as tight as the verdict needed: it settles
+    whether the distance reaches the near-carrier band, and it may be
+    wider than ``CarrierIndex.distance`` without a threshold would give.
+    """
+
     point: tuple[float, float]
     verdict: Verdict
     winding: WindingResult | None
     crossings: tuple[CrossingRecord, ...] | None
-    ray_direction: tuple[float, float] | None
     rays_tried: int
     carrier_bounds: tuple[float, float]
+
+    @property
+    def ray_direction(self) -> tuple[float, float] | None:
+        """Unit direction of the ray that counted, the last one tried."""
+
+        if self.rays_tried == 0:
+            return None
+        theta = (self.rays_tried - 1) * _GOLDEN_ANGLE
+        return (math.cos(theta), math.sin(theta))
 
     @property
     def crossing_parity(self) -> int | None:
@@ -137,22 +159,23 @@ def winding_number(jc: JordanCurve, z, check_distance: bool = True) -> WindingRe
 
     p = as_point(z)
     if check_distance:
-        lo, _ = jc.carrier.distance(p)
+        lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
         if lo <= 0.0:
             raise PointTooClose(
                 f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier"
             )
     pts = np.array([[p.x, p.y]])
-    total, nodes, status = _kernels.winding_batch(jc.carrier.kinds, jc.carrier.data, pts)
+    total, nodes, status = _kernels.winding_batch(
+        jc.carrier.kinds, jc.carrier.geometry, pts
+    )
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
-    integral, rounded, residual, budget = _round_windings(total, nodes)
+    integral, rounded, residual, _ = _round_windings(total, nodes)
     return WindingResult(
         point=(p.x, p.y),
         integral=complex(integral[0]),
         rounded=int(rounded[0]),
         residual=float(residual[0]),
-        error_budget=float(budget[0]),
         nodes=int(nodes[0]),
     )
 
@@ -165,8 +188,13 @@ def _round_windings(total, nodes):
     integral = total / (2j * math.pi)
     rounded = np.rint(integral.real)
     residual = np.abs(integral - rounded)
-    budget = nodes * _PER_NODE + _BUDGET_FLOOR
-    return integral, rounded.astype(np.int64), residual, budget
+    return integral, rounded.astype(np.int64), residual, _budget(nodes)
+
+
+def _budget(nodes):
+    """Round-off budget of a winding integral summed over ``nodes`` chords."""
+
+    return nodes * _PER_NODE + _BUDGET_FLOOR
 
 
 def _certified(residual, budget):
@@ -268,7 +296,7 @@ def ray_crossing_index(
     """Crossing parity of a single ray; raises DegenerateRay when unsafe."""
 
     p = as_point(z)
-    lo, _ = jc.carrier.distance(p)
+    lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
     if lo <= 0.0:
         raise PointTooClose(
             f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier"
@@ -287,7 +315,9 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
 
     p = as_point(z)
     band = jc.default_eps_band() if eps_band is None else float(eps_band)
-    lo, hi = jc.carrier.distance(p)
+    # a positive band decides lo <= 0 along with hi < band; a band of 0
+    # or less leaves lo <= 0 alone to decide
+    lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE))
     if hi < band or lo <= 0.0:
         # hi < band: certified near.  lo <= 0: cannot certify any clearance,
         # so the conservative call is also near-carrier.
@@ -296,7 +326,6 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             verdict=Verdict.NEAR_CARRIER,
             winding=None,
             crossings=None,
-            ray_direction=None,
             rays_tried=0,
             carrier_bounds=(lo, hi),
         )
@@ -327,7 +356,6 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
         verdict=Verdict.INSIDE if parity == 1 else Verdict.OUTSIDE,
         winding=wind,
         crossings=records,
-        ray_direction=(d.x, d.y),
         rays_tried=k + 1,
         carrier_bounds=(lo, hi),
     )
@@ -385,7 +413,7 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     gx, gy = np.meshgrid(xs, ys)
     centers = np.column_stack([gx.ravel(), gy.ravel()])
     total, nodes, status = _kernels.winding_batch(
-        jc.carrier.kinds, jc.carrier.data, centers
+        jc.carrier.kinds, jc.carrier.geometry, centers
     )
     _, winding, residual, budget = _round_windings(total, nodes)
     valid = (status == _kernels.OK) & _certified(residual, budget)

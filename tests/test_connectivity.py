@@ -10,6 +10,7 @@ from curvewind import (
     path_carrier_gap,
     polygonal_join,
 )
+from curvewind.connectivity import _FREE_MARGIN
 from curvewind.geometry import Point
 
 from conftest import sample_classified
@@ -98,3 +99,28 @@ def test_string_pulling_shortens(curves):
     # the straight chord is clear, so pulling should find (almost) it
     assert join.length <= 1.0 + 4 * h
     assert len(join.vertices) <= 4
+
+
+@pytest.mark.parametrize("name", ["kidney", "blob"])
+def test_grid_free_is_the_full_distance_test(curves, name):
+    # the grids that acceptance 4 refuses mixed joins on: a cell is free
+    # exactly where the full enclosure's lower bound clears the margin
+    jc = curves[name]
+    diam = jc.diameter()
+    clearance = diam / 1024.0
+    x0, y0, x1, y1 = jc.carrier.bbox
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    hx, hy = 0.7 * (x1 - x0), 0.7 * (y1 - y0)
+    box = (cx - hx, cy - hy, cx + hx, cy + hy)
+    for frac in (64.0, 128.0, 256.0):
+        h = diam / frac
+        grid = ClearanceGrid.build(jc, clearance, h, bbox=box)
+        ny, nx = grid.free.shape
+        gx, gy = np.meshgrid(
+            grid.origin[0] + h * (np.arange(nx) + 0.5),
+            grid.origin[1] + h * (np.arange(ny) + 0.5),
+        )
+        lo, _ = jc.carrier.distance_batch(np.column_stack([gx.ravel(), gy.ravel()]))
+        free = lo >= clearance + h * _FREE_MARGIN
+        assert free.any() and not free.all()
+        assert np.array_equal(grid.free.ravel() == 1, free)

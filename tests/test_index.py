@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from curvewind import (
     Affine,
+    BudgetNotMet,
+    DegenerateRay,
     PointTooClose,
     Verdict,
     boundary_witnesses,
@@ -25,7 +27,7 @@ from curvewind.fixtures import rounded_square
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece
 
-from conftest import comb, sample_classified
+from conftest import GOOD_FIXTURES, comb, sample_classified
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +103,35 @@ def test_classify_near_carrier_band(curves):
     # widening the band pulls clearly-outside points into it
     c = classify(jc, (1.05, 0.0), eps_band=0.1)
     assert c.verdict is Verdict.NEAR_CARRIER
+
+
+@pytest.mark.parametrize("name", GOOD_FIXTURES)
+def test_classify_calls_near_exactly_when_the_full_enclosure_does(curves, name):
+    # classify asks a threshold query; its near-carrier calls must be those
+    # of the full enclosure, for the default band and for a band of 0
+    jc = curves[name]
+    spec = jc.spec
+    band = jc.default_eps_band()
+    rng = np.random.default_rng(31)
+    on = spec.points(rng.uniform(spec.a, spec.b, 40))
+    off = np.repeat([0.0, 0.5, 1.0, 2.0, 1e3], 8)[:, None] * band
+    theta = rng.uniform(0.0, TWO_PI, 40)
+    near = on + off * np.column_stack([np.cos(theta), np.sin(theta)])
+    x0, y0, x1, y1 = jc.carrier.bbox
+    pts = np.concatenate([near, rng.uniform((x0, y0), (x1, y1), size=(40, 2))])
+    lo, hi = jc.carrier.distance_batch(pts)
+    for eps in (None, 0.0):
+        b = band if eps is None else eps
+        for (x, y), l, h in zip(pts.tolist(), lo, hi):
+            try:
+                c = classify(jc, (x, y), eps_band=eps)
+            except (PointTooClose, DegenerateRay, BudgetNotMet):
+                # raised only past the near-carrier test
+                assert not (h < b or l <= 0.0)
+                continue
+            assert (c.verdict is Verdict.NEAR_CARRIER) == (h < b or l <= 0.0)
+            c_lo, c_hi = c.carrier_bounds
+            assert c_lo <= l and c_hi >= h
 
 
 def test_classify_orientation(curves):

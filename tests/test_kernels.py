@@ -4,7 +4,8 @@ The winding kernel is compared with adaptive quadrature of the defining
 integral; ray hits with closed-form/polyline intersections and, exactly,
 with their earlier stack-based kernel; carrier distances with brute-force
 dense sampling; the carrier and winding kernels with their earlier forms
-that refine one piece at a time; the pair scan
+that refine one piece at a time; threshold carrier queries with the full
+enclosures, whose decisions they must repeat; the pair scan
 with an O(N^2) reference, exactly; the crossing test with exact rational
 orientations; grid paths with scipy's shortest paths on the free-cell graph.
 """
@@ -43,6 +44,13 @@ def _rows(pieces):
     return kinds, data
 
 
+def _wind(pieces, pts):
+    """``winding_batch`` on the path made of ``pieces``."""
+
+    ci = CarrierIndex.build(CurveSpec(tuple(pieces)))
+    return _kernels.winding_batch(ci.kinds, ci.geometry, np.asarray(pts, dtype=float))
+
+
 def _quad_winding(pieces, z):
     """Oracle: adaptive quadrature of integral dz/(z - zeta) per piece."""
 
@@ -67,26 +75,23 @@ def _quad_winding(pieces, z):
 
 
 def test_winding_full_circle_at_origin():
-    kinds, data = _rows([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)])
-    total, nodes, status = _kernels.winding_batch(kinds, data, np.array([[0.0, 0.0]]))
+    total, nodes, status = _wind([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)], [[0.0, 0.0]])
     assert status[0] == _kernels.OK
     assert abs(complex(total[0]) - 2j * math.pi) < 1e-12
 
 
 def test_winding_outside_circle_is_zero():
-    kinds, data = _rows([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)])
     pts = np.array([[2.0, 0.3], [-5.0, 1.0], [0.0, -1.0001]])
-    total, _, status = _kernels.winding_batch(kinds, data, pts)
+    total, _, status = _wind([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)], pts)
     assert (status == _kernels.OK).all()
     assert np.abs(total).max() < 1e-9
 
 
 def test_winding_matches_quadrature_on_mixed_pieces():
     pieces = list(rounded_square().pieces)
-    kinds, data = _rows(pieces)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.8, 1.8, size=(25, 2))
-    total, _, status = _kernels.winding_batch(kinds, data, pts)
+    total, _, status = _wind(pieces, pts)
     for (x, y), t, s in zip(pts, total, status):
         if s != _kernels.OK:
             continue
@@ -96,10 +101,9 @@ def test_winding_matches_quadrature_on_mixed_pieces():
 
 def test_winding_matches_quadrature_on_cubics():
     pieces = list(cubic_blob().pieces)
-    kinds, data = _rows(pieces)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, size=(25, 2))
-    total, _, status = _kernels.winding_batch(kinds, data, pts)
+    total, _, status = _wind(pieces, pts)
     checked = 0
     for (x, y), t, s in zip(pts, total, status):
         if s != _kernels.OK:
@@ -111,8 +115,7 @@ def test_winding_matches_quadrature_on_cubics():
 
 
 def test_winding_near_carrier_reports_on_carrier():
-    kinds, data = _rows([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)])
-    total, _, status = _kernels.winding_batch(kinds, data, np.array([[1.0, 0.0]]))
+    total, _, status = _wind([ArcPiece(Point(0, 0), 1.0, 0.0, TWO_PI)], [[1.0, 0.0]])
     assert status[0] == _kernels.ON_CARRIER
 
 
@@ -523,12 +526,70 @@ def test_carrier_batch_matches_per_piece_oracle(name):
 def test_distance_is_distance_batch_of_one_point(name):
     ci, spec = _oracle_curve(name)
     _, uniform, _, near = _query_points(ci, spec)
+    need = 1e-6 * ci.diam
     for x, y in np.concatenate([uniform[:20], near[::3]]):
         lo, hi = ci.distance_batch(np.array([[x, y]]))
         assert ci.distance((x, y)) == (lo[0], hi[0])
+        lo, hi = ci.distance_batch(np.array([[x, y]]), need)
+        assert ci.distance((x, y), need) == (lo[0], hi[0])
 
 
-def _assert_winding_matches_oracle(kinds, data, pts):
+def _threshold_mismatches(ci, pts):
+    """Threshold queries against the full enclosures of ``pts``: the count
+    of (need, point) cases whose decision lo >= need or hi < need differs,
+    or whose enclosure misses the full one.
+
+    The needs are each point's own full lo and hi, their midpoint, one
+    number for all points, the least positive float (which decides lo >
+    0), and the bounds that the level-0 boxes and start points alone give
+    (a need of +inf stops every point there): one ulp above that lo, and
+    that hi, which the seed and refinement then lower.
+    """
+
+    lo, hi = ci.distance_batch(pts)
+    lo0, hi0 = ci.distance_batch(pts, np.inf)
+    needs = (
+        lo, hi, 0.5 * (lo + hi), float(np.median(lo)), math.ulp(0.0),
+        np.nextafter(lo0, np.inf), hi0,
+    )
+    bad = 0
+    for need in needs:
+        tlo, thi = ci.distance_batch(pts, need)
+        bad += np.count_nonzero((tlo >= need) != (lo >= need))
+        bad += np.count_nonzero((thi < need) != (hi < need))
+        bad += np.count_nonzero((tlo > lo) | (thi < hi))
+    return bad
+
+
+@pytest.mark.parametrize("name", _ORACLE_CURVES)
+def test_threshold_queries_decide_as_full_enclosures(name):
+    ci, spec = _oracle_curve(name)
+    assert _threshold_mismatches(ci, np.concatenate(_query_points(ci, spec))) == 0
+
+
+def _stop_rule_off_by_one_ulp(side):
+    """``_kernels._stopped`` with its lo (envelope) or hi test one ulp
+    too eager."""
+
+    def stopped(env, best_hi, lo_acc, need):
+        hi_need = np.nextafter(need, np.inf) if side == "hi" else need
+        lo_need = np.nextafter(need, -np.inf) if side == "lo" else need
+        stop = (best_hi < hi_need) | (env >= lo_need)
+        np.copyto(lo_acc, env, where=stop)
+        return stop
+
+    return stopped
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_threshold_check_catches_a_stop_rule_off_by_one_ulp(monkeypatch, side):
+    ci, spec = _oracle_curve("kidney")
+    pts = np.concatenate(_query_points(ci, spec))
+    monkeypatch.setattr(_kernels, "_stopped", _stop_rule_off_by_one_ulp(side))
+    assert _threshold_mismatches(ci, pts) > 0
+
+
+def _assert_winding_matches_oracle(ci, pts):
     """The chord pass against the oracle's sub-arc refinement.
 
     Arcs are one node each instead of one per accepted sub-arc, so nodes
@@ -538,7 +599,8 @@ def _assert_winding_matches_oracle(kinds, data, pts):
     the totals differ by round-off, within both sides' budgets.
     """
 
-    total, nodes, status = _kernels.winding_batch(kinds, data, pts)
+    kinds, data = ci.kinds, ci.data
+    total, nodes, status = _kernels.winding_batch(kinds, ci.geometry, pts)
     want_total, want_nodes, want_status = _winding_batch_oracle(kinds, data, pts)
     keep = kinds != KIND_ARC
     _, other_nodes, _ = _winding_batch_oracle(kinds[keep], data[keep], pts)
@@ -557,7 +619,7 @@ def _assert_winding_matches_oracle(kinds, data, pts):
 def test_winding_batch_matches_per_piece_oracle(name):
     ci, spec = _oracle_curve(name)
     for pts in _query_points(ci, spec):
-        _assert_winding_matches_oracle(ci.kinds, ci.data, pts)
+        _assert_winding_matches_oracle(ci, pts)
 
 
 def _arc_chord_curve(seed):
@@ -585,7 +647,7 @@ def test_winding_batch_matches_oracle_on_arc_chord_curves(seed):
     spec = _arc_chord_curve(seed)
     ci = CarrierIndex.build(spec)
     for pts in _query_points(ci, spec):
-        _assert_winding_matches_oracle(ci.kinds, ci.data, pts)
+        _assert_winding_matches_oracle(ci, pts)
 
 
 @pytest.mark.parametrize("sweep", [math.pi, -math.pi, 0.5, -2.0, 5.5, -6.0])
@@ -595,11 +657,10 @@ def test_winding_on_an_arcs_chord_is_half_a_turn(sweep):
     # chord exactly and the ratio of the ends is real
     a0 = -0.5 * sweep
     arc = ArcPiece(Point(0.0, 0.0), 1.0, a0, sweep)
-    kinds, data = _rows([arc])
     e0, e1 = arc.point(0.0), arc.point(1.0)
     for t in (0.5, 0.1, 0.93):
         z = (e0.x + t * (e1.x - e0.x), e0.y + t * (e1.y - e0.y))
-        total, nodes, status = _kernels.winding_batch(kinds, data, np.array([z]))
+        total, nodes, status = _wind([arc], [z])
         assert status[0] == _kernels.OK and nodes[0] == 1
         assert total[0].imag == pytest.approx(math.copysign(math.pi, sweep), abs=1e-12)
         assert abs(complex(total[0]) - _quad_winding([arc], z)) < 1e-7

@@ -47,3 +47,17 @@ def test_tracer_counts_every_counted_layer():
         # node_limit counts refinements that ran out of nodes: none should
         assert {k: v for k, v in counts.items() if k != "node_limit" and v <= 0} == {}, name
         assert counts.get("node_limit", 0) == 0, name
+
+
+def test_traced_grid_build_counts_one_point_per_cell():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer().install()
+    try:
+        jc = curves.validate_jordan(fixture("kidney"), h=1e-2)
+        grid = connectivity.ClearanceGrid.build(jc, 0.02, 0.02)
+    finally:
+        tracer.uninstall()
+    points = tracer.under(
+        "_kernels.carrier_batch", "connectivity.ClearanceGrid.build", "points"
+    )
+    assert points == grid.free.size
