@@ -14,8 +14,9 @@ each cubic's sign changes.  The batch kernels (``winding_batch``,
 ``carrier_batch``, ``grid_path``) are vectorised numpy over all query
 points or grid cells at once: lines and arcs take one closed-form pass
 over all (point, piece) pairs, cubics refine all their (point, piece)
-pairs of a block of points together, one subdivision level per step, and
-``carrier_dist_point`` is ``carrier_batch`` on one point.  The sample-pair
+pairs of a block of points together, one subdivision level per step (in
+the winding kernel only the pairs that the run tree below leaves open),
+and ``carrier_dist_point`` is ``carrier_batch`` on one point.  The sample-pair
 kernels (``pair_scan``, ``polyline_crossing``) run over the sample pairs
 of many blocks at once.
 
@@ -52,8 +53,23 @@ arc needs no refinement: the arc followed by its chord in reverse bounds
 the circular segment between them, so that loop winds +-1 (the sign of
 the sweep) around points of the segment and 0 around all other points,
 and the arc's integral is its chord's plus 2*pi*i times that.  A full turn
-has no segment: its loop is the whole circle.  The only error left is
-float round-off.
+has no segment: its loop is the whole circle.
+
+The same argument settles a whole run of cubics at once.  Consecutive
+cubics form one run only where each ends exactly (as equal floats) where the
+next one starts, so the run's sub-paths join into one continuous path, and
+any stretch of consecutive cubics in it is a sub-path from the first one's
+start to the last one's end.  That sub-path lies in the union of the
+cubics' control boxes, and so does its chord.  A run-tree node stores that
+union box, so when the query point lies strictly outside it, the node adds
+exactly the log of its end-to-start ratio.  A node's box contains its
+children's, so along the path from a root to a cubic the boxes that
+exclude a point form a tail: the cut (excluded nodes whose parent is not,
+or that are roots) covers every cubic whose own box excludes the point
+exactly once, and the cubics whose box holds the point refine as above.
+A joint that is off by any amount, even inside the validation tolerance,
+ends the run: a node across it would add the gap's chord, which no piece
+has.  The only error left is float round-off.
 """
 
 from __future__ import annotations
@@ -331,9 +347,13 @@ def winding_batch(kinds, geo, pts):
     ``total`` is the complex contour integral of dz/(z - p) per point,
     ``nodes`` counts chords for the float round-off budget, and ``status``
     is OK or ON_CARRIER.  Lines and arcs take one exact pass over all
-    (point, piece) pairs, one chord each; cubics refine all their (point,
-    piece) pairs in one level loop, which ends once every node is accepted
-    or too narrow to split.  ``geo`` is the curve's ``carrier_geometry``.
+    (point, piece) pairs, one chord each.  Cubics take one cut through the
+    run tree: every tree node whose box excludes a point while its parent's
+    box does not (or that is a root) adds one chord, and every cubic whose
+    control box holds the point refines from its two halves in one level
+    loop, which ends once every node is accepted or too narrow to split.
+    The chord ratios of a block go through one log.  ``geo`` is the
+    curve's ``carrier_geometry``.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -341,15 +361,29 @@ def winding_batch(kinds, geo, pts):
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
-    for blk in _point_blocks(m, kinds.shape[0]):
+    for blk in _point_blocks(m, geo.e0.size + geo.node_parent.size):
         z = pts[blk, 0] + 1j * pts[blk, 1]
         if geo.e0.size:
             total[blk], on = _wind_chords(geo.e0, geo.e1, geo.arc, z)
             nodes[blk] = geo.e0.size
             status[blk] = np.where(on, ON_CARRIER, OK)
         if geo.ctl.shape[2]:
-            _wind_cubics(geo.ctl, z, total[blk], nodes[blk], status[blk])
+            _wind_cubics(geo, z, total[blk], nodes[blk], status[blk])
     return total, nodes, status
+
+
+def _log(ratio):
+    """Principal complex log of ``ratio``, elementwise.
+
+    Equal to ``np.log`` up to round-off, several times faster on complex
+    arrays, and with the same branch: the sign bit of a zero imaginary part
+    picks +pi or -pi on the negative real axis.
+    """
+
+    out = np.empty_like(ratio)
+    np.log(np.abs(ratio), out=out.real)
+    np.arctan2(ratio.imag, ratio.real, out=out.imag)
+    return out
 
 
 def _wind_chords(e0, e1, arc, z):
@@ -367,7 +401,7 @@ def _wind_chords(e0, e1, arc, z):
     zc = z[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (e1 - zc) / (e0 - zc)
-        term = np.log(ratio)
+        term = _log(ratio)
     bad = ~np.isfinite(term)
     na = arc.shape[1]
     if na:
@@ -383,17 +417,39 @@ def _wind_chords(e0, e1, arc, z):
     return term.sum(axis=1), bad.any(axis=1)
 
 
-def _wind_cubics(ctl, z, total, nodes, status):
-    """Add the chord terms of every (point, cubic) pair, refined on control
-    boxes, to the block's ``total``, ``nodes`` and ``status`` in place."""
+def _wind_cubics(geo, z, total, nodes, status):
+    """Add the chord terms of every (point, cubic) pair to the block's
+    ``total``, ``nodes`` and ``status`` in place.
+
+    One pass tests every run-tree node's box against every point and takes
+    the cut; the cubics whose own control box holds a point refine on
+    control boxes from their halves.  Chord ratios of all levels are
+    collected and their logs taken once.
+    """
 
     b = z.shape[0]
-    nc = ctl.shape[2]
-    idx = np.repeat(np.arange(b), nc)
-    node = ctl.take(np.tile(np.arange(nc), b), axis=2)
+    nn = geo.node_parent.size
+    nc = geo.ctl.shape[2]
+    px, py = z.real[:, None], z.imag[:, None]
+    lo, hi = geo.node_lo, geo.node_hi
+    # whether each node's box excludes each point; the last column stays
+    # False, and a root's parent -1 reads it
+    excl = np.zeros((b, nn + 1), dtype=bool)
+    out = excl[:, :-1]
+    np.greater(lo[0], px, out=out)
+    out |= px > hi[0]
+    out |= lo[1] > py
+    out |= py > hi[1]
+    # the cut: excluded, and the parent is not
+    i, n = np.divmod(np.flatnonzero(out > excl[:, geo.node_parent]), nn)
+    zi = z[i]
+    acc = [(i, (geo.node_e1[n] - zi) / (geo.node_e0[n] - zi))]
+    # the cubics, nodes 0 .. nc - 1, whose control box holds the point
+    idx, col = np.divmod(np.flatnonzero(~out[:, :nc]), nc)
+    node = _split(geo.ctl.take(col, axis=2))
+    idx = np.concatenate([idx, idx])
     q = np.stack([z.real, z.imag])
-    width = 1.0
-    acc = []
+    width = 0.5
     while idx.size:
         _, _, gap = _node_gaps(node, q.take(idx, axis=1))
         outside = np.maximum.reduce(gap) > 0.0
@@ -401,7 +457,7 @@ def _wind_cubics(ctl, z, total, nodes, status):
         za = z[idx[a]]
         w0 = (node[0, 0, a] + 1j * node[0, 1, a]) - za
         w1 = (node[3, 0, a] + 1j * node[3, 1, a]) - za
-        acc.append((idx[a], np.log(w1 / w0)))
+        acc.append((idx[a], w1 / w0))
         rest = (~outside).nonzero()[0]
         if width < 1e-13:
             status[idx[rest]] = ON_CARRIER
@@ -411,9 +467,62 @@ def _wind_cubics(ctl, z, total, nodes, status):
         idx = np.concatenate([idx, idx])
         node = _split(node.take(rest, axis=2))
     idx = np.concatenate([i for i, _ in acc])
-    term = np.concatenate([t for _, t in acc])
+    term = _log(np.concatenate([r for _, r in acc]))
     total += np.bincount(idx, term.real, b) + 1j * np.bincount(idx, term.imag, b)
     nodes += np.bincount(idx, minlength=b)
+
+
+def _cubic_runs(ctl):
+    """The maximal runs (a, b) of consecutive columns a .. b - 1 of the
+    (4, 2, k) control polygons ``ctl`` in which every column ends exactly
+    where the next one starts."""
+
+    joint = (ctl[3, :, :-1] == ctl[0, :, 1:]).all(axis=0)
+    bounds = [0, *(np.flatnonzero(~joint) + 1).tolist(), ctl.shape[2]]
+    return list(zip(bounds[:-1], bounds[1:])) if ctl.shape[2] else []
+
+
+def _run_tree(ctl):
+    """Balanced binary trees over the ``_cubic_runs`` of ``ctl``.
+
+    Returns (lo, hi, e0, e1, parent): per node its box corners (2, n), the
+    complex start and end of its sub-path and its parent (-1 at a root).
+    Nodes 0 .. k - 1 are the cubics themselves, with their control boxes.
+    The node over columns a .. b - 1 has the children over a .. m - 1 and
+    m .. b - 1, m = (a + b) // 2, the union of their boxes, and a larger
+    index than both.
+    """
+
+    nc = ctl.shape[2]
+    lo = ctl.min(axis=0).T.tolist()
+    hi = ctl.max(axis=0).T.tolist()
+    first, last = list(range(nc)), list(range(nc))
+    parent = [-1] * nc
+
+    def build(a, b):
+        if b - a == 1:
+            return a
+        mid = (a + b) // 2
+        left, right = build(a, mid), build(mid, b)
+        parent[left] = parent[right] = len(parent)
+        parent.append(-1)
+        lo.append([min(lo[left][0], lo[right][0]), min(lo[left][1], lo[right][1])])
+        hi.append([max(hi[left][0], hi[right][0]), max(hi[left][1], hi[right][1])])
+        first.append(a)
+        last.append(b - 1)
+        return len(parent) - 1
+
+    for a, b in _cubic_runs(ctl):
+        build(a, b)
+    e0 = ctl[0, :, first]
+    e1 = ctl[3, :, last]
+    return (
+        np.array(lo).reshape(-1, 2).T.copy(),
+        np.array(hi).reshape(-1, 2).T.copy(),
+        e0[:, 0] + 1j * e0[:, 1],
+        e1[:, 0] + 1j * e1[:, 1],
+        np.array(parent, dtype=np.intp),
+    )
 
 
 class CarrierGeometry(NamedTuple):
@@ -422,7 +531,9 @@ class CarrierGeometry(NamedTuple):
 
     Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: ``_arc_rows``.  Chords:
     the complex chord ends of the lines, then of the arcs.  Cubics:
-    ``_control_polygons`` and their boxes.  Seed runs: _SEED_RUN
+    ``_control_polygons`` and their boxes.  Run tree: ``_run_tree``, whose
+    first nodes are the cubics, so ``ctl_lo`` and ``ctl_hi`` are the first
+    columns of ``node_lo`` and ``node_hi``.  Seed runs: _SEED_RUN
     consecutive cubic samples per row, and their boxes.
     """
 
@@ -433,6 +544,11 @@ class CarrierGeometry(NamedTuple):
     ctl: np.ndarray
     ctl_lo: np.ndarray
     ctl_hi: np.ndarray
+    node_lo: np.ndarray
+    node_hi: np.ndarray
+    node_e0: np.ndarray
+    node_e1: np.ndarray
+    node_parent: np.ndarray
     run_x: np.ndarray
     run_y: np.ndarray
     run_lo: np.ndarray
@@ -447,6 +563,8 @@ def carrier_geometry(kinds, data, samples, offsets):
     line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
     arc = _arc_rows(data[kinds == KIND_ARC])
     ctl = _control_polygons(kinds, data)
+    node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
+    nc = ctl.shape[2]
     # run r of a piece starts at its sample r * _SEED_RUN; a short last run
     # is padded with the piece's last sample, which leaves minima alone
     cub = np.flatnonzero(kinds == KIND_CUBIC)
@@ -465,8 +583,13 @@ def carrier_geometry(kinds, data, samples, offsets):
         e0=np.concatenate([x0 + 1j * y0, arc[6] + 1j * arc[7]]),
         e1=np.concatenate([x1 + 1j * y1, arc[8] + 1j * arc[9]]),
         ctl=ctl,
-        ctl_lo=ctl.min(axis=0),
-        ctl_hi=ctl.max(axis=0),
+        ctl_lo=node_lo[:, :nc],
+        ctl_hi=node_hi[:, :nc],
+        node_lo=node_lo,
+        node_hi=node_hi,
+        node_e0=node_e0,
+        node_e1=node_e1,
+        node_parent=node_parent,
         run_x=run_x,
         run_y=run_y,
         run_lo=np.array([run_x.min(axis=1), run_y.min(axis=1)]),

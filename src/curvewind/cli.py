@@ -205,6 +205,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="curvewind",
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--bounds", nargs=4, type=float, metavar=("X0", "Y0", "X1", "Y1")
     )
-    c.add_argument("--eps-band", type=float, default=None)
+    c.add_argument("--eps-band", type=_non_negative_float, default=None)
     c.set_defaults(func=cmd_classify)
 
     j = sub.add_parser("join", parents=[common], help="clear polyline between points")

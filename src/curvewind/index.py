@@ -310,13 +310,16 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
 
     Rays start along +x and rotate by the golden angle on each degenerate
     retry.  Any winding/parity mismatch raises :class:`OracleDisagreement`;
-    it is never downgraded to a verdict.
+    it is never downgraded to a verdict.  ``eps_band`` defaults to
+    ``jc.default_eps_band()``; a NaN or negative band raises ValueError.
     """
 
     p = as_point(z)
     band = jc.default_eps_band() if eps_band is None else float(eps_band)
+    if not band >= 0.0:
+        raise ValueError(f"eps_band must be a non-negative number, got {eps_band!r}")
     # a positive band decides lo <= 0 along with hi < band; a band of 0
-    # or less leaves lo <= 0 alone to decide
+    # leaves lo <= 0 alone to decide
     lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE))
     if hi < band or lo <= 0.0:
         # hi < band: certified near.  lo <= 0: cannot certify any clearance,
@@ -400,8 +403,11 @@ class RegionGrid:
 
 
 def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
-    """Sample windings on a grid twice as fine as the requested resolution."""
+    """Sample windings on a grid twice as fine as the requested resolution,
+    which must be finite and positive (ValueError otherwise)."""
 
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     h = resolution / 2.0
     x0, y0, x1, y1 = jc.carrier.bbox
     pad = 3.0 * resolution

@@ -105,6 +105,12 @@ def test_classify_near_carrier_band(curves):
     assert c.verdict is Verdict.NEAR_CARRIER
 
 
+@pytest.mark.parametrize("band", [float("nan"), -1.0, -1e-300])
+def test_classify_rejects_a_nan_or_negative_band(curves, band):
+    with pytest.raises(ValueError, match="eps_band"):
+        classify(curves["circle"], (1.0 + 1e-9, 0.0), eps_band=band)
+
+
 @pytest.mark.parametrize("name", GOOD_FIXTURES)
 def test_classify_calls_near_exactly_when_the_full_enclosure_does(curves, name):
     # classify asks a threshold query; its near-carrier calls must be those
@@ -190,6 +196,12 @@ def test_region_distance_matches_carrier_distance(curves):
         d = region_distance(jc, p, "opposite", resolution=res, grid=grid)
         lo, hi = jc.carrier_distance(p)
         assert abs(d - 0.5 * (lo + hi)) <= 2.0 * res
+
+
+@pytest.mark.parametrize("res", [float("nan"), math.inf, 0.0, -0.1])
+def test_region_grid_rejects_a_non_finite_or_non_positive_resolution(curves, res):
+    with pytest.raises(ValueError, match="resolution"):
+        region_grid(curves["circle"], res)
 
 
 def test_region_distance_same_region_is_zero(curves):

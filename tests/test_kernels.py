@@ -4,7 +4,9 @@ The winding kernel is compared with adaptive quadrature of the defining
 integral; ray hits with closed-form/polyline intersections and, exactly,
 with their earlier stack-based kernel; carrier distances with brute-force
 dense sampling; the carrier and winding kernels with their earlier forms
-that refine one piece at a time; threshold carrier queries with the full
+that refine one piece at a time, and the winding kernel's node counts
+with a recursive walk of its run trees; region grids with the winding
+kernel before the run tree; threshold carrier queries with the full
 enclosures, whose decisions they must repeat; the pair scan
 with an O(N^2) reference, exactly; the crossing test with exact rational
 orientations; grid paths with scipy's shortest paths on the free-cell graph.
@@ -23,7 +25,7 @@ from curvewind import _kernels
 from curvewind.curves import CarrierIndex, CurveSpec, validate_jordan
 from curvewind.fixtures import FIXTURES, cubic_blob, fixture, rounded_square
 from curvewind.geometry import Point
-from curvewind.index import _GOLDEN_ANGLE
+from curvewind.index import _GOLDEN_ANGLE, region_grid
 from curvewind.pieces import (
     KIND_ARC,
     KIND_CUBIC,
@@ -589,11 +591,60 @@ def test_threshold_check_catches_a_stop_rule_off_by_one_ulp(monkeypatch, side):
     assert _threshold_mismatches(ci, pts) > 0
 
 
-def _assert_winding_matches_oracle(ci, pts):
-    """The chord pass against the oracle's sub-arc refinement.
+def _cut_sizes(cubics, pts):
+    """Per point, the nodes of the run trees over the cubic rows
+    ``cubics`` that add one chord each, by a plain recursive walk.
 
-    Arcs are one node each instead of one per accepted sub-arc, so nodes
-    are compared with the oracle run without the arcs; the oracle flags a
+    A run is a maximal sequence of rows in which each row ends exactly
+    where the next one starts; its tree splits the rows a .. b - 1 at
+    (a + b) // 2, and a node's box is the union of its rows' control boxes.
+    A node whose box excludes the point counts one and ends the walk; a
+    single row whose box holds the point counts nothing here, as its
+    refinement counts its chords.
+    """
+
+    ctl = cubics[:, :8].reshape(-1, 4, 2)
+    lo, hi = ctl.min(axis=1), ctl.max(axis=1)
+    count = np.zeros(pts.shape[0], dtype=np.int64)
+
+    def walk(a, b, idx):
+        p = pts[idx]
+        out = ((p < lo[a:b].min(axis=0)) | (p > hi[a:b].max(axis=0))).any(axis=1)
+        count[idx[out]] += 1
+        idx = idx[~out]
+        if b - a > 1 and idx.size:
+            mid = (a + b) // 2
+            walk(a, mid, idx)
+            walk(mid, b, idx)
+
+    start = 0
+    for j in range(ctl.shape[0]):
+        if j + 1 == ctl.shape[0] or (ctl[j, 3] != ctl[j + 1, 0]).any():
+            walk(start, j + 1, np.arange(pts.shape[0]))
+            start = j + 1
+    return count
+
+
+def _expected_nodes(kinds, data, pts):
+    """Chords ``winding_batch`` takes per point: the run-tree cut, the
+    per-piece oracle's nodes on every cubic whose control box holds the
+    point, and one per line and arc."""
+
+    cubic = np.flatnonzero(kinds == KIND_CUBIC)
+    want = _cut_sizes(data[cubic], pts) + np.count_nonzero(kinds != KIND_CUBIC)
+    for i in cubic:
+        ctl = data[i, :8].reshape(4, 2)
+        held = ((pts >= ctl.min(axis=0)) & (pts <= ctl.max(axis=0))).all(axis=1)
+        _, nodes, _ = _winding_batch_oracle(kinds[[i]], data[[i]], pts[held])
+        want[held] += nodes
+    return want
+
+
+def _assert_winding_matches_oracle(ci, pts):
+    """The chord pass and the run-tree cut against the oracle's per-piece
+    refinement.
+
+    The node count is exact: ``_expected_nodes``.  The oracle flags a
     point within its narrowest sub-arc box, the kernel within _ON_ARC_TOL
     of an arc, so its flags only add to the oracle's.  Where both are OK
     the totals differ by round-off, within both sides' budgets.
@@ -602,9 +653,7 @@ def _assert_winding_matches_oracle(ci, pts):
     kinds, data = ci.kinds, ci.data
     total, nodes, status = _kernels.winding_batch(kinds, ci.geometry, pts)
     want_total, want_nodes, want_status = _winding_batch_oracle(kinds, data, pts)
-    keep = kinds != KIND_ARC
-    _, other_nodes, _ = _winding_batch_oracle(kinds[keep], data[keep], pts)
-    assert np.array_equal(nodes, other_nodes + np.count_nonzero(~keep))
+    assert np.array_equal(nodes, _expected_nodes(kinds, data, pts))
     on, want_on = status == _kernels.ON_CARRIER, want_status == _kernels.ON_CARRIER
     assert (on | ~want_on).all()
     ok = (status == _kernels.OK) & (want_status == _kernels.OK)
@@ -648,6 +697,174 @@ def test_winding_batch_matches_oracle_on_arc_chord_curves(seed):
     ci = CarrierIndex.build(spec)
     for pts in _query_points(ci, spec):
         _assert_winding_matches_oracle(ci, pts)
+
+
+def _moved_joint_loop():
+    """``cubic_blob(8)`` started two cubics on, with the start of its
+    seventh cubic, (1.25, 0), moved 1e-10 diameters along +y.
+
+    That joint is the rightmost point of the whole curve, so points just to
+    its right lie outside the box of every tree node spanning it.  Returns
+    (spec, joint, diameter).
+    """
+
+    pieces = list(cubic_blob(8).pieces)
+    pieces = pieces[2:] + pieces[:2]
+    c = pieces[6]
+    diam = CarrierIndex.build(CurveSpec(tuple(pieces))).diam
+    moved = Point(c.p0.x, c.p0.y + 1e-10 * diam)
+    pieces[6] = CubicPiece(moved, c.p1, c.p2, c.p3)
+    return CurveSpec(tuple(pieces)), c.p0, diam
+
+
+def _joint_points(joint, diam):
+    """Points 1e-6 to 1e-3 diameters from ``joint``, in 32 directions."""
+
+    r = np.geomspace(1e-6, 1e-3, 7)[:, None] * diam
+    th = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+    return np.column_stack(
+        [(joint.x + r * np.cos(th)).ravel(), (joint.y + r * np.sin(th)).ravel()]
+    )
+
+
+def _winding_errors(ci, pts):
+    """Points whose winding total leaves the per-piece oracle's by more than
+    both sides' round-off budgets, where both are OK: the last check of
+    ``_assert_winding_matches_oracle``."""
+
+    total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts)
+    want, want_nodes, want_status = _winding_batch_oracle(ci.kinds, ci.data, pts)
+    ok = (status == _kernels.OK) & (want_status == _kernels.OK)
+    budget = (nodes + want_nodes) * 5e-16 + 1e-14
+    return np.count_nonzero(ok & (np.abs(total - want) > budget))
+
+
+def test_winding_batch_splits_runs_at_a_moved_joint():
+    spec, joint, diam = _moved_joint_loop()
+    validate_jordan(spec, h=1e-3)
+    ci = CarrierIndex.build(spec)
+    assert _kernels._cubic_runs(ci.geometry.ctl) == [(0, 6), (6, 8)]
+    assert np.count_nonzero(ci.geometry.node_parent == -1) == 2
+    _assert_winding_matches_oracle(ci, _joint_points(joint, diam))
+
+
+def test_joint_check_catches_a_tree_that_ignores_joints(monkeypatch):
+    spec, joint, diam = _moved_joint_loop()
+    monkeypatch.setattr(_kernels, "_cubic_runs", lambda ctl: [(0, ctl.shape[2])])
+    assert _winding_errors(CarrierIndex.build(spec), _joint_points(joint, diam)) > 0
+
+
+def _mixed_curve():
+    """Two cubics, three lines and an arc: the line between the cubics
+    splits them into two runs."""
+
+    arc = ArcPiece(Point(0.0, -0.5), 1.0, math.pi, math.pi)
+    return CurveSpec((
+        CubicPiece(
+            Point(1.0, 0.0), Point(1.0, 0.55), Point(0.55, 1.0), Point(0.0, 1.0)
+        ),
+        LinePiece(Point(0.0, 1.0), Point(-0.2, 1.0)),
+        CubicPiece(
+            Point(-0.2, 1.0), Point(-0.75, 1.0), Point(-1.0, 0.55), Point(-1.0, 0.0)
+        ),
+        LinePiece(Point(-1.0, 0.0), arc.point(0.0)),
+        arc,
+        LinePiece(arc.point(1.0), Point(1.0, 0.0)),
+    ))
+
+
+def test_winding_batch_on_mixed_cubics_lines_and_arcs():
+    spec = _mixed_curve()
+    validate_jordan(spec, h=1e-3)
+    ci = CarrierIndex.build(spec)
+    assert len(_kernels._cubic_runs(ci.geometry.ctl)) == 2
+    for pts in _query_points(ci, spec):
+        _assert_winding_matches_oracle(ci, pts)
+    pts = np.random.default_rng(5).uniform((-1.3, -1.7), (1.3, 1.3), size=(20, 2))
+    total, _, status = _wind(spec.pieces, pts)
+    for (x, y), t, st in zip(pts, total, status):
+        assert st == _kernels.OK
+        assert abs(complex(t) - _quad_winding(spec.pieces, (x, y))) < 1e-7
+
+
+def _wind_cubics_flat(ctl, z, total, nodes, status):
+    """The cubic winding pass without the run tree: every (point, cubic)
+    pair refines on control boxes from the cubic's own box, and each chord
+    takes its own ``np.log``."""
+
+    b = z.shape[0]
+    nc = ctl.shape[2]
+    idx = np.repeat(np.arange(b), nc)
+    node = ctl.take(np.tile(np.arange(nc), b), axis=2)
+    q = np.stack([z.real, z.imag])
+    width = 1.0
+    acc = []
+    while idx.size:
+        _, _, gap = _kernels._node_gaps(node, q.take(idx, axis=1))
+        outside = np.maximum.reduce(gap) > 0.0
+        a = outside.nonzero()[0]
+        za = z[idx[a]]
+        w0 = (node[0, 0, a] + 1j * node[0, 1, a]) - za
+        w1 = (node[3, 0, a] + 1j * node[3, 1, a]) - za
+        acc.append((idx[a], np.log(w1 / w0)))
+        rest = (~outside).nonzero()[0]
+        if width < 1e-13:
+            status[idx[rest]] = _kernels.ON_CARRIER
+            break
+        width *= 0.5
+        idx = idx[rest]
+        idx = np.concatenate([idx, idx])
+        node = _kernels._split(node.take(rest, axis=2))
+    idx = np.concatenate([i for i, _ in acc])
+    term = np.concatenate([t for _, t in acc])
+    total += np.bincount(idx, term.real, b) + 1j * np.bincount(idx, term.imag, b)
+    nodes += np.bincount(idx, minlength=b)
+
+
+def _winding_batch_flat(kinds, geo, pts):
+    """``winding_batch`` with ``_wind_cubics_flat`` for the cubics."""
+
+    pts = np.ascontiguousarray(pts, dtype=float)
+    m = pts.shape[0]
+    total = np.zeros(m, dtype=complex)
+    nodes = np.zeros(m, dtype=np.int64)
+    status = np.zeros(m, dtype=np.int64)
+    for blk in _kernels._point_blocks(m, kinds.shape[0]):
+        z = pts[blk, 0] + 1j * pts[blk, 1]
+        if geo.e0.size:
+            total[blk], on = _kernels._wind_chords(geo.e0, geo.e1, geo.arc, z)
+            nodes[blk] = geo.e0.size
+            status[blk] = np.where(on, _kernels.ON_CARRIER, _kernels.OK)
+        if geo.ctl.shape[2]:
+            _wind_cubics_flat(geo.ctl, z, total[blk], nodes[blk], status[blk])
+    return total, nodes, status
+
+
+# the figure-eight fails validation, so it has no region grid
+_REGION_CURVES = {
+    **{n: f for n, f in FIXTURES.items() if n != "figure-eight"},
+    "blob64": lambda: cubic_blob(64),
+    "blob512": lambda: cubic_blob(512),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_CURVES))
+def test_region_grid_matches_flat_kernel(monkeypatch, name):
+    jc = validate_jordan(_REGION_CURVES[name](), h=1e-2)
+    res = jc.diameter() / 40
+    grid = region_grid(jc, res)
+    monkeypatch.setattr(_kernels, "winding_batch", _winding_batch_flat)
+    flat = region_grid(jc, res)
+    assert np.array_equal(grid.winding, flat.winding)
+    assert np.array_equal(grid.valid, flat.valid)
+
+
+def test_blob64_region_cells_take_at_most_8_nodes():
+    jc = validate_jordan(cubic_blob(64), h=1e-2)
+    grid = region_grid(jc, jc.diameter() / 32)
+    ci = jc.carrier
+    _, nodes, _ = _kernels.winding_batch(ci.kinds, ci.geometry, grid.centers)
+    assert nodes.mean() <= 8.0
 
 
 @pytest.mark.parametrize("sweep", [math.pi, -math.pi, 0.5, -2.0, 5.5, -6.0])
