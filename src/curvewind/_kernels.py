@@ -113,6 +113,12 @@ _SCAN_BLOCK = 32
 # block pairs per vectorised step, and block pairs filtered to find them
 _SCAN_STEP = 32
 _SCAN_WINDOW = 2048
+# the scan picks minima on squared chords and takes hypot only on pairs
+# whose square is within this factor, plus _SQ_ABS, of the least square
+_SQ_REL = 1.0 + 1e-13
+_SQ_ABS = float(np.finfo(float).tiny)
+# below this a chord's hypot may round by more than an ulp of itself
+_HYPOT_FLOOR = 2.0**-1020
 
 
 def _angle_in_sweep(a0, sweep, theta):
@@ -800,30 +806,60 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     (i, j).  deltas[k] is the shortest chord among pairs admissible for
     eps_levels[k] (nondecreasing in k): separation >= eps and both
     parameters inside [a + eps/2, b - eps/2].  A pair is admissible for
-    every level up to its cap, so the deltas are nondecreasing too.
+    every level up to its cap, so the deltas are nondecreasing too.  A
+    chord is ``np.hypot`` of the coordinate differences, as in a full
+    O(n^2) scan, and the outputs equal that scan's bit for bit.
 
     Branch and bound over blocks of _SCAN_BLOCK consecutive samples, the
     dual-tree pruning of Gray & Moore ("N-Body Problems in Statistical
     Learning", NIPS 2000).  Block pairs P <= Q are visited in order of
-    increasing box distance, up to _SCAN_STEP pairs per vectorised step.
-    The box distance is rounded down two ulps with ``np.nextafter``: the
-    axis gaps round monotonically and hypot is faithful to an ulp, so the
-    result never exceeds a chord computed between the two blocks.  A
-    block pair is skipped when that distance is above both
+    increasing box distance, up to _SCAN_STEP pairs per vectorised step;
+    the sample pairs of one block pair form a slab.  The box distance is
+    rounded down two ulps with ``np.nextafter``: the axis gaps round
+    monotonically and hypot is faithful to an ulp, so the result never
+    exceeds a chord computed between the two blocks.  The block parameter
+    ranges bound each pair's separation and cap the same way.
+
+    The level minima are kept as suffix minima: ``deltas[k]`` runs over
+    every pair that reaches level k, so it is never above ``deltas[k + 1]``,
+    and the J2 threshold of a block pair is ``deltas`` at the highest level
+    its largest cap reaches.  A block pair is skipped when its box
+    distance is above both
 
     * the current ``min_gap`` (or the pair holds no pair separated by
       sep_floor or more), and
-    * the current deltas[k] at the highest level k that the largest cap
-      in the pair can reach (or it reaches none).
+    * its J2 threshold (or it reaches no level).
 
-    A skipped pair can change neither a minimum nor a tie, so the outputs
-    equal those of the full O(n^2) scan bit for bit.
+    A slab chosen by the first bound alone skips the level work, and one
+    chosen by the second alone skips the J1 work.  Level k is updated only
+    from slabs whose box distance is at most ``deltas[k]``; no pair of any
+    other slab can lower it.  A slab whose pairs all pass a test (all
+    separated by sep_floor, or all reaching level k) takes its plain
+    minimum; only the others mask pairs.
+
+    A skipped pair can change neither a minimum nor a tie.
+
+    Minima are picked on squared chords ``dx*dx + dy*dy``, and hypot is
+    taken only on the pairs whose square lies within a factor _SQ_REL of
+    the least one.  hypot is faithful to an ulp and a square rounds three
+    times, so every pair whose chord is the least, or ties it, passes the
+    filter, and the minimum, its ties and the witness are the floats of a
+    full scan.  The guard against overflow and underflow: the squares are
+    taken on the coordinates multiplied by the power of two that brings
+    the largest coordinate span into [0.5, 1).  That product is exact, so
+    no square overflows at any scale, and the absolute slack _SQ_ABS, the
+    smallest normal float, covers squares that still fall into the
+    subnormal range (chords below about 1e-154 spans).  Where the least
+    chord itself is below _HYPOT_FLOOR, near the subnormal range, hypot's
+    rounding is no longer relative, and hypot is taken on every pair of
+    the slabs in question.
     """
 
     xy = np.ascontiguousarray(xy, dtype=float)
     ts = np.ascontiguousarray(ts, dtype=float)
     eps_levels = np.ascontiguousarray(eps_levels, dtype=float)
-    level_min = np.full(eps_levels.shape[0], np.inf)
+    nl = eps_levels.shape[0]
+    level_min = np.full(nl, np.inf)
     n = xy.shape[0]
     best = np.inf
     bi = bj = -1
@@ -832,6 +868,8 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     cols = _scan_blocks(n)
     P, Q, gx, gy = _box_gaps(xy, cols)
     lower = np.nextafter(np.nextafter(np.hypot(gx, gy), 0.0), 0.0)
+    order = np.argsort(lower, kind="stable")
+    P, Q, lower = P[order], Q[order], lower[order]
     # block parameter ranges bound dt, the wrap-aware separation and the
     # cap of each pair; float subtraction is monotone, so the bounds also
     # hold for the values computed pair by pair
@@ -843,58 +881,170 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     cap_max = np.minimum(
         dt_max, np.minimum(2.0 * (t_hi[P] - a), 2.0 * (b - t_lo[Q]))
     )
+    # no pair of a block pair reaches a level past top
     top = np.searchsorted(eps_levels, cap_max, side="right") - 1
-    order = np.argsort(lower, kind="stable")
-    P, Q, lower, j1_ok, top = (
-        P[order], Q[order], lower[order], j1_ok[order], top[order]
-    )
+    # squares are taken on xs, ys (scaled by a power of two, exactly) and
+    # chords on x, y; buf holds a step's squares, their addends and dt
+    span = float(np.max(xy.max(axis=0) - xy.min(axis=0)))
+    e = math.frexp(span)[1] if 0.0 < span < np.inf else 0
+    xs, ys = np.ldexp(xy[:, 0], -e), np.ldexp(xy[:, 1], -e)
+    x, y = xy[:, 0].copy(), xy[:, 1].copy()
+    bs = cols.shape[1]
+    buf = np.empty((3, _SCAN_STEP, bs, bs))
     m = P.shape[0]
     pos = 0
     while pos < m:
-        # reach[k] is the J2 threshold of a pair whose top level is k; the
-        # appended -inf is read by top == -1, a pair that reaches no level
-        reach = np.append(np.minimum.accumulate(level_min[::-1])[::-1], -np.inf)
+        # the appended -inf is read by top == -1, a pair that reaches no
+        # level; level_min is nondecreasing, so its largest entry is last
+        reach = np.append(level_min, -np.inf)
         if lower[pos] > max(best, reach.max()):
             break  # later pairs are no nearer
         end = min(m, pos + _SCAN_WINDOW)
         lw = lower[pos:end]
-        need = ((lw <= best) & j1_ok[pos:end]) | (lw <= reach[top[pos:end]])
-        hit = pos + np.flatnonzero(need)[:_SCAN_STEP]
+        want1 = (lw <= best) & j1_ok[pos:end]
+        want2 = lw <= reach[top[pos:end]]
+        hit = np.flatnonzero(want1 | want2)[:_SCAN_STEP]
+        w1, w2 = want1[hit], want2[hit]
+        hit += pos
         pos = end if hit.size < _SCAN_STEP else int(hit[-1]) + 1
         if not hit.size:
             continue
-        # every sample pair of the chosen block pairs, computed exactly as
-        # in a full scan: rows i against columns j, one slab per block pair
+        S = hit.size
         I, J = cols[P[hit]], cols[Q[hit]]
-        ti = ts[I][:, :, None]
-        tj = ts[J][:, None, :]
-        dt = tj - ti
-        d = np.hypot(
-            xy[J, 0][:, None, :] - xy[I, 0][:, :, None],
-            xy[J, 1][:, None, :] - xy[I, 1][:, :, None],
-        )
-        upper = dt > 0
-        ws = np.minimum(dt, period - dt)
-        dm = np.where(upper & (ws >= sep_floor), d, np.inf)
-        g = dm.min()
-        if g <= best and g < np.inf:
-            slab, r, c = np.nonzero(dm == g)
-            ii, jj = I[slab, r], J[slab, c]
-            w = np.lexsort((jj, ii))[0]
-            tie = (int(ii[w]), int(jj[w]))
-            if g < best or tie < (bi, bj):
-                best = float(g)
-                bi, bj = tie
-        # a pair is binned by the largest level its cap reaches
-        cap = np.minimum(dt, np.minimum(2.0 * (ti - a), 2.0 * (b - tj)))
-        lvl = np.searchsorted(eps_levels, cap, side="right") - 1
-        lvl[~upper] = -1
-        for k in range(eps_levels.shape[0]):
-            sel = lvl == k
-            if sel.any():
-                level_min[k] = min(level_min[k], float(d[sel].min()))
-    deltas = np.minimum.accumulate(level_min[::-1])[::-1]
-    return best, bi, bj, deltas
+        dx = np.subtract(xs[J][:, None, :], xs[I][:, :, None], out=buf[0, :S])
+        dy = np.subtract(ys[J][:, None, :], ys[I][:, :, None], out=buf[1, :S])
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        d2 = np.add(dx, dy, out=dx)
+        # the least separation and the least cap of a slab's pairs i < j;
+        # a diagonal slab also holds pairs i >= j, which count for nothing
+        p, q = P[hit], Q[hit]
+        diag = p == q
+        sep = np.where(diag, -np.inf, t_lo[q] - t_hi[p])
+        ends = np.minimum(2.0 * (t_lo[p] - a), 2.0 * (b - t_hi[q]))
+        all1 = np.minimum(sep, period - dt_max[hit]) >= sep_floor
+        # the lowest level each slab can still lower, and the levels that
+        # all of its pairs reach (up to bot) or only some (up to tp)
+        k0 = np.searchsorted(level_min, lower[hit], side="left")
+        bot = np.searchsorted(eps_levels, np.minimum(sep, ends), side="right") - 1
+        tp = top[hit]
+        lo2 = np.maximum(k0, bot + 1)
+        part1 = w1 & ~all1
+        part2 = w2 & (lo2 <= tp)
+        full = np.flatnonzero((w1 & all1) | (w2 & (k0 <= bot)))
+        if full.size:
+            smin, fc = _least(d2, I, J, x, y, full)
+        part = np.flatnonzero(part1 | part2)
+        if part.size:
+            dt = np.subtract(
+                ts[J[part]][:, None, :], ts[I[part]][:, :, None], out=buf[2, : part.size]
+            )
+            for s in np.flatnonzero(diag[part]):
+                # pairs i >= j: a separation of -inf passes no test
+                sub = dt[s]
+                sub[sub <= 0.0] = -np.inf
+        if w1.any():
+            cands = []
+            if full.size:
+                on = (w1 & all1)[full][fc[0]]
+                cands.append([c[on] for c in fc])
+            s1 = np.flatnonzero(part1[part])
+            if s1.size:
+                dts = _rows(dt, s1)
+                ok = dts >= sep_floor
+                # the far side of the seam counts only near the seam
+                wrap = np.flatnonzero(period - dt_max[hit[part[s1]]] < sep_floor)
+                if wrap.size:
+                    ok[wrap] &= period - dts[wrap] >= sep_floor
+                cands.append(_least(d2, I, J, x, y, part[s1], ok, False)[1])
+            _, ii, jj, hh = (np.concatenate(c) for c in zip(*cands))
+            g = float(hh.min()) if hh.size else np.inf
+            if g <= best and g < np.inf:
+                at = hh == g
+                ii, jj = ii[at], jj[at]
+                w = np.lexsort((jj, ii))[0]
+                tie = (int(ii[w]), int(jj[w]))
+                if g < best or tie < (bi, bj):
+                    best = g
+                    bi, bj = tie
+        if not w2.any():
+            continue
+        if full.size:
+            # a slab whose pairs all reach level k lowers it by its minimum
+            f2, kf, bf = w2[full], k0[full], bot[full]
+            for k in range(int(kf.min()), int(bf.max()) + 1):
+                on = f2 & (kf <= k) & (k <= bf)
+                if on.any():
+                    level_min[k] = min(level_min[k], float(smin[on].min()))
+        s2 = np.flatnonzero(part2[part])
+        if s2.size:
+            # the other slabs mask their pairs by cap, one level per slab
+            # and pass, from the top level down
+            sl = part[s2]
+            lo, hi = lo2[sl], tp[sl]
+            cap = _rows(dt, s2)
+            # where the interval ends allow every level a slab can reach,
+            # its caps are its separations
+            near = np.flatnonzero(ends[sl] < eps_levels[hi])
+            if near.size:
+                sub = cap[near]
+                lim = np.minimum(
+                    2.0 * (ts[I[sl[near]]] - a)[:, :, None],
+                    2.0 * (b - ts[J[sl[near]]])[:, None, :],
+                )
+                cap[near] = np.minimum(sub, lim, out=sub)
+            for depth in range(int((hi - lo).max()) + 1):
+                on = np.flatnonzero(hi - depth >= lo)
+                lev = hi[on] - depth
+                ok = _rows(cap, on) >= eps_levels[lev][:, None, None]
+                least, _ = _least(d2, I, J, x, y, sl[on], ok)
+                np.minimum.at(level_min, lev, least)
+    return best, bi, bj, level_min
+
+
+def _rows(arr, idx):
+    """``arr[idx]``, or ``arr`` itself where ``idx`` takes all of its rows
+    in order."""
+
+    return arr if idx.size == arr.shape[0] else arr[idx]
+
+
+def _least(d2, I, J, x, y, slabs, ok=None, per_slab=True):
+    """The chords that may be least among the pairs of ``slabs``.
+
+    ``d2`` holds the squared chords of the step's slabs, rows ``I`` and
+    columns ``J`` their samples, and ``ok``, for the slabs taken, masks
+    the pairs that count.  Returns the least chord of each slab (inf where
+    none counts) and the candidates (position in ``slabs``, i, j, chord):
+    every pair whose square is within the slack of its slab's least
+    square, or with ``per_slab=False`` of the least square of them all.
+    """
+
+    dm = _rows(d2, slabs)
+    if ok is not None:
+        dm = np.where(ok, dm, np.inf)
+    if per_slab:
+        m2 = dm.reshape(dm.shape[0], -1).min(axis=1)
+    else:
+        m2 = np.full(dm.shape[0], dm.min())
+    thr = np.where(m2 < np.inf, m2 * _SQ_REL + _SQ_ABS, -1.0)
+    s, i, j, h = _chords(I, J, x, y, slabs, dm <= thr[:, None, None])
+    if h.size and h.min() < _HYPOT_FLOOR:
+        s, i, j, h = _chords(I, J, x, y, slabs, dm < np.inf)
+    least = np.full(dm.shape[0], np.inf)
+    np.minimum.at(least, s, h)
+    return least, (s, i, j, h)
+
+
+def _chords(I, J, x, y, slabs, mask):
+    """hypot of the pairs that ``mask`` marks in ``slabs``, with their
+    slab positions and sample indices."""
+
+    bs = mask.shape[1]
+    f = np.flatnonzero(mask)
+    s, r, c = f // (bs * bs), f // bs % bs, f % bs
+    i, j = I[slabs[s], r], J[slabs[s], c]
+    return s, i, j, np.hypot(x[j] - x[i], y[j] - y[i])
 
 
 def polyline_crossing(xy):

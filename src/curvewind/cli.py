@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -188,7 +189,7 @@ def cmd_fixture(args) -> int:
 
 
 def _point_pair(parser, flag, **kw):
-    parser.add_argument(flag, nargs=2, type=float, metavar=("X", "Y"), **kw)
+    parser.add_argument(flag, nargs=2, type=_finite_float, metavar=("X", "Y"), **kw)
 
 
 def _positive_int(text: str) -> int:
@@ -205,11 +206,29 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _non_negative_float(text: str) -> float:
+def _number(text: str, ok, what: str) -> float:
     value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    return _number(text, math.isfinite, "a finite number")
+
+
+def _positive_float(text: str) -> float:
+    return _number(text, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+
+
+def _finite_non_negative_float(text: str) -> float:
+    return _number(
+        text, lambda v: math.isfinite(v) and v >= 0.0, "a finite non-negative number"
+    )
+
+
+def _non_negative_float(text: str) -> float:
+    return _number(text, lambda v: v >= 0.0, "a non-negative number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("curve", help="curve JSON file, or - for stdin")
     common.add_argument(
-        "--resolution", type=float, default=1e-3, help="validation sample step"
+        "--resolution", type=_positive_float, default=1e-3, help="validation sample step"
     )
 
     def add_format(sp, *choices):
@@ -244,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--point",
         nargs=2,
-        type=float,
+        type=_finite_float,
         action="append",
         metavar=("X", "Y"),
         help="query point, repeatable",
     )
     c.add_argument("--grid", nargs=2, type=_positive_int, metavar=("NX", "NY"))
     c.add_argument(
-        "--bounds", nargs=4, type=float, metavar=("X0", "Y0", "X1", "Y1")
+        "--bounds", nargs=4, type=_finite_float, metavar=("X0", "Y0", "X1", "Y1")
     )
     c.add_argument("--eps-band", type=_non_negative_float, default=None)
     c.set_defaults(func=cmd_classify)
@@ -260,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(j, "text", "json")
     _point_pair(j, "--start", required=True)
     _point_pair(j, "--end", required=True)
-    j.add_argument("--clearance", type=float, required=True)
-    j.add_argument("--cell", type=float, required=True, help="grid cell size")
+    j.add_argument("--clearance", type=_finite_non_negative_float, required=True)
+    j.add_argument("--cell", type=_positive_float, required=True, help="grid cell size")
     j.set_defaults(func=cmd_join)
 
     r = sub.add_parser("render", parents=[common], help="write an SVG picture")

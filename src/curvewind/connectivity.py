@@ -165,11 +165,17 @@ def polygonal_join(
     """Find a polyline from z1 to z2 keeping ``clearance`` from the carrier.
 
     Both endpoints need certified clearance of at least ``clearance + h``.
-    Raises :class:`NoPathAtResolution` when no free corridor exists at cell
+    Raises ValueError for a clearance that is not finite and non-negative
+    or a cell size h that is not finite and positive, and
+    :class:`NoPathAtResolution` when no free corridor exists at cell
     size h; pass a prebuilt ``grid`` to amortise the clearance field over
     many queries (it must use the same clearance and cover both endpoints).
     """
 
+    if not (math.isfinite(clearance) and clearance >= 0.0):
+        raise ValueError(f"clearance must be finite and non-negative, got {clearance!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"cell size h must be finite and positive, got {h!r}")
     p1, p2 = as_point(z1), as_point(z2)
     need = clearance + h
     for p in (p1, p2):

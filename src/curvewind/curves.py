@@ -21,7 +21,15 @@ import numpy as np
 from . import _kernels
 from .errors import ClosureFailure, J1Failure, NonSmoothPiece, ParseError
 from .geometry import Point, as_point
-from .pieces import ArcPiece, CubicPiece, LinePiece, Piece
+from .pieces import (
+    KIND_ARC,
+    KIND_CUBIC,
+    KIND_LINE,
+    ArcPiece,
+    CubicPiece,
+    LinePiece,
+    Piece,
+)
 
 __all__ = [
     "CurveSpec",
@@ -57,6 +65,92 @@ _J1_FACTOR = 0.25
 
 _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 _SAMPLES_PER_PIECE = 512
+# carrier samples sit at the centres of equal steps of each piece
+_SAMPLE_US = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
+# the carrier diameter is the largest distance among this many samples
+_DIAM_SAMPLES = 512
+# consecutive points per block in the diameter's branch and bound, and
+# block pairs per vectorised step
+_DIAM_BLOCK = 32
+_DIAM_STEP = 8
+
+
+def _row_points(kinds, data, piece, u):
+    """Points at local parameters ``u`` of the pieces numbered ``piece``.
+
+    ``kinds`` and ``data`` are the flattened pieces of ``_kernels``;
+    ``piece`` and ``u`` are 1-D and of one length.  Each kind takes one
+    numpy pass over its points with the expressions of its piece's
+    ``point``, so a curve point is the same float wherever it is taken:
+    validation samples, carrier samples and the diameter's sub-sample.
+    """
+
+    out = np.empty((u.shape[0], 2))
+    kind = kinds[piece]
+    for k in (KIND_LINE, KIND_ARC, KIND_CUBIC):
+        sel = np.flatnonzero(kind == k)
+        if not sel.size:
+            continue
+        if sel.size == u.shape[0]:
+            sel = slice(None)
+        r = data[piece[sel]].T
+        uk = u[sel]
+        if k == KIND_LINE:
+            x = r[0] + uk * (r[2] - r[0])
+            y = r[1] + uk * (r[3] - r[1])
+        elif k == KIND_ARC:
+            ang = r[3] + r[4] * uk
+            x = r[0] + r[2] * np.cos(ang)
+            y = r[1] + r[2] * np.sin(ang)
+        else:
+            v = 1.0 - uk
+            b0 = v * v * v
+            b1 = 3.0 * v * v * uk
+            b2 = 3.0 * v * uk * uk
+            b3 = uk * uk * uk
+            x = b0 * r[0] + b1 * r[2] + b2 * r[4] + b3 * r[6]
+            y = b0 * r[1] + b1 * r[3] + b2 * r[5] + b3 * r[7]
+        out[sel, 0] = x
+        out[sel, 1] = y
+    return out
+
+
+def _diameter(pts) -> float:
+    """The largest distance between two rows of ``pts``, as the float
+    sqrt(max((x_i - x_j)**2 + (y_i - y_j)**2)) over all pairs.
+
+    Branch and bound over blocks of _DIAM_BLOCK consecutive points, the
+    farthest-pair form of the chord scan.  A block pair's bound applies
+    the same formula to the widest axis spans of the two boxes; float
+    subtraction, squaring and addition are monotone, so the bound is at
+    least every square computed between the two blocks.  Block pairs are
+    taken in order of decreasing bound, and the rest are skipped once the
+    bound is no larger than the largest square found.
+    """
+
+    m = pts.shape[0]
+    nb = -(-m // _DIAM_BLOCK)
+    idx = np.minimum(
+        np.arange(nb)[:, None] * _DIAM_BLOCK + np.arange(_DIAM_BLOCK), m - 1
+    )
+    x, y = pts[idx, 0], pts[idx, 1]
+    x0, x1 = x.min(axis=1), x.max(axis=1)
+    y0, y1 = y.min(axis=1), y.max(axis=1)
+    P, Q = np.triu_indices(nb)
+    gx = np.maximum(x1[Q] - x0[P], x1[P] - x0[Q])
+    gy = np.maximum(y1[Q] - y0[P], y1[P] - y0[Q])
+    bound = gx * gx + gy * gy
+    order = np.argsort(-bound, kind="stable")
+    best = 0.0
+    for s in range(0, order.size, _DIAM_STEP):
+        k = order[s : s + _DIAM_STEP]
+        k = k[bound[k] > best]
+        if not k.size:
+            break
+        dx = x[P[k]][:, :, None] - x[Q[k]][:, None, :]
+        dy = y[P[k]][:, :, None] - y[Q[k]][:, None, :]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -160,12 +254,15 @@ class CurveSpec:
         n = self.n_pieces
         s = (ts - a) * n / (b - a)
         ks = np.clip(np.floor(s).astype(int), 0, n - 1)
-        out = np.empty((ts.shape[0], 2))
-        for k in range(n):
-            mask = ks == k
-            if mask.any():
-                out[mask] = self.pieces[k].points(s[mask] - k)
-        return out
+        return _row_points(*self._rows, ks, s - ks)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pieces flattened for the kernels: ``kinds`` and ``data``."""
+
+        kinds = np.array([p.kind for p in self.pieces], dtype=np.int8)
+        data = np.array([p.to_row() for p in self.pieces], dtype=float)
+        return kinds, data
 
     def piece_param_width(self) -> float:
         return (self.b - self.a) / self.n_pieces
@@ -252,9 +349,11 @@ class CarrierIndex:
     cubic queries refine control boxes well past the sampling guarantee, so
     enclosures satisfy (upper - lower) <= lipschitz * sample_spacing with
     room to spare.  ``distance`` and ``distance_batch`` run the same kernel,
-    ``_kernels.carrier_batch``, so one point gets one answer either way; the
+    ``_kernels.carrier_batch``, so one point gets one answer either way.
+    ``samples``, ``offsets`` (where each piece's samples start) and the
     kernel's per-curve arrays, ``geometry``, are built on the first query
-    and kept.
+    and kept: validation never queries, and a curve nobody queries keeps
+    no samples.
 
     A caller that only asks whether the distance is at least some ``need``
     passes it, and each point stops refining once the answer is certain:
@@ -268,44 +367,54 @@ class CarrierIndex:
 
     kinds: np.ndarray
     data: np.ndarray
-    samples: np.ndarray
-    offsets: np.ndarray
     sample_spacing: float
     lipschitz: tuple[float, ...]
     bbox: tuple[float, float, float, float]
     diam: float
 
     @classmethod
-    def build(cls, spec: CurveSpec) -> "CarrierIndex":
-        kinds = np.array([p.kind for p in spec.pieces], dtype=np.int8)
-        data = np.array([p.to_row() for p in spec.pieces], dtype=float)
-        w = spec.piece_param_width()
-        scale = 1.0 / w
-        us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
-        chunks = []
-        offsets = [0]
-        lips = []
-        for piece in spec.pieces:
-            pts = piece.points(us)
-            chunks.append(pts)
-            offsets.append(offsets[-1] + pts.shape[0])
-            lips.append(piece.speed_bounds()[1] * scale)
-        samples = np.concatenate(chunks, axis=0)
-        sub = samples[:: max(1, samples.shape[0] // 512)]
-        d2 = (
-            (sub[:, None, 0] - sub[None, :, 0]) ** 2
-            + (sub[:, None, 1] - sub[None, :, 1]) ** 2
-        )
+    def build(cls, spec: CurveSpec, speed_upper=None) -> "CarrierIndex":
+        """The index of ``spec``; ``speed_upper`` are its per-piece speed
+        bounds in global parameter (``JordanCurve.speed_upper``), found
+        here when not given."""
+
+        kinds, data = spec._rows
+        if speed_upper is None:
+            speed_upper = _speed_profile(spec)[1]
+        # the diameter is taken over every stride-th sample, found without
+        # building the rest
+        n = spec.n_pieces
+        total = n * _SAMPLES_PER_PIECE
+        sub = np.arange(0, total, max(1, total // _DIAM_SAMPLES))
+        piece, k = np.divmod(sub, _SAMPLES_PER_PIECE)
+        pts = _row_points(kinds, data, piece, _SAMPLE_US[k])
         return cls(
             kinds=kinds,
             data=data,
-            samples=samples,
-            offsets=np.array(offsets, dtype=np.int64),
-            sample_spacing=w / _SAMPLES_PER_PIECE,
-            lipschitz=tuple(lips),
+            sample_spacing=spec.piece_param_width() / _SAMPLES_PER_PIECE,
+            lipschitz=tuple(speed_upper),
             bbox=spec.bbox,
-            diam=float(np.sqrt(d2.max())),
+            diam=_diameter(pts),
         )
+
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """Each piece's points at the centres of _SAMPLES_PER_PIECE equal
+        steps, piece after piece."""
+
+        n = self.kinds.shape[0]
+        return _row_points(
+            self.kinds,
+            self.data,
+            np.repeat(np.arange(n), _SAMPLES_PER_PIECE),
+            np.tile(_SAMPLE_US, n),
+        )
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Piece k's samples are rows offsets[k] to offsets[k + 1] - 1."""
+
+        return _SAMPLES_PER_PIECE * np.arange(self.kinds.shape[0] + 1, dtype=np.int64)
 
     def distance(self, z, need: float | None = None) -> tuple[float, float]:
         """Certified [lower, upper] enclosure of the distance to the carrier,
@@ -451,7 +560,7 @@ def validate_jordan(
         threshold=threshold,
     )
     j2 = J2Certificate(entries=entries)
-    carrier = CarrierIndex.build(c)
+    carrier = CarrierIndex.build(c, highs)
     return JordanCurve(
         spec=c,
         j1=j1,

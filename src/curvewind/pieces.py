@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import Point, as_point
 
 __all__ = [
@@ -117,12 +115,6 @@ class LinePiece:
     def velocity(self, u: float) -> Point:
         return self.end - self.start
 
-    def points(self, us: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=float)[:, None]
-        p0 = np.array([self.start.x, self.start.y])
-        p1 = np.array([self.end.x, self.end.y])
-        return p0 + us * (p1 - p0)
-
     def speed_bounds(self) -> tuple[float, float]:
         L = self.start.dist(self.end)
         return L, L
@@ -181,16 +173,6 @@ class ArcPiece:
         a = self.start_angle + self.sweep * u
         rs = self.radius * self.sweep
         return Point(-rs * math.sin(a), rs * math.cos(a))
-
-    def points(self, us: np.ndarray) -> np.ndarray:
-        a = self.start_angle + self.sweep * np.asarray(us, dtype=float)
-        return np.stack(
-            [
-                self.center.x + self.radius * np.cos(a),
-                self.center.y + self.radius * np.sin(a),
-            ],
-            axis=1,
-        )
 
     def speed_bounds(self) -> tuple[float, float]:
         s = self.radius * abs(self.sweep)
@@ -273,17 +255,6 @@ class CubicPiece:
             c0 * (self.p1.y - self.p0.y)
             + c1 * (self.p2.y - self.p1.y)
             + c2 * (self.p3.y - self.p2.y),
-        )
-
-    def points(self, us: np.ndarray) -> np.ndarray:
-        u = np.asarray(us, dtype=float)[:, None]
-        v = 1.0 - u
-        ctrl = np.array([p.as_tuple() for p in self.controls()])
-        return (
-            v * v * v * ctrl[0]
-            + 3.0 * v * v * u * ctrl[1]
-            + 3.0 * v * u * u * ctrl[2]
-            + u * u * u * ctrl[3]
         )
 
     def hodograph(self) -> tuple[Point, Point, Point]:

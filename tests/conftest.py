@@ -1,12 +1,13 @@
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from curvewind import Verdict, classify, validate_jordan
 from curvewind.curves import CurveSpec
 from curvewind.fixtures import fixture
 from curvewind.geometry import Point
-from curvewind.pieces import LinePiece
+from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
 GOOD_FIXTURES = ("circle", "ellipse", "rounded-square", "blob", "kidney")
 
@@ -16,6 +17,37 @@ def curves():
     """All well-formed fixtures, validated once per session."""
 
     return {name: validate_jordan(fixture(name), h=1e-3) for name in GOOD_FIXTURES}
+
+
+def piece_points(piece, us) -> np.ndarray:
+    """Oracle: one piece's points at local parameters ``us``, (m, 2), by
+    the per-piece batch formulas the flat evaluator replaced; its floats
+    are the ones the library must keep."""
+
+    us = np.asarray(us, dtype=float)
+    if isinstance(piece, LinePiece):
+        p0 = np.array([piece.start.x, piece.start.y])
+        p1 = np.array([piece.end.x, piece.end.y])
+        return p0 + us[:, None] * (p1 - p0)
+    if isinstance(piece, ArcPiece):
+        a = piece.start_angle + piece.sweep * us
+        return np.stack(
+            [
+                piece.center.x + piece.radius * np.cos(a),
+                piece.center.y + piece.radius * np.sin(a),
+            ],
+            axis=1,
+        )
+    assert isinstance(piece, CubicPiece)
+    u = us[:, None]
+    v = 1.0 - u
+    ctrl = np.array([p.as_tuple() for p in piece.controls()])
+    return (
+        v * v * v * ctrl[0]
+        + 3.0 * v * v * u * ctrl[1]
+        + 3.0 * v * u * u * ctrl[2]
+        + u * u * u * ctrl[3]
+    )
 
 
 def comb(teeth: int = 40) -> CurveSpec:

@@ -97,6 +97,37 @@ def test_classify_rejects_a_nan_or_negative_band(circle_file, capsys, band):
     assert "expected a non-negative number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "{c}", "--point", "nan", "0"], "a finite number"),
+        (["classify", "{c}", "--point", "0", "inf"], "a finite number"),
+        (["classify", "{c}", "--grid", "3", "3", "--bounds", "0", "0", "nan", "1"],
+         "a finite number"),
+        (["winding", "{c}", "--point", "inf", "0"], "a finite number"),
+        (["validate", "{c}", "--resolution", "nan"], "a finite positive number"),
+        (["validate", "{c}", "--resolution", "0"], "a finite positive number"),
+        (["join", "{c}", "--start", "nan", "0", "--end", "0.1", "0",
+          "--clearance", "0.01", "--cell", "0.1"], "a finite number"),
+        (["join", "{c}", "--start", "0", "0", "--end", "0.1", "inf",
+          "--clearance", "0.01", "--cell", "0.1"], "a finite number"),
+        (["join", "{c}", "--start", "0", "0", "--end", "0.1", "0",
+          "--clearance", "-1", "--cell", "0.1"], "a finite non-negative number"),
+        (["join", "{c}", "--start", "0", "0", "--end", "0.1", "0",
+          "--clearance", "nan", "--cell", "0.1"], "a finite non-negative number"),
+        (["join", "{c}", "--start", "0", "0", "--end", "0.1", "0",
+          "--clearance", "0.01", "--cell", "nan"], "a finite positive number"),
+        (["join", "{c}", "--start", "0", "0", "--end", "0.1", "0",
+          "--clearance", "0.01", "--cell", "-0.1"], "a finite positive number"),
+    ],
+)
+def test_bad_numbers_are_usage_errors(circle_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(c=circle_file) for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_join_roundtrip(circle_file, capsys):
     code, out = run(
         capsys,

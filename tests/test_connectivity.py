@@ -124,3 +124,13 @@ def test_grid_free_is_the_full_distance_test(curves, name):
         free = lo >= clearance + h * _FREE_MARGIN
         assert free.any() and not free.all()
         assert np.array_equal(grid.free.ravel() == 1, free)
+
+
+@pytest.mark.parametrize(
+    "clearance, h",
+    [(-1.0, 0.01), (float("nan"), 0.01), (float("inf"), 0.01),
+     (0.01, 0.0), (0.01, -0.01), (0.01, float("nan")), (0.01, float("inf"))],
+)
+def test_join_rejects_a_bad_clearance_or_cell(curves, clearance, h):
+    with pytest.raises(ValueError, match="clearance|cell size"):
+        polygonal_join(curves["circle"], (0.0, 0.0), (0.1, 0.0), clearance=clearance, h=h)

@@ -30,8 +30,11 @@ from curvewind.fixtures import (
     figure_eight,
     fixture,
 )
+from curvewind.curves import _SAMPLES_PER_PIECE, CarrierIndex, _diameter
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
+
+from conftest import piece_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +126,68 @@ def test_points_vectorised_matches_eval():
     batch = spec.points(ts)
     for t, row in zip(ts, batch):
         assert spec.eval(float(t)).dist(Point(*row)) < 1e-12
+
+
+def _sampled_curves():
+    return [(name, fixture(name)) for name in sorted(FIXTURES)] + [
+        ("blob64", cubic_blob(64))
+    ]
+
+
+def _star_loops(count=20):
+    """Seeded star-shaped Catmull-Rom loops of 8 to 40 pieces."""
+
+    rng = np.random.default_rng(2024)
+    loops = []
+    for _ in range(count):
+        n = int(rng.integers(8, 41))
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        rad = rng.uniform(0.8, 1.2, n)
+        pts = [Point(float(r * math.cos(a)), float(r * math.sin(a))) for a, r in zip(ang, rad)]
+        loops.append(_catmull_rom_loop(pts))
+    return loops
+
+
+def test_validation_builds_no_carrier_samples():
+    jc = validate_jordan(cubic_blob(64), h=1e-3)
+    for name in ("samples", "offsets", "geometry"):
+        assert name not in jc.carrier.__dict__
+    jc.carrier.distance((0.0, 0.0))
+    for name in ("samples", "offsets", "geometry"):
+        assert name in jc.carrier.__dict__
+
+
+@pytest.mark.parametrize("name, spec", _sampled_curves())
+def test_carrier_samples_equal_per_piece_sampling(name, spec):
+    ci = CarrierIndex.build(spec)
+    us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
+    want = np.concatenate([piece_points(p, us) for p in spec.pieces])
+    assert np.array_equal(ci.samples, want)
+    assert ci.offsets.tolist() == [_SAMPLES_PER_PIECE * k for k in range(spec.n_pieces + 1)]
+
+
+def _dense_diameter(pts):
+    d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
+    return float(np.sqrt(d2.max()))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for _, s in _sampled_curves()] + _star_loops(), ids=lambda s: f"{s.n_pieces}p"
+)
+def test_diameter_branch_and_bound_equals_dense(spec):
+    ci = CarrierIndex.build(spec)
+    sub = ci.samples[:: max(1, ci.samples.shape[0] // 512)]
+    assert ci.diam == _diameter(sub) == _dense_diameter(sub)
+    # a denser sub-sample, a short odd count and one point
+    for pts in (ci.samples[:: max(1, ci.samples.shape[0] // 1500)], sub[:45], sub[:1]):
+        assert _diameter(pts) == _dense_diameter(pts)
+
+
+def test_carrier_index_takes_the_validated_speed_bounds():
+    spec = fixture("kidney")
+    jc = validate_jordan(spec, h=1e-2)
+    assert jc.carrier.lipschitz == jc.speed_upper
+    assert CarrierIndex.build(spec).lipschitz == jc.speed_upper
 
 
 def test_validate_circle_certificates():

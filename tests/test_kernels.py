@@ -35,7 +35,7 @@ from curvewind.pieces import (
     LinePiece,
 )
 
-from conftest import comb
+from conftest import comb, piece_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,7 +181,7 @@ def _polyline_crossings(piece, p, v, n=200001):
     """Oracle: sign changes of the ray-line side function along the curve."""
 
     us = np.linspace(0.0, 1.0, n)
-    pts = piece.points(us)
+    pts = piece_points(piece, us)
     side = (pts[:, 0] - p[0]) * v[1] - (pts[:, 1] - p[1]) * v[0]
     forward = (pts[:, 0] - p[0]) * v[0] + (pts[:, 1] - p[1]) * v[1] > 0
     flips = np.nonzero(np.sign(side[1:]) * np.sign(side[:-1]) < 0)[0]
@@ -1200,6 +1200,57 @@ def test_pair_scan_matches_bruteforce():
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_pair_scan_matches_bruteforce_on_fixtures(name):
     _assert_scan_exact(*_validation_samples(fixture(name), 1e-2))
+
+
+# (dx, dy) of two chords whose squares order them the other way round from
+# hypot, and the place of two far samples that set the span:
+# - "shorter": the shorter chord has the larger square dx*dx + dy*dy;
+# - "tie": equal chords, unequal squares;
+# - "subnormal": chords 1e-160 of the span, whose squares round in the
+#   subnormal range;
+# - "near-subnormal": subnormal chords that hypot rounds equal, although
+#   their squares (normal once scaled with the span) differ by 3e-9
+_MISORDERED = {
+    "shorter": ((0.5842750238899814, 0.7847895789188871),
+                (0.5842750233688092, 0.7847895793068993), 4.0),
+    "tie": ((0.5204867619680973, 0.5235567906735927),
+            (0.5204867620940721, 0.5235567905483566), 4.0),
+    "subnormal": ((9.675362118938841e-161, 9.570757932972065e-161),
+                  (9.677219010763117e-161, 9.568880746134681e-161), 0.6),
+    "near-subnormal": ((5.2048676e-316, 8.74821486e-316),
+                       (5.20486765e-316, 8.7482148e-316), 4e-315),
+}
+
+
+@pytest.mark.parametrize("block", [1, 32])
+@pytest.mark.parametrize("case", sorted(_MISORDERED))
+def test_pair_scan_takes_the_least_chord_not_the_least_square(monkeypatch, case, block):
+    # samples 0-1 and 1-2 make the two chords, exactly; 3 and 4 lie far off.
+    # The first chord is the least, or ties and has the smaller pair, but
+    # its square is the larger, so a filter without slack would miss it
+    monkeypatch.setattr(_kernels, "_SCAN_BLOCK", block)
+    (ax, ay), (bx, by), far = _MISORDERED[case]
+    assert np.hypot(ax, ay) <= np.hypot(bx, by)
+    xy = np.array([(-ax, -ay), (0.0, 0.0), (bx, by), (far, 0.0), (far / 2, far)])
+    ts = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
+    best, bi, bj, deltas = _assert_scan_exact(xy, ts, 1.0, 0.05, 0.0, 1.0, np.array([0.05]))
+    assert (best, bi, bj) == (np.hypot(ax, ay), 0, 1)
+    assert deltas.tolist() == [best]
+
+
+@pytest.mark.parametrize("scale", [1e-306, 1e-160, 1e-150, 1e-12, 1e12, 1e150, 1e160])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pair_scan_squares_stay_exact_at_any_scale(name, scale):
+    # unscaled squares would turn subnormal near 1e-154 and overflow near
+    # 1e154; at 1e-306 the least chords come near the subnormal range
+    xy, *rest = _validation_samples(fixture(name), 1e-2)
+    _assert_scan_exact(xy * scale, *rest)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pair_scan_squares_stay_exact_far_from_the_origin(name):
+    xy, *rest = _validation_samples(fixture(name), 1e-2)
+    _assert_scan_exact(xy + 1e9, *rest)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvewind.curves import CurveSpec, _row_points
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
+
+from conftest import piece_points
 
 coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -17,8 +20,17 @@ def _dense_speeds(piece, n=20001):
     return np.hypot(vs[:, 0], vs[:, 1])
 
 
+def _points(piece, us):
+    """The flat evaluator on one piece."""
+
+    us = np.asarray(us, dtype=float)
+    kinds = np.array([piece.kind], dtype=np.int8)
+    data = np.array([piece.to_row()], dtype=float)
+    return _row_points(kinds, data, np.zeros(us.shape[0], dtype=int), us)
+
+
 def _dense_points(piece, n=2001):
-    return piece.points(np.linspace(0.0, 1.0, n))
+    return _points(piece, np.linspace(0.0, 1.0, n))
 
 
 def test_line_piece_eval():
@@ -59,19 +71,37 @@ def test_arc_bbox_spans_cardinals():
     assert pts[:, 1].max() <= y1 + 1e-12
 
 
+def _mixed_path():
+    """A line, an arc and a cubic joined end to end, on [0, 3]."""
+
+    line = LinePiece(Point(0.0, 0.0), Point(2.0, 1.0))
+    arc = ArcPiece(Point(2.0, 2.5), 1.5, -0.5 * math.pi, 2.0)
+    q = arc.point(1.0)
+    cubic = CubicPiece(q, Point(1.0, 2.0), Point(0.5, -1.0), Point(-0.5, 0.5))
+    return CurveSpec((line, arc, cubic))
+
+
+def test_flat_points_match_per_piece_oracle_bit_for_bit():
+    us = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(size=64)])
+    for piece in _mixed_path().pieces:
+        assert np.array_equal(_points(piece, us), piece_points(piece, us))
+
+
 def test_vectorised_points_match_scalar():
-    pieces = [
-        LinePiece(Point(0.0, 0.0), Point(2.0, 1.0)),
-        ArcPiece(Point(0.5, 0.5), 1.5, 0.3, 2.0),
-        CubicPiece(
-            Point(0.0, 0.0), Point(1.0, 2.0), Point(2.0, -1.0), Point(3.0, 0.5)
-        ),
-    ]
-    us = np.linspace(0.0, 1.0, 17)
-    for piece in pieces:
-        batch = piece.points(us)
-        for u, row in zip(us, batch):
-            assert piece.point(float(u)).dist(Point(*row)) < 1e-12
+    # the ends t = a and t = b, every joint, and points in between, on one
+    # path with all three kinds
+    spec = _mixed_path()
+    ts = np.concatenate(
+        [np.linspace(spec.a, spec.b, 31), [0.0, 1.0, 2.0, 3.0, 1.0 - 1e-15, 2.0 + 1e-15]]
+    )
+    batch = spec.points(ts)
+    for t, row in zip(ts, batch):
+        assert spec.eval(float(t)).dist(Point(*row)) < 1e-12
+    # piece k holds [k, k + 1): a joint evaluates on the piece it starts,
+    # t = b on the last piece at u = 1
+    for t, k, u in ((0.0, 0, 0.0), (1.0, 1, 0.0), (2.0, 2, 0.0), (3.0, 2, 1.0)):
+        want = piece_points(spec.pieces[k], [u])
+        assert np.array_equal(spec.points(np.array([t])), want)
 
 
 @given(coord, coord, coord, coord, coord, coord, coord, coord)
