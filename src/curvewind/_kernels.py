@@ -38,8 +38,8 @@ dichotomy "d >= r or d < r + eps", which an approximation decides.  Given
 A stopped point's live boxes join its finished distances, so the
 enclosure returned still contains the full one, and ``lo >= need`` and
 ``hi < need`` come out exactly as without ``need``.  The level-0 control
-boxes and the cubics' start points decide most points before any sample
-is read.
+boxes and the cubics' start points decide most points before any cubic
+is split.
 
 Why the winding sums are exact: each term is the principal complex log of
 a chord's endpoint ratio, which is the integral of dz/(z - zeta) along the
@@ -103,10 +103,7 @@ _REFINE_REL_TOL = 1e-3
 # subdivision levels of the carrier-distance refinement; a node that
 # reaches the last one is finished as it stands
 _REFINE_LEVELS = 80
-# consecutive carrier samples per pruning box in the batch distance seed
-_SEED_RUN = 32
-# (point, piece) and (point, sample run) pairs per block of query points
-# in the batch kernels
+# (point, piece) pairs per block of query points in the batch kernels
 _PAIR_BLOCK = 1 << 17
 # consecutive samples per block in the chord scan and the crossing test
 _SCAN_BLOCK = 32
@@ -539,8 +536,7 @@ class CarrierGeometry(NamedTuple):
     the complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons`` and their boxes.  Run tree: ``_run_tree``, whose
     first nodes are the cubics, so ``ctl_lo`` and ``ctl_hi`` are the first
-    columns of ``node_lo`` and ``node_hi``.  Seed runs: _SEED_RUN
-    consecutive cubic samples per row, and their boxes.
+    columns of ``node_lo`` and ``node_hi``.
     """
 
     line: np.ndarray
@@ -555,14 +551,10 @@ class CarrierGeometry(NamedTuple):
     node_e0: np.ndarray
     node_e1: np.ndarray
     node_parent: np.ndarray
-    run_x: np.ndarray
-    run_y: np.ndarray
-    run_lo: np.ndarray
-    run_hi: np.ndarray
 
 
-def carrier_geometry(kinds, data, samples, offsets):
-    """The ``CarrierGeometry`` of one flattened curve and its samples."""
+def carrier_geometry(kinds, data):
+    """The ``CarrierGeometry`` of one flattened curve."""
 
     x0, y0, x1, y1 = data[kinds == KIND_LINE, :4].T
     ex, ey = x1 - x0, y1 - y0
@@ -571,18 +563,6 @@ def carrier_geometry(kinds, data, samples, offsets):
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
     nc = ctl.shape[2]
-    # run r of a piece starts at its sample r * _SEED_RUN; a short last run
-    # is padded with the piece's last sample, which leaves minima alone
-    cub = np.flatnonzero(kinds == KIND_CUBIC)
-    first, last = offsets[cub], offsets[cub + 1] - 1
-    nrun = (last - first + _SEED_RUN) // _SEED_RUN
-    r = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
-    start = np.repeat(first, nrun) + r * _SEED_RUN
-    cols = np.minimum(
-        start[:, None] + np.arange(_SEED_RUN), np.repeat(last, nrun)[:, None]
-    )
-    run_x = samples[cols, 0]
-    run_y = samples[cols, 1]
     return CarrierGeometry(
         line=line,
         arc=arc,
@@ -596,10 +576,6 @@ def carrier_geometry(kinds, data, samples, offsets):
         node_e0=node_e0,
         node_e1=node_e1,
         node_parent=node_parent,
-        run_x=run_x,
-        run_y=run_y,
-        run_lo=np.array([run_x.min(axis=1), run_y.min(axis=1)]),
-        run_hi=np.array([run_x.max(axis=1), run_y.max(axis=1)]),
     )
 
 
@@ -608,12 +584,15 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
 
     Line and arc pieces are exact.  Cubic pieces refine control boxes until
     each surviving box is small relative to its distance; every cubic's
-    start point and the ``samples`` seed the upper bound, and the start
-    point of every refinement node keeps lowering it, since it lies on the
-    curve.  A node whose box cannot beat the running upper bound is
-    dropped; everything below it is no nearer than the final bound, so the
-    enclosure is the one a full refinement gives, in whatever order nodes
-    are visited.  ``geo`` is the curve's ``carrier_geometry``.
+    start point, and then the start point of every refinement node, lowers
+    the upper bound, since it lies on the curve.  A node whose box cannot
+    beat the running upper bound is dropped; everything below it is no
+    nearer than the final bound, so the enclosure is the one a full
+    refinement gives, in whatever order nodes are visited.  ``geo`` is the
+    curve's ``carrier_geometry``; only it, ``kinds`` and ``pts`` are read.
+    ``data``, ``samples`` and ``offsets`` keep their places only because
+    ``perfbench/tracing.py`` counts the points as the fifth argument;
+    ``CarrierIndex`` passes None for ``samples`` and ``offsets``.
 
     ``need``, one number or one per point, makes this a threshold query:
     a point stops refining once the stop rule in the module docstring
@@ -628,7 +607,7 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
     lo_acc = np.full(m, np.inf)
     if need is not None:
         need = np.broadcast_to(np.asarray(need, dtype=float), (m,))
-    for blk in _point_blocks(m, kinds.shape[0] + geo.run_x.shape[0]):
+    for blk in _point_blocks(m, kinds.shape[0]):
         q = pts[blk].T
         _exact_pieces(geo, q, best_hi[blk], lo_acc[blk])
         if geo.ctl.shape[2]:
@@ -678,10 +657,9 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
 def _cubic_pieces(geo, q, best_hi, lo_acc, need):
     """Tighten ``best_hi``/``lo_acc`` in place by the cubic pieces.
 
-    The cubics' start points lower ``best_hi``, then the samples
-    (``_seed_from_samples``), then ``_refine_cubics`` finishes.  With
-    ``need``, the level-0 control boxes give every point an envelope, and
-    points the stop rule decides on it skip the seed and the refinement.
+    The cubics' start points lower ``best_hi``, then ``_refine_cubics``
+    finishes.  With ``need``, the level-0 control boxes give every point an
+    envelope, and points the stop rule decides on it skip the refinement.
     """
 
     qq = q[:, :, None]
@@ -696,34 +674,7 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, need):
         todo = (~_stopped(env, best_hi, lo_acc, need)).nonzero()[0]
         if not todo.size:
             return
-    hi = best_hi[todo]
-    _seed_from_samples(geo, q[:, todo], hi)
-    best_hi[todo] = hi
-    if need is not None:
-        # the seed can only settle a point below need
-        todo = (~_stopped(env, best_hi, lo_acc, need)).nonzero()[0]
     _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need)
-
-
-def _seed_from_samples(geo, q, best_hi):
-    """Lower ``best_hi`` in place to the nearest cubic sample, exactly.
-
-    The first sample of every run, and ``best_hi`` itself, give an upper
-    bound u on the result; a run whose bounding box lies farther than u
-    cannot hold a sample that lowers it, so only the remaining runs are
-    scanned point by point.  The result equals the minimum of ``best_hi``
-    and every sample.
-    """
-
-    qx, qy = q[0][:, None], q[1][:, None]
-    u = np.hypot(qx - geo.run_x[:, 0], qy - geo.run_y[:, 0]).min(axis=1)
-    np.minimum(u, best_hi, out=u)
-    dx = np.maximum(np.maximum(geo.run_lo[0] - qx, qx - geo.run_hi[0]), 0.0)
-    dy = np.maximum(np.maximum(geo.run_lo[1] - qy, qy - geo.run_hi[1]), 0.0)
-    # the margin absorbs round-off in comparing box and sample distances
-    qi, ri = np.nonzero(np.hypot(dx, dy) <= u[:, None] * (1.0 + 1e-9))
-    d = np.hypot(q[0, qi, None] - geo.run_x[ri], q[1, qi, None] - geo.run_y[ri])
-    np.minimum.at(best_hi, qi, d.min(axis=1))
 
 
 def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need):

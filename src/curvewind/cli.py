@@ -227,10 +227,6 @@ def _finite_non_negative_float(text: str) -> float:
     )
 
 
-def _non_negative_float(text: str) -> float:
-    return _number(text, lambda v: v >= 0.0, "a non-negative number")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="curvewind",
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--bounds", nargs=4, type=_finite_float, metavar=("X0", "Y0", "X1", "Y1")
     )
-    c.add_argument("--eps-band", type=_non_negative_float, default=None)
+    c.add_argument("--eps-band", type=_finite_non_negative_float, default=None)
     c.set_defaults(func=cmd_classify)
 
     j = sub.add_parser("join", parents=[common], help="clear polyline between points")

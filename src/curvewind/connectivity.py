@@ -34,6 +34,16 @@ __all__ = [
 _FREE_MARGIN = math.sqrt(2.0) / 2.0 + 0.25
 
 
+def _check_clearance_and_cell(clearance: float, h: float) -> None:
+    """Raise ValueError unless ``clearance`` is finite and non-negative and
+    the cell size ``h`` is finite and positive."""
+
+    if not (math.isfinite(clearance) and clearance >= 0.0):
+        raise ValueError(f"clearance must be finite and non-negative, got {clearance!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"cell size h must be finite and positive, got {h!r}")
+
+
 @dataclass(frozen=True)
 class ClearanceGrid:
     """Free/blocked cells for a fixed clearance at resolution h."""
@@ -51,6 +61,12 @@ class ClearanceGrid:
         h: float,
         bbox: tuple[float, float, float, float] | None = None,
     ) -> "ClearanceGrid":
+        """The grid of cells of side ``h`` over ``bbox`` (the carrier's
+        bounding box, padded, by default).  Raises ValueError for a
+        clearance that is not finite and non-negative or a cell size h
+        that is not finite and positive."""
+
+        _check_clearance_and_cell(clearance, h)
         if bbox is None:
             x0, y0, x1, y1 = jc.carrier.bbox
             pad = clearance + 4.0 * h
@@ -172,10 +188,7 @@ def polygonal_join(
     many queries (it must use the same clearance and cover both endpoints).
     """
 
-    if not (math.isfinite(clearance) and clearance >= 0.0):
-        raise ValueError(f"clearance must be finite and non-negative, got {clearance!r}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"cell size h must be finite and positive, got {h!r}")
+    _check_clearance_and_cell(clearance, h)
     p1, p2 = as_point(z1), as_point(z2)
     need = clearance + h
     for p in (p1, p2):

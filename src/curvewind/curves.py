@@ -341,19 +341,20 @@ class J2Certificate:
 
 @dataclass(frozen=True)
 class CarrierIndex:
-    """Flattened pieces plus dense samples for distance queries.
+    """Flattened pieces and the kernel arrays for distance queries.
 
-    ``samples`` are curve points recorded at ``sample_spacing`` in global
-    parameter; together with the per-piece Lipschitz constants they pin the
-    carrier between certified bounds.  Line and arc queries are closed-form;
-    cubic queries refine control boxes well past the sampling guarantee, so
-    enclosures satisfy (upper - lower) <= lipschitz * sample_spacing with
-    room to spare.  ``distance`` and ``distance_batch`` run the same kernel,
-    ``_kernels.carrier_batch``, so one point gets one answer either way.
-    ``samples``, ``offsets`` (where each piece's samples start) and the
-    kernel's per-curve arrays, ``geometry``, are built on the first query
-    and kept: validation never queries, and a curve nobody queries keeps
-    no samples.
+    Line and arc distances are exact.  Cubic distances refine de Casteljau
+    control boxes until each box that can still hold the nearest point has
+    a diagonal of at most ``_kernels._REFINE_REL_TOL`` times its distance;
+    the lower bound is the least such distance, and the upper bound the
+    nearest start point of a box visited, so (upper - lower) is at most
+    about ``_REFINE_REL_TOL`` times the distance.  ``distance`` and
+    ``distance_batch`` run the same kernel, ``_kernels.carrier_batch``, so
+    one point gets one answer either way.  The kernel's per-curve arrays,
+    ``geometry``, are built on the first query and kept: validation never
+    queries.  ``samples``, curve points at ``sample_spacing`` in global
+    parameter, serve only ``max_radius``, and are built when it is first
+    called.
 
     A caller that only asks whether the distance is at least some ``need``
     passes it, and each point stops refining once the answer is certain:
@@ -410,12 +411,6 @@ class CarrierIndex:
             np.tile(_SAMPLE_US, n),
         )
 
-    @functools.cached_property
-    def offsets(self) -> np.ndarray:
-        """Piece k's samples are rows offsets[k] to offsets[k + 1] - 1."""
-
-        return _SAMPLES_PER_PIECE * np.arange(self.kinds.shape[0] + 1, dtype=np.int64)
-
     def distance(self, z, need: float | None = None) -> tuple[float, float]:
         """Certified [lower, upper] enclosure of the distance to the carrier,
         only as tight as deciding ``lower >= need`` takes when ``need`` is
@@ -423,8 +418,7 @@ class CarrierIndex:
 
         p = as_point(z)
         return _kernels.carrier_dist_point(
-            self.kinds, self.data, self.samples, self.offsets, p.x, p.y,
-            self.geometry, need,
+            self.kinds, self.data, None, None, p.x, p.y, self.geometry, need
         )
 
     def distance_batch(
@@ -434,8 +428,7 @@ class CarrierIndex:
         point."""
 
         return _kernels.carrier_batch(
-            self.kinds, self.data, self.samples, self.offsets, pts, self.geometry,
-            need,
+            self.kinds, self.data, None, None, pts, self.geometry, need
         )
 
     @functools.cached_property
@@ -443,9 +436,7 @@ class CarrierIndex:
         """The kernels' per-curve arrays (``_kernels.carrier_geometry``)."""
 
         # built on the first query, not in build(): validation never queries
-        return _kernels.carrier_geometry(
-            self.kinds, self.data, self.samples, self.offsets
-        )
+        return _kernels.carrier_geometry(self.kinds, self.data)
 
     def diameter(self) -> float:
         return self.diam

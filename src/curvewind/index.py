@@ -311,13 +311,16 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
     Rays start along +x and rotate by the golden angle on each degenerate
     retry.  Any winding/parity mismatch raises :class:`OracleDisagreement`;
     it is never downgraded to a verdict.  ``eps_band`` defaults to
-    ``jc.default_eps_band()``; a NaN or negative band raises ValueError.
+    ``jc.default_eps_band()``; a band that is not finite and non-negative
+    raises ValueError.
     """
 
     p = as_point(z)
     band = jc.default_eps_band() if eps_band is None else float(eps_band)
-    if not band >= 0.0:
-        raise ValueError(f"eps_band must be a non-negative number, got {eps_band!r}")
+    if not (math.isfinite(band) and band >= 0.0):
+        raise ValueError(
+            f"eps_band must be a finite non-negative number, got {eps_band!r}"
+        )
     # a positive band decides lo <= 0 along with hi < band; a band of 0
     # leaves lo <= 0 alone to decide
     lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE))

@@ -89,12 +89,12 @@ def test_classify_needs_points(circle_file, capsys):
     assert main(["classify", circle_file]) == 2
 
 
-@pytest.mark.parametrize("band", ["nan", "-1", "-0.5"])
+@pytest.mark.parametrize("band", ["nan", "-1", "-0.5", "inf"])
 def test_classify_rejects_a_nan_or_negative_band(circle_file, capsys, band):
     with pytest.raises(SystemExit) as exc:
         main(["classify", circle_file, "--point", "0", "0", "--eps-band", band])
     assert exc.value.code == 2
-    assert "expected a non-negative number" in capsys.readouterr().err
+    assert "expected a finite non-negative number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

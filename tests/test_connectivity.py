@@ -134,3 +134,5 @@ def test_grid_free_is_the_full_distance_test(curves, name):
 def test_join_rejects_a_bad_clearance_or_cell(curves, clearance, h):
     with pytest.raises(ValueError, match="clearance|cell size"):
         polygonal_join(curves["circle"], (0.0, 0.0), (0.1, 0.0), clearance=clearance, h=h)
+    with pytest.raises(ValueError, match="clearance|cell size"):
+        ClearanceGrid.build(curves["circle"], clearance, h)

@@ -150,11 +150,13 @@ def _star_loops(count=20):
 
 def test_validation_builds_no_carrier_samples():
     jc = validate_jordan(cubic_blob(64), h=1e-3)
-    for name in ("samples", "offsets", "geometry"):
+    for name in ("samples", "geometry"):
         assert name not in jc.carrier.__dict__
+    # a distance query builds the kernel arrays, never the samples
     jc.carrier.distance((0.0, 0.0))
-    for name in ("samples", "offsets", "geometry"):
-        assert name in jc.carrier.__dict__
+    jc.carrier.distance_batch(np.array([[0.5, 0.5], [3.0, 0.0]]), 1e-3)
+    assert "geometry" in jc.carrier.__dict__
+    assert "samples" not in jc.carrier.__dict__
 
 
 @pytest.mark.parametrize("name, spec", _sampled_curves())
@@ -163,7 +165,6 @@ def test_carrier_samples_equal_per_piece_sampling(name, spec):
     us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
     want = np.concatenate([piece_points(p, us) for p in spec.pieces])
     assert np.array_equal(ci.samples, want)
-    assert ci.offsets.tolist() == [_SAMPLES_PER_PIECE * k for k in range(spec.n_pieces + 1)]
 
 
 def _dense_diameter(pts):

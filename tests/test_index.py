@@ -105,7 +105,7 @@ def test_classify_near_carrier_band(curves):
     assert c.verdict is Verdict.NEAR_CARRIER
 
 
-@pytest.mark.parametrize("band", [float("nan"), -1.0, -1e-300])
+@pytest.mark.parametrize("band", [float("nan"), -1.0, -1e-300, float("inf")])
 def test_classify_rejects_a_nan_or_negative_band(curves, band):
     with pytest.raises(ValueError, match="eps_band"):
         classify(curves["circle"], (1.0 + 1e-9, 0.0), eps_band=band)

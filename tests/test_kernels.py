@@ -415,18 +415,7 @@ def _refine_cubic_oracle(row, px, py, best_hi, lo_acc, rel_tol):
         ctl = split
 
 
-def _nearest_sample_oracle(kinds, samples, offsets, px, py, best_hi):
-    """Lower ``best_hi`` in place to the nearest cubic sample, point by point."""
-
-    cub = np.flatnonzero(kinds == KIND_CUBIC)
-    if not cub.size:
-        return
-    xy = np.concatenate([samples[offsets[i] : offsets[i + 1]] for i in cub])
-    for k in range(px.shape[0]):
-        best_hi[k] = min(best_hi[k], np.hypot(px[k] - xy[:, 0], py[k] - xy[:, 1]).min())
-
-
-def _carrier_batch_oracle(kinds, data, samples, offsets, pts):
+def _carrier_batch_oracle(kinds, data, pts):
     """The carrier-distance kernel with one refinement loop per cubic."""
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -467,7 +456,6 @@ def _carrier_batch_oracle(kinds, data, samples, offsets, pts):
                 d = np.where(on, rad, np.minimum(d0, d1))
             np.minimum(best_hi, d, out=best_hi)
             np.minimum(lo_acc, d, out=lo_acc)
-    _nearest_sample_oracle(kinds, samples, offsets, px, py, best_hi)
     # points are independent; blocks keep the refinement arrays in cache
     for s in range(0, m, 4096):
         e = min(m, s + 4096)
@@ -517,9 +505,7 @@ def test_carrier_batch_matches_per_piece_oracle(name):
     ci, spec = _oracle_curve(name)
     for pts in _query_points(ci, spec):
         lo, hi = ci.distance_batch(pts)
-        want_lo, want_hi = _carrier_batch_oracle(
-            ci.kinds, ci.data, ci.samples, ci.offsets, pts
-        )
+        want_lo, want_hi = _carrier_batch_oracle(ci.kinds, ci.data, pts)
         assert np.array_equal(lo, want_lo)
         assert np.array_equal(hi, want_hi)
 
@@ -545,7 +531,7 @@ def _threshold_mismatches(ci, pts):
     number for all points, the least positive float (which decides lo >
     0), and the bounds that the level-0 boxes and start points alone give
     (a need of +inf stops every point there): one ulp above that lo, and
-    that hi, which the seed and refinement then lower.
+    that hi, which the refinement then lowers.
     """
 
     lo, hi = ci.distance_batch(pts)
