@@ -14,7 +14,6 @@ from .curves import (
     J1Certificate,
     J2Certificate,
     JordanCurve,
-    carrier_distance,
     curve_from_dict,
     curve_from_json,
     curve_to_dict,
@@ -85,7 +84,6 @@ __all__ = [
     "reparametrize",
     "unit_circular_path",
     "validate_jordan",
-    "carrier_distance",
     "transform_curve",
     "curve_to_dict",
     "curve_from_dict",

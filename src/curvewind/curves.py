@@ -43,7 +43,6 @@ __all__ = [
     "reparametrize",
     "unit_circular_path",
     "validate_jordan",
-    "carrier_distance",
     "transform_curve",
     "curve_to_dict",
     "curve_from_dict",
@@ -65,14 +64,10 @@ _J1_FACTOR = 0.25
 
 _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 _SAMPLES_PER_PIECE = 512
-# carrier samples sit at the centres of equal steps of each piece
+# the diameter's points sit at the centres of equal steps of each piece
 _SAMPLE_US = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
 # the carrier diameter is the largest distance among this many samples
 _DIAM_SAMPLES = 512
-# consecutive points per block in the diameter's branch and bound, and
-# block pairs per vectorised step
-_DIAM_BLOCK = 32
-_DIAM_STEP = 8
 
 
 def _row_points(kinds, data, piece, u):
@@ -82,7 +77,7 @@ def _row_points(kinds, data, piece, u):
     ``piece`` and ``u`` are 1-D and of one length.  Each kind takes one
     numpy pass over its points with the expressions of its piece's
     ``point``, so a curve point is the same float wherever it is taken:
-    validation samples, carrier samples and the diameter's sub-sample.
+    validation samples and the diameter's sub-sample.
     """
 
     out = np.empty((u.shape[0], 2))
@@ -113,44 +108,6 @@ def _row_points(kinds, data, piece, u):
         out[sel, 0] = x
         out[sel, 1] = y
     return out
-
-
-def _diameter(pts) -> float:
-    """The largest distance between two rows of ``pts``, as the float
-    sqrt(max((x_i - x_j)**2 + (y_i - y_j)**2)) over all pairs.
-
-    Branch and bound over blocks of _DIAM_BLOCK consecutive points, the
-    farthest-pair form of the chord scan.  A block pair's bound applies
-    the same formula to the widest axis spans of the two boxes; float
-    subtraction, squaring and addition are monotone, so the bound is at
-    least every square computed between the two blocks.  Block pairs are
-    taken in order of decreasing bound, and the rest are skipped once the
-    bound is no larger than the largest square found.
-    """
-
-    m = pts.shape[0]
-    nb = -(-m // _DIAM_BLOCK)
-    idx = np.minimum(
-        np.arange(nb)[:, None] * _DIAM_BLOCK + np.arange(_DIAM_BLOCK), m - 1
-    )
-    x, y = pts[idx, 0], pts[idx, 1]
-    x0, x1 = x.min(axis=1), x.max(axis=1)
-    y0, y1 = y.min(axis=1), y.max(axis=1)
-    P, Q = np.triu_indices(nb)
-    gx = np.maximum(x1[Q] - x0[P], x1[P] - x0[Q])
-    gy = np.maximum(y1[Q] - y0[P], y1[P] - y0[Q])
-    bound = gx * gx + gy * gy
-    order = np.argsort(-bound, kind="stable")
-    best = 0.0
-    for s in range(0, order.size, _DIAM_STEP):
-        k = order[s : s + _DIAM_STEP]
-        k = k[bound[k] > best]
-        if not k.size:
-            break
-        dx = x[P[k]][:, :, None] - x[Q[k]][:, None, :]
-        dy = y[P[k]][:, :, None] - y[Q[k]][:, None, :]
-        best = max(best, float((dx * dx + dy * dy).max()))
-    return math.sqrt(best)
 
 
 @dataclass(frozen=True)
@@ -347,14 +304,14 @@ class CarrierIndex:
     control boxes until each box that can still hold the nearest point has
     a diagonal of at most ``_kernels._REFINE_REL_TOL`` times its distance;
     the lower bound is the least such distance, and the upper bound the
-    nearest start point of a box visited, so (upper - lower) is at most
-    about ``_REFINE_REL_TOL`` times the distance.  ``distance`` and
-    ``distance_batch`` run the same kernel, ``_kernels.carrier_batch``, so
-    one point gets one answer either way.  The kernel's per-curve arrays,
-    ``geometry``, are built on the first query and kept: validation never
-    queries.  ``samples``, curve points at ``sample_spacing`` in global
-    parameter, serve only ``max_radius``, and are built when it is first
-    called.
+    nearest start point of a box visited.  The node that sets the lower
+    bound has such a diagonal, and its start point, which lies in its box,
+    has lowered the upper bound already, so (upper - lower) is at most
+    ``_REFINE_REL_TOL`` times the lower bound, plus round-off.
+    ``distance`` and ``distance_batch`` run the same kernel,
+    ``_kernels.carrier_batch``, so one point gets one answer either way.
+    The kernel's per-curve arrays, ``geometry``, are built on the first
+    query and kept: validation never queries.
 
     A caller that only asks whether the distance is at least some ``need``
     passes it, and each point stops refining once the answer is certain:
@@ -368,47 +325,22 @@ class CarrierIndex:
 
     kinds: np.ndarray
     data: np.ndarray
-    sample_spacing: float
-    lipschitz: tuple[float, ...]
     bbox: tuple[float, float, float, float]
     diam: float
 
     @classmethod
-    def build(cls, spec: CurveSpec, speed_upper=None) -> "CarrierIndex":
-        """The index of ``spec``; ``speed_upper`` are its per-piece speed
-        bounds in global parameter (``JordanCurve.speed_upper``), found
-        here when not given."""
+    def build(cls, spec: CurveSpec) -> "CarrierIndex":
+        """The index of ``spec``."""
 
         kinds, data = spec._rows
-        if speed_upper is None:
-            speed_upper = _speed_profile(spec)[1]
-        # the diameter is taken over every stride-th sample, found without
-        # building the rest
-        n = spec.n_pieces
-        total = n * _SAMPLES_PER_PIECE
+        # the diameter is taken over every stride-th of the points at the
+        # _SAMPLE_US of each piece, found without building the rest
+        total = spec.n_pieces * _SAMPLES_PER_PIECE
         sub = np.arange(0, total, max(1, total // _DIAM_SAMPLES))
         piece, k = np.divmod(sub, _SAMPLES_PER_PIECE)
         pts = _row_points(kinds, data, piece, _SAMPLE_US[k])
         return cls(
-            kinds=kinds,
-            data=data,
-            sample_spacing=spec.piece_param_width() / _SAMPLES_PER_PIECE,
-            lipschitz=tuple(speed_upper),
-            bbox=spec.bbox,
-            diam=_diameter(pts),
-        )
-
-    @functools.cached_property
-    def samples(self) -> np.ndarray:
-        """Each piece's points at the centres of _SAMPLES_PER_PIECE equal
-        steps, piece after piece."""
-
-        n = self.kinds.shape[0]
-        return _row_points(
-            self.kinds,
-            self.data,
-            np.repeat(np.arange(n), _SAMPLES_PER_PIECE),
-            np.tile(_SAMPLE_US, n),
+            kinds=kinds, data=data, bbox=spec.bbox, diam=_kernels.diameter(pts)
         )
 
     def distance(self, z, need: float | None = None) -> tuple[float, float]:
@@ -438,14 +370,32 @@ class CarrierIndex:
         # built on the first query, not in build(): validation never queries
         return _kernels.carrier_geometry(self.kinds, self.data)
 
-    def diameter(self) -> float:
-        return self.diam
-
     def max_radius(self) -> float:
-        """Upper bound for max |z| over the carrier (samples + slack)."""
+        """Upper bound for max |z| over the carrier, from the pieces.
 
-        slack = max(self.lipschitz) * self.sample_spacing / 2.0
-        return float(np.hypot(self.samples[:, 0], self.samples[:, 1]).max()) + slack
+        A line is farthest from the origin at an end, and a cubic lies in
+        the convex hull of its control points.  An arc reaches |c| + r
+        where its sweep holds the direction of its centre c from the
+        origin, and is farthest at an end otherwise; its ends are computed
+        points, so they get a slack for the round-off of the end angle, cos
+        and sin.  A norm rounds by at most an ulp and |c| + r by two, so the
+        maximum is rounded up by more than that.
+        """
+
+        geo = self.geometry
+        eps = np.finfo(float).eps
+        nl = geo.line.shape[1]
+        cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
+        c = np.hypot(cx, cy)
+        far = np.mod(sign * (np.arctan2(cy, cx) - a0), _kernels.TWO_PI) <= span
+        ends = np.maximum(np.hypot(e0x, e0y), np.hypot(e1x, e1y))
+        ends += 4.0 * eps * (c + r * (2.0 + np.abs(a0) + span))
+        m = max(
+            np.abs(np.concatenate([geo.e0[:nl], geo.e1[:nl]])).max(initial=0.0),
+            np.where(far, c + r, ends).max(initial=0.0),
+            np.hypot(geo.ctl[:, 0], geo.ctl[:, 1]).max(initial=0.0),
+        )
+        return float(np.nextafter(m * (1.0 + 2.0 * eps), np.inf))
 
 
 @dataclass(frozen=True)
@@ -475,7 +425,7 @@ class JordanCurve:
         return self.carrier.distance(z)
 
     def diameter(self) -> float:
-        return self.carrier.diameter()
+        return self.carrier.diam
 
     def default_eps_band(self) -> float:
         return 1e-6 * self.diameter()
@@ -551,7 +501,7 @@ def validate_jordan(
         threshold=threshold,
     )
     j2 = J2Certificate(entries=entries)
-    carrier = CarrierIndex.build(c, highs)
+    carrier = CarrierIndex.build(c)
     return JordanCurve(
         spec=c,
         j1=j1,
@@ -562,12 +512,6 @@ def validate_jordan(
         deriv_sup=max(highs),
         carrier=carrier,
     )
-
-
-def carrier_distance(jc: JordanCurve, z) -> tuple[float, float]:
-    """Certified [lower, upper] distance from z to the carrier of jc."""
-
-    return jc.carrier.distance(z)
 
 
 @dataclass(frozen=True)

@@ -370,9 +370,9 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
 def outer_radius(jc: JordanCurve) -> float:
     """Radius R with the whole carrier inside |z| < R, by a length argument.
 
-    max |z| over the carrier is bounded by the sample maximum plus Lipschitz
-    slack; the generous extra term (b - a)(1 + M) / (2 pi) keeps R stable
-    across reparametrisations.
+    max |z| over the carrier is bounded from the pieces
+    (``CarrierIndex.max_radius``); the generous extra term
+    (b - a)(1 + M) / (2 pi) keeps R stable across reparametrisations.
     """
 
     a, b = jc.interval

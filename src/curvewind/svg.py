@@ -41,7 +41,8 @@ def _fmt(v: float) -> str:
 def _frame_for(bbox: tuple[float, float, float, float], size: int) -> _Frame:
     x0, y0, x1, y1 = bbox
     pad = 0.05 * size
-    span = max(x1 - x0, y1 - y0, 1e-9)
+    # only a curve of degenerate pieces has no extent to fill the frame
+    span = max(x1 - x0, y1 - y0) or 1e-9
     scale = (size - 2 * pad) / span
     return _Frame(x0=x0, y0=y0, scale=scale, height=size, pad=pad)
 

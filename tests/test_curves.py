@@ -30,11 +30,13 @@ from curvewind.fixtures import (
     figure_eight,
     fixture,
 )
-from curvewind.curves import _SAMPLES_PER_PIECE, CarrierIndex, _diameter
+from curvewind import _kernels
+from curvewind._kernels import diameter
+from curvewind.curves import _SAMPLES_PER_PIECE, CarrierIndex
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
-from conftest import piece_points
+from conftest import GOOD_FIXTURES, piece_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,21 +152,11 @@ def _star_loops(count=20):
 
 def test_validation_builds_no_carrier_samples():
     jc = validate_jordan(cubic_blob(64), h=1e-3)
-    for name in ("samples", "geometry"):
-        assert name not in jc.carrier.__dict__
-    # a distance query builds the kernel arrays, never the samples
+    assert "geometry" not in jc.carrier.__dict__
+    # a distance query builds the kernel arrays
     jc.carrier.distance((0.0, 0.0))
     jc.carrier.distance_batch(np.array([[0.5, 0.5], [3.0, 0.0]]), 1e-3)
     assert "geometry" in jc.carrier.__dict__
-    assert "samples" not in jc.carrier.__dict__
-
-
-@pytest.mark.parametrize("name, spec", _sampled_curves())
-def test_carrier_samples_equal_per_piece_sampling(name, spec):
-    ci = CarrierIndex.build(spec)
-    us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
-    want = np.concatenate([piece_points(p, us) for p in spec.pieces])
-    assert np.array_equal(ci.samples, want)
 
 
 def _dense_diameter(pts):
@@ -177,18 +169,55 @@ def _dense_diameter(pts):
 )
 def test_diameter_branch_and_bound_equals_dense(spec):
     ci = CarrierIndex.build(spec)
-    sub = ci.samples[:: max(1, ci.samples.shape[0] // 512)]
-    assert ci.diam == _diameter(sub) == _dense_diameter(sub)
+    us = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
+    samples = np.concatenate([piece_points(p, us) for p in spec.pieces])
+    sub = samples[:: max(1, samples.shape[0] // 512)]
+    assert ci.diam == diameter(sub) == _dense_diameter(sub)
     # a denser sub-sample, a short odd count and one point
-    for pts in (ci.samples[:: max(1, ci.samples.shape[0] // 1500)], sub[:45], sub[:1]):
-        assert _diameter(pts) == _dense_diameter(pts)
+    for pts in (samples[:: max(1, samples.shape[0] // 1500)], sub[:45], sub[:1]):
+        assert diameter(pts) == _dense_diameter(pts)
 
 
-def test_carrier_index_takes_the_validated_speed_bounds():
-    spec = fixture("kidney")
-    jc = validate_jordan(spec, h=1e-2)
-    assert jc.carrier.lipschitz == jc.speed_upper
-    assert CarrierIndex.build(spec).lipschitz == jc.speed_upper
+def _polygon():
+    verts = [Point(1.5, -0.5), Point(0.25, 1.75), Point(-1.0, 0.5), Point(-0.75, -1.25)]
+    return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+
+
+@pytest.mark.parametrize("name", GOOD_FIXTURES + ("blob64", "polygon"))
+def test_max_radius_bounds_the_carrier(name):
+    spec = {"blob64": cubic_blob(64), "polygon": _polygon()}.get(name) or fixture(name)
+    r = CarrierIndex.build(spec).max_radius()
+    xy = spec.points(np.linspace(spec.a, spec.b, 400_001))
+    assert r >= np.hypot(xy[:, 0], xy[:, 1]).max()
+    # the bound is the true maximum where the pieces give it in closed form
+    exact = {"circle": 1.0, "rounded-square": 0.7 * math.sqrt(2.0) + 0.3}
+    if name == "polygon":
+        exact[name] = max(math.hypot(p.start.x, p.start.y) for p in spec.pieces)
+    if name in exact:
+        assert r <= exact[name] * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def test_max_radius_covers_the_round_off_of_arc_ends():
+    # a short arc through the origin of a circle of radius 2^20, closed by
+    # two lines: its ends are the farthest points, and their computed
+    # floats are off by about 1e-10, many ulps of their norms
+    big = 2.0**20
+    pi_lo = 1.2246467991473532e-16  # pi - math.pi
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        d = rng.uniform(0.5, 2.0) / big
+        a0 = math.pi - d + rng.uniform(-0.3, 0.3) / big
+        arc = ArcPiece(Point(big, 0.0), big, a0, 2.0 * d)
+        e0, e1 = arc.point(0.0), arc.point(1.0)
+        left = Point(min(e0.x, e1.x) - 0.3, 0.0)
+        spec = CurveSpec((arc, LinePiece(e1, left), LinePiece(left, e0)))
+        # |c + r exp(ia)| = 2r |sin((pi - a) / 2)| for c = (r, 0); pi - a0
+        # is exact in floats, and pi_lo restores the rest of pi
+        far = max(
+            abs(2.0 * big * math.sin(((math.pi - a0) + pi_lo) / 2.0)),
+            abs(2.0 * big * math.sin((((math.pi - a0) - 2.0 * d) + pi_lo) / 2.0)),
+        )
+        assert CarrierIndex.build(spec).max_radius() >= far
 
 
 def test_validate_circle_certificates():
@@ -281,7 +310,9 @@ def test_carrier_index_enclosure_invariant(curves):
         pts = rng.uniform(-2.2, 2.2, size=(200, 2))
         lo, hi = ci.distance_batch(pts)
         assert (lo <= hi + 1e-12).all()
-        assert (hi - lo <= max(ci.lipschitz) * ci.sample_spacing + 1e-12).all()
+        assert (hi - lo <= _kernels._REFINE_REL_TOL * lo + 1e-12).all()
+        spacing = jc.spec.piece_param_width() / _SAMPLES_PER_PIECE
+        assert (hi - lo <= max(jc.speed_upper) * spacing + 1e-12).all()
         assert (lo >= 0.0).all()
 
 

@@ -228,12 +228,14 @@ def test_carrier_distance_enclosure_on_blob():
     ts = np.linspace(spec.a, spec.b, 1_000_001)
     curve = spec.points(ts)
     step = float(np.hypot(np.diff(curve[:, 0]), np.diff(curve[:, 1])).max())
+    spacing = spec.piece_param_width() / 512
     lo, hi = ci.distance_batch(pts)
     for (x, y), l, h in zip(pts, lo, hi):
         oracle = float(np.hypot(curve[:, 0] - x, curve[:, 1] - y).min())
         assert l <= oracle + 1e-12
         assert h >= oracle - step
-        assert h - l <= max(ci.lipschitz) * ci.sample_spacing + 1e-12
+        assert h - l <= _kernels._REFINE_REL_TOL * l + 1e-12
+        assert h - l <= max(jc.speed_upper) * spacing + 1e-12
 
 
 def _winding_batch_oracle(kinds, data, pts):
