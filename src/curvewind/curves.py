@@ -54,6 +54,7 @@ __all__ = [
 # the pieces' bounding box, so a certificate means the same at any scale
 JOINT_TOL = 1e-9
 CLOSURE_TOL = 1e-9
+# parameters this many interval lengths past an end still evaluate there
 EVAL_TOL = 1e-12
 
 # injectivity fails when the closest well-separated pair lands nearer than
@@ -165,7 +166,8 @@ class CurveSpec:
 
     def _locate(self, t: float) -> tuple[int, float]:
         a, b = self.interval
-        if not (a - EVAL_TOL <= t <= b + EVAL_TOL):
+        tol = EVAL_TOL * (b - a)
+        if not (a - tol <= t <= b + tol):
             raise ValueError(f"parameter {t!r} outside [{a!r}, {b!r}]")
         n = self.n_pieces
         s = (t - a) * n / (b - a)
@@ -188,12 +190,12 @@ class CurveSpec:
         scale = n / (b - a)
         s = (t - a) * scale
         if side == "right":
-            if t >= b - EVAL_TOL:
+            if t >= b - EVAL_TOL * (b - a):
                 raise ValueError("no right derivative at the interval end")
             k = int(math.floor(s + EVAL_TOL))
             u = s - k
         elif side == "left":
-            if t <= a + EVAL_TOL:
+            if t <= a + EVAL_TOL * (b - a):
                 raise ValueError("no left derivative at the interval start")
             k = int(math.ceil(s - EVAL_TOL)) - 1
             u = s - k

@@ -6,8 +6,10 @@ form, one chord log each (an arc adds a whole turn for points between it
 and its chord), and cubics are subdivided until each node's chord log is
 exact, so the only error is float round-off tracked in ``error_budget``.
 The second oracle counts transversal crossings of a ray from p and
-reduces mod 2.  ``classify`` runs both and raises
-:class:`OracleDisagreement` on any mismatch rather than guessing.
+reduces mod 2; a ray that meets a joint, grazes a piece or runs along one
+counts nothing and is retried in the next golden-angle direction.
+``classify`` runs both and raises :class:`OracleDisagreement` on any
+mismatch rather than guessing.
 """
 
 from __future__ import annotations
@@ -64,11 +66,8 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_RAYS = 32
 _JOINT_U_TOL = 1e-8
 _ISOLATION_FRACTION = 1e-6
-# local-parameter offset for probing which side of the ray line the curve
-# occupies just before/after a joint hit
-_JOINT_PROBE_DU = 1e-3
 # ray hits nearer the origin than this times the curve's diameter are not
-# counted as forward, and joint probes this near the ray line are on it
+# counted as forward
 _RAY_T_MIN = 1e-12
 # boundary witnesses start their normal probes this many diameters off the
 # curve and halve the offset at most this often
@@ -110,7 +109,6 @@ class CrossingRecord:
     u: float
     point: tuple[float, float]
     angle: float
-    through_joint: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,87 +203,51 @@ def _certified(residual, budget):
 
 
 def _ray_once(jc: JordanCurve, p: Point, direction: Point):
-    """One ray shot: returns sorted transversal crossings or raises DegenerateRay."""
+    """One ray shot: returns sorted transversal crossings or raises DegenerateRay.
 
-    spec = jc.spec
-    n = spec.n_pieces
+    Every counted hit crosses the interior of a piece at an angle.  A ray
+    that runs along a straight piece, passes within ``_JOINT_U_TOL`` of a
+    joint, grazes a piece or has two hits closer than the isolation
+    window is degenerate, and ``classify`` retries it in a new direction.
+    """
+
     carrier = jc.carrier
     norm = direction.norm()
     if norm <= 0.0:
         raise ValueError("ray direction must be nonzero")
     # kernels measure the ray parameter as arc length, so normalise here
     vx, vy = direction.x / norm, direction.y / norm
-    found = []
+    hits = []
     _, status = _kernels.ray_hits_point(
-        carrier.kinds, carrier.data, p.x, p.y, vx, vy, found, _RAY_T_MIN * carrier.diam
+        carrier.kinds, carrier.data, p.x, p.y, vx, vy, hits, _RAY_T_MIN * carrier.diam
     )
     if status == _kernels.ON_CARRIER:
         raise DegenerateRay("ray runs along a straight piece")
-
-    hits = []
-    for t, piece, u, tx, ty in found:
-        if u >= 1.0 - _JOINT_U_TOL:
-            joint = (piece + 1) % n
-        elif u <= _JOINT_U_TOL:
-            joint = piece
-        else:
-            joint = None
-        hits.append((t, piece, u, tx, ty, joint))
     hits.sort(key=lambda h: h[0])
 
     iso = _ISOLATION_FRACTION * carrier.diam
-    for i in range(1, len(hits)):
-        a, b = hits[i - 1], hits[i]
-        if b[0] - a[0] <= iso and not (a[5] is not None and a[5] == b[5]):
-            raise DegenerateRay(
-                f"two hits only {b[0] - a[0]:.3e} apart along the ray",
-                record=(a[:3], b[:3]),
-            )
-
     records: list[CrossingRecord] = []
-    seen_joints: set[int] = set()
-    for t, piece, u, tx, ty, joint in hits:
-        hx, hy = p.x + t * vx, p.y + t * vy
-        if joint is None:
-            tnorm = math.hypot(tx, ty)
-            if tnorm <= 0.0:
-                raise DegenerateRay("zero tangent at a hit")
-            cross = vx * ty - vy * tx
-            dot = vx * tx + vy * ty
-            angle = math.atan2(abs(cross), abs(dot))
-            if angle < _MIN_CROSS_ANGLE:
-                raise DegenerateRay(
-                    f"grazing hit: tangent within {angle:.2e} rad of the ray"
-                )
-            records.append(CrossingRecord(t, piece, u, (hx, hy), angle))
-            continue
-        if joint in seen_joints:
-            continue
-        seen_joints.add(joint)
-        # the curve touches the ray line at a corner; decide by which side
-        # the two adjacent branches occupy
-        prev_piece = spec.pieces[(joint - 1) % n]
-        next_piece = spec.pieces[joint % n]
-        q_before = prev_piece.point(1.0 - _JOINT_PROBE_DU)
-        q_after = next_piece.point(_JOINT_PROBE_DU)
-        s_before = vx * (q_before.y - p.y) - vy * (q_before.x - p.x)
-        s_after = vx * (q_after.y - p.y) - vy * (q_after.x - p.x)
-        floor = _RAY_T_MIN * carrier.diam
-        if abs(s_before) <= floor or abs(s_after) <= floor:
-            raise DegenerateRay("joint probe still on the ray line")
-        if (q_before.x - p.x) * vx + (q_before.y - p.y) * vy <= 0.0 or (
-            q_after.x - p.x
-        ) * vx + (q_after.y - p.y) * vy <= 0.0:
-            raise DegenerateRay("joint probe fell behind the ray origin")
-        if (s_before > 0.0) != (s_after > 0.0):
-            angle = math.atan2(
-                abs(vx * (q_after.y - q_before.y) - vy * (q_after.x - q_before.x)),
-                abs(vx * (q_after.x - q_before.x) + vy * (q_after.y - q_before.y)),
+    for i, (t, piece, u, tx, ty) in enumerate(hits):
+        if u <= _JOINT_U_TOL or u >= 1.0 - _JOINT_U_TOL:
+            raise DegenerateRay(
+                f"ray passes through a joint: hit at u = {u!r} on piece {piece}"
             )
-            records.append(
-                CrossingRecord(t, piece, u, (hx, hy), angle, through_joint=True)
+        if i > 0 and t - hits[i - 1][0] <= iso:
+            raise DegenerateRay(
+                f"two hits only {t - hits[i - 1][0]:.3e} apart along the ray",
+                record=(hits[i - 1][:3], (t, piece, u)),
             )
-        # same side: the corner touches the line and retreats, parity 0
+        if math.hypot(tx, ty) <= 0.0:
+            raise DegenerateRay("zero tangent at a hit")
+        cross = vx * ty - vy * tx
+        dot = vx * tx + vy * ty
+        angle = math.atan2(abs(cross), abs(dot))
+        if angle < _MIN_CROSS_ANGLE:
+            raise DegenerateRay(
+                f"grazing hit: tangent within {angle:.2e} rad of the ray"
+            )
+        hit = (p.x + t * vx, p.y + t * vy)
+        records.append(CrossingRecord(t, piece, u, hit, angle))
 
     return tuple(records)
 

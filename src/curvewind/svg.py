@@ -1,4 +1,4 @@
-"""Deterministic SVG rendering of curves, shadings, witnesses, and joins.
+"""Deterministic SVG rendering of curves and region shadings.
 
 Pieces map to native path commands (L, A, C); arcs wider than pi are split
 so the large-arc flag is never needed.  The y axis is flipped to keep math
@@ -82,20 +82,11 @@ def _path_data(spec: CurveSpec, fr: _Frame) -> str:
     return " ".join(parts)
 
 
-def render_svg(
-    spec: CurveSpec,
-    size: int = 640,
-    shade=None,
-    witnesses=(),
-    join=None,
-    stroke: str = "#202020",
-) -> str:
-    """Render a curve (plus optional overlays) to an SVG document string.
+def render_svg(spec: CurveSpec, size: int = 640, shade=None) -> str:
+    """Render a curve (plus an optional shading) to an SVG document string.
 
     ``shade`` accepts a :class:`~curvewind.index.RegionGrid`: inside cells
     are tinted, invalid (near-carrier) cells get a warning tone.
-    ``witnesses`` are :class:`~curvewind.index.Witness` records; ``join``
-    is a :class:`~curvewind.connectivity.PolygonalJoin`.
     """
 
     fr = _frame_for(spec.bbox, size)
@@ -118,27 +109,8 @@ def render_svg(
             )
         out.append(f'<g stroke="none">{"".join(cells)}</g>')
     out.append(
-        f'<path d="{_path_data(spec, fr)}" fill="none" stroke="{stroke}" '
+        f'<path d="{_path_data(spec, fr)}" fill="none" stroke="#202020" '
         f'stroke-width="1.5"/>'
     )
-    if join is not None:
-        pts = " ".join(
-            "{},{}".format(*map(_fmt, fr.map(v.x, v.y))) for v in join.vertices
-        )
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1255cc" '
-            f'stroke-width="1.2" stroke-dasharray="4 3"/>'
-        )
-    marks = []
-    for w in witnesses:
-        for pt, color in ((w.inside, "#0a7d32"), (w.outside, "#b02418")):
-            x, y = fr.map(pt[0], pt[1])
-            marks.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" fill="{color}"/>'
-            )
-        x, y = fr.map(w.on_curve[0], w.on_curve[1])
-        marks.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.4" fill="#000"/>')
-    if marks:
-        out.append(f'<g stroke="none">{"".join(marks)}</g>')
     out.append("</svg>")
     return "\n".join(out)

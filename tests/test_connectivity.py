@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from curvewind import (
+    Affine,
     ClearanceGrid,
+    CurveSpec,
     NoPathAtResolution,
     PointTooClose,
     Verdict,
     classify,
     path_carrier_gap,
     polygonal_join,
+    validate_jordan,
 )
+from curvewind import connectivity
 from curvewind.connectivity import _FREE_MARGIN
 from curvewind.geometry import Point
 
-from conftest import sample_classified
+from conftest import comb, sample_classified
 
 
 def _h(jc, frac=256):
@@ -136,3 +140,18 @@ def test_join_rejects_a_bad_clearance_or_cell(curves, clearance, h):
         polygonal_join(curves["circle"], (0.0, 0.0), (0.1, 0.0), clearance=clearance, h=h)
     with pytest.raises(ValueError, match="clearance|cell size"):
         ClearanceGrid.build(curves["circle"], clearance, h)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_join_gap_check_scales_with_the_curve(monkeypatch, scale):
+    # with every shortcut passed as clear, the straight join from the first
+    # tooth to the third cuts through the comb; the last gap check must
+    # refuse it at every scale, not only where 1e-12 is small next to h
+    monkeypatch.setattr(connectivity, "_segment_clear", lambda *args: True)
+    m = Affine.scaling(scale).coeffs
+    jc = validate_jordan(CurveSpec(tuple(p.transformed(m) for p in comb(3).pieces)), h=1e-2)
+    with pytest.raises(NoPathAtResolution, match="lost clearance"):
+        polygonal_join(
+            jc, (0.25 * scale, 0.5 * scale), (2.25 * scale, 0.5 * scale),
+            clearance=0.02 * scale, h=0.02 * scale,
+        )

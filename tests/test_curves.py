@@ -74,6 +74,19 @@ def test_eval_continuous_at_joints():
         assert spec.eval(t).dist(left) < 1e-12
 
 
+@pytest.mark.parametrize("length", [1e-13, 1.0, 1e13])
+def test_deriv_ends_scale_with_the_interval(length):
+    # the end guards are relative to the interval: on [0, 1e-13] an
+    # absolute 1e-12 would put every parameter past both ends
+    unit = reparametrize(fixture("kidney"), (0.0, 1.0))
+    spec = reparametrize(fixture("kidney"), (0.0, length))
+    for f, side in ((0.0, "right"), (1.0, "left"), (0.3, "right"), (0.3, "left")):
+        v = spec.deriv(f * length, side)
+        w = unit.deriv(f, side)
+        assert v.x * length == pytest.approx(w.x, rel=1e-12)
+        assert v.y * length == pytest.approx(w.y, rel=1e-12)
+
+
 def test_deriv_sides_and_chain_rule():
     spec = unit_circular_path()
     # unit-speed circle: derivative is the unit tangent everywhere

@@ -17,15 +17,17 @@ from curvewind import (
     ray_crossing_index,
     region_distance,
     region_grid,
+    reparametrize,
     segment_integral,
     transform_curve,
     validate_jordan,
     winding_number,
 )
 from curvewind.curves import CurveSpec
-from curvewind.fixtures import rounded_square
+from curvewind.fixtures import kidney, rounded_square
 from curvewind.geometry import Point
-from curvewind.pieces import ArcPiece
+from curvewind.index import _JOINT_U_TOL
+from curvewind.pieces import ArcPiece, LinePiece
 
 from conftest import GOOD_FIXTURES, comb, sample_classified
 
@@ -223,6 +225,16 @@ def test_boundary_witnesses_straddle(curves):
         assert on.dist(Point(*w.outside)) == pytest.approx(w.delta, rel=1e-9)
 
 
+def test_boundary_witnesses_on_any_parameter_interval():
+    # the witness probes take one-sided derivatives at both interval ends
+    deltas = []
+    for length in (1e-13, 1.0, 1e13):
+        jc = validate_jordan(reparametrize(kidney(), (0.0, length)), h=1e-2 * length)
+        ws = boundary_witnesses(jc, [0.0, 0.3 * length, length])
+        deltas.append([w.delta for w in ws])
+    assert deltas[0] == deltas[1] == deltas[2]
+
+
 def test_segment_integral_matches_quadrature():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -273,17 +285,40 @@ def test_verdicts_hold_at_any_scale(curves, scale):
             assert classify(scaled, (x * scale, y * scale)).verdict is want, name
 
 
+def _diamond():
+    verts = [Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0), Point(0.0, -1.0)]
+    return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-def test_joint_probe_floor_scales_with_the_curve(scale):
+def test_ray_through_a_joint_is_retried(scale):
     # the +x ray from (0, 0.7) leaves through the joint where the right
-    # side meets the upper right corner, so the first ray is decided by the
-    # joint probe, whose on-the-line floor must shrink with the curve
+    # side meets the upper right corner: it counts nothing, and the next
+    # golden-angle ray crosses inside a piece
     m = Affine.scaling(scale).coeffs
     spec = CurveSpec(tuple(p.transformed(m) for p in rounded_square().pieces))
     c = classify(validate_jordan(spec, h=1e-2), (0.0, 0.7 * scale))
     assert c.verdict is Verdict.INSIDE
-    assert c.rays_tried == 1
-    assert c.crossings[0].through_joint
+    assert c.rays_tried == 2
+    assert all(_JOINT_U_TOL < r.u < 1.0 - _JOINT_U_TOL for r in c.crossings)
+
+
+def test_ray_touching_a_vertex_from_outside_is_retried():
+    # the +x ray from (-3, 1) touches the diamond's top vertex and leaves
+    c = classify(validate_jordan(_diamond(), h=1e-2), (-3.0, 1.0))
+    assert c.verdict is Verdict.OUTSIDE
+    assert c.rays_tried == 2
+
+
+@pytest.mark.parametrize(
+    "make, z",
+    [(rounded_square, (0.0, 0.7)), (_diamond, (-3.0, 1.0))],
+    ids=["rounded-square", "diamond"],
+)
+def test_ray_crossing_index_through_a_joint_is_degenerate(make, z):
+    jc = validate_jordan(make(), h=1e-2)
+    with pytest.raises(DegenerateRay, match="joint"):
+        ray_crossing_index(jc, z, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-12])
