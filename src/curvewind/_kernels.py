@@ -41,6 +41,21 @@ enclosure returned still contains the full one, and ``lo >= need`` and
 boxes and the cubics' start points decide most points before any cubic
 is split.
 
+Least-distance carrier queries: a caller that wants only the least
+distance over a set of points, such as a join's gap over the samples of
+its path, passes ``least=True``.  Let ``U`` be the least upper bound
+``hi`` of any point so far in the call, carried from block to block.  A
+point stops refining as soon as its lower envelope is strictly above
+``U``, and its envelope becomes its ``lo``.  The envelope is a lower bound
+on the point's full ``lo`` (as above), and ``U`` only falls, so a stopped
+point's full ``lo`` is above the final ``U``, which is at least the least
+full ``lo`` of all points: the point that holds it never stops.  Nor does
+the point that sets ``U``, whose envelope is at most its ``hi``.  Points
+are independent in the refinement, so the points that do not stop refine
+exactly as in a full query.  A stopped point returns its envelope or its
+``hi``, whichever is less, and both are at least the final ``U``.  So the
+least returned ``lo`` is the least full ``lo`` bit for bit, ties included.
+
 Why the winding sums are exact: each term is the principal complex log of
 a chord's endpoint ratio, which is the integral of dz/(z - zeta) along the
 chord because a segment never subtends an angle >= pi from a point off the
@@ -74,6 +89,7 @@ has.  The only error left is float round-off.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -576,7 +592,7 @@ def carrier_geometry(kinds, data):
     )
 
 
-def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
+def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None, least=False):
     """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
 
     Line and arc pieces are exact.  Cubic pieces refine control boxes until
@@ -596,6 +612,11 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
     holds.  Its (lo, hi) then contains the full enclosure, and ``lo >=
     need`` and ``hi < need`` are what they are without ``need``; a point
     the rule never stops gets the full enclosure bit for bit.
+
+    ``least=True``, in place of ``need``, makes this a least-distance query:
+    points stop by the least-distance rule in the module docstring, and
+    ``lo.min()`` is that of the full query bit for bit.  Every entry is at
+    most the full ``lo`` and at least that minimum.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -604,24 +625,47 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None):
     lo_acc = np.full(m, np.inf)
     if need is not None:
         need = np.broadcast_to(np.asarray(need, dtype=float), (m,))
+    bound = np.inf
     for blk in _point_blocks(m, kinds.shape[0]):
         q = pts[blk].T
-        _exact_pieces(geo, q, best_hi[blk], lo_acc[blk])
+        hi_b, lo_b = best_hi[blk], lo_acc[blk]
+        _exact_pieces(geo, q, hi_b, lo_b)
         if geo.ctl.shape[2]:
-            _cubic_pieces(
-                geo, q, best_hi[blk], lo_acc[blk], None if need is None else need[blk]
-            )
+            stop = None
+            if need is not None:
+                stop = functools.partial(
+                    _stopped, best_hi=hi_b, lo_acc=lo_b, need=need[blk]
+                )
+            elif least:
+                stop = functools.partial(
+                    _least_stopped, best_hi=hi_b, lo_acc=lo_b, bound=bound
+                )
+            _cubic_pieces(geo, q, hi_b, lo_b, stop)
+        if least:
+            bound = min(bound, float(hi_b.min()))
     lo = np.minimum(lo_acc, best_hi)
     np.maximum(lo, 0.0, out=lo)
     return lo, best_hi
 
 
 def _stopped(env, best_hi, lo_acc, need):
-    """The points that the stop rule decides, given their lower envelopes
-    ``env`` (at most ``lo_acc``); a decided point's envelope becomes its
-    ``lo_acc`` in place, so its enclosure keeps containing the full one."""
+    """The points that the threshold stop rule decides, given their lower
+    envelopes ``env`` (at most ``lo_acc``); a decided point's envelope
+    becomes its ``lo_acc`` in place, so its enclosure keeps containing the
+    full one."""
 
     stop = (best_hi < need) | (env >= need)
+    np.copyto(lo_acc, env, where=stop)
+    return stop
+
+
+def _least_stopped(env, best_hi, lo_acc, bound):
+    """The points that the least-distance stop rule stops: those whose
+    envelope ``env`` is above both ``bound``, the least upper bound of the
+    earlier blocks, and every ``best_hi``.  A stopped point's envelope
+    becomes its ``lo_acc`` in place."""
+
+    stop = env > min(bound, best_hi.min())
     np.copyto(lo_acc, env, where=stop)
     return stop
 
@@ -651,12 +695,14 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         np.minimum(lo_acc, d, out=lo_acc)
 
 
-def _cubic_pieces(geo, q, best_hi, lo_acc, need):
+def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
     """Tighten ``best_hi``/``lo_acc`` in place by the cubic pieces.
 
     The cubics' start points lower ``best_hi``, then ``_refine_cubics``
-    finishes.  With ``need``, the level-0 control boxes give every point an
-    envelope, and points the stop rule decides on it skip the refinement.
+    finishes.  With a stop rule ``stop`` (``_stopped`` or
+    ``_least_stopped`` bound to these points, taking their envelopes), the
+    level-0 control boxes give every point an envelope, and points the
+    rule stops on it skip the refinement.
     """
 
     qq = q[:, :, None]
@@ -667,23 +713,22 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, need):
     d = qq - geo.ctl[0][:, None, :]
     np.minimum(best_hi, np.hypot(d[0], d[1]).min(axis=1), out=best_hi)
     todo = np.arange(q.shape[1])
-    if need is not None:
-        env = np.minimum(lo_acc, db.min(axis=1))
-        todo = (~_stopped(env, best_hi, lo_acc, need)).nonzero()[0]
+    if stop is not None:
+        todo = (~stop(np.minimum(lo_acc, db.min(axis=1)))).nonzero()[0]
         if not todo.size:
             return
-    _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need)
+    _refine_cubics(geo, q, db, todo, best_hi, lo_acc, stop)
 
 
-def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need):
+def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, stop):
     """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
     The (point, cubic) pairs of the points ``todo`` whose control box
     distance ``db`` is below ``best_hi`` refine together, one level per
     step; their start points have lowered ``best_hi`` already.  A node is
     finished when its box is small next to its distance, or at the last
-    level, and then lowers ``lo_acc`` to that distance.  With ``need``, a
-    point leaves the loop as soon as the stop rule decides it.
+    level, and then lowers ``lo_acc`` to that distance.  With ``stop``, a
+    point leaves the loop as soon as the stop rule stops it.
     """
 
     i, piece = np.nonzero(db[todo] < best_hi[todo, None])
@@ -704,10 +749,10 @@ def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, need):
             done[:] = True
         np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))
         keep = (live > done).nonzero()[0]
-        if need is not None and keep.size:
+        if stop is not None and keep.size:
             env = lo_acc.copy()
             np.minimum.at(env, idx[keep], db[keep])
-            keep = keep[~_stopped(env, best_hi, lo_acc, need)[idx[keep]]]
+            keep = keep[~stop(env)[idx[keep]]]
         if not keep.size:
             break
         fresh = keep.size

@@ -125,19 +125,20 @@ def _segment_samples(p: Point, q: Point, spacing: float) -> np.ndarray:
 def path_carrier_gap(jc: JordanCurve, vertices, spacing: float) -> float:
     """Certified lower bound on carrier clearance along the whole polyline.
 
-    Samples every edge at the given spacing and subtracts the Lipschitz
-    slack spacing / 2, so the bound holds between samples too.
+    Samples every edge at the given spacing (one vertex is a path of one
+    point) and subtracts the Lipschitz slack spacing / 2, so the bound holds
+    between samples too.  Raises ValueError for an empty path or a spacing
+    that is not finite and positive.
     """
 
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing must be finite and positive, got {spacing!r}")
     pts = [as_point(v) for v in vertices]
-    if len(pts) < 2:
-        lo, _ = jc.carrier.distance(pts[0])
-        return float(lo)
-    chunks = [
-        _segment_samples(pts[k], pts[k + 1], spacing) for k in range(len(pts) - 1)
-    ]
-    lo, _ = jc.carrier.distance_batch(np.concatenate(chunks, axis=0))
-    return float(lo.min()) - spacing / 2.0
+    if not pts:
+        raise ValueError("a path needs at least one vertex")
+    edges = list(zip(pts, pts[1:])) or [(pts[0], pts[0])]
+    samples = np.concatenate([_segment_samples(p, q, spacing) for p, q in edges])
+    return jc.carrier.least_distance(samples) - spacing / 2.0
 
 
 def _segment_clear(

@@ -64,6 +64,9 @@ EVAL_TOL = 1e-12
 _J1_FACTOR = 0.25
 
 _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
+# validation takes at most this many samples (64 MB of points): eight times
+# a 512-piece curve on a unit interval per piece at the default h
+_MAX_SAMPLES = 1 << 22
 _SAMPLES_PER_PIECE = 512
 # the diameter's points sit at the centres of equal steps of each piece
 _SAMPLE_US = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
@@ -323,6 +326,12 @@ class CarrierIndex:
     the full lower bound is no smaller than that.  The enclosure returned
     then contains the full one, and ``lo >= need`` and ``hi < need`` are
     what the full enclosure gives.
+
+    A caller that wants only the least distance over a set of points calls
+    ``least_distance``.  A point stops refining once the distances of its
+    finished nodes and the boxes of its live ones are all above the least
+    upper bound of any point so far; the point with the least lower bound
+    never stops, so the minimum is the full query's bit for bit.
     """
 
     kinds: np.ndarray
@@ -364,6 +373,15 @@ class CarrierIndex:
         return _kernels.carrier_batch(
             self.kinds, self.data, None, None, pts, self.geometry, need
         )
+
+    def least_distance(self, pts: np.ndarray) -> float:
+        """``distance_batch(pts)[0].min()``, refining only the points that
+        can still hold the minimum."""
+
+        lo, _ = _kernels.carrier_batch(
+            self.kinds, self.data, None, None, pts, self.geometry, least=True
+        )
+        return float(lo.min())
 
     @functools.cached_property
     def geometry(self) -> _kernels.CarrierGeometry:
@@ -455,10 +473,20 @@ def validate_jordan(
     :class:`J1Failure` (with a witness pair: the closest sample pair, or
     the start parameters of two sample segments that cross); otherwise
     returns the curve with J1/J2 certificates and a distance index attached.
+    Raises ValueError, before sampling, for an h that is not finite and
+    positive or that would take more than ``_MAX_SAMPLES`` samples.
     """
 
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("sample resolution h must be positive")
+    a, b = c.interval
+    period = b - a
+    steps = period / h
+    if not (math.isfinite(steps) and max(steps, 8 * c.n_pieces) <= _MAX_SAMPLES):
+        raise ValueError(
+            f"h={h!r} on an interval of length {period!r} with {c.n_pieces} "
+            f"pieces takes more than {_MAX_SAMPLES} samples"
+        )
     gap = c.closure_gap
     tol = c.closure_tol
     if gap > tol:
@@ -468,9 +496,7 @@ def validate_jordan(
     if require_smooth and not all(flags):
         raise NonSmoothPiece(flags.index(False))
 
-    a, b = c.interval
-    period = b - a
-    n_samp = max(int(math.ceil(period / h)), 8 * c.n_pieces)
+    n_samp = max(int(math.ceil(steps)), 8 * c.n_pieces)
     h_eff = period / n_samp
     ts = a + h_eff * np.arange(n_samp)
     xy = c.points(ts)

@@ -359,12 +359,30 @@ def constant_index_radius(jc: JordanCurve, z) -> float:
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """Winding numbers on a grid covering the carrier's bounding box."""
+    """Winding numbers on a grid covering the carrier's bounding box.
 
+    The grid points are ``origin + spacing * (j, i)`` for ``j < shape[1]``
+    and ``i < shape[0]``, row by row; ``centers`` rebuilds them on each
+    access, with the expressions ``region_grid`` sampled them at.
+    """
+
+    origin: tuple[float, float]
     spacing: float
-    centers: np.ndarray
+    shape: tuple[int, int]
     winding: np.ndarray
     valid: np.ndarray
+
+    @property
+    def centers(self) -> np.ndarray:
+        return _grid_points(self.origin, self.spacing, self.shape)
+
+
+def _grid_points(origin, h, shape) -> np.ndarray:
+    """The (ny * nx, 2) points ``origin + h * (j, i)``, row by row."""
+
+    (x0, y0), (ny, nx) = origin, shape
+    gx, gy = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
+    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
@@ -379,16 +397,14 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     nx = int(math.ceil((x1 - x0) / h)) + 1
     ny = int(math.ceil((y1 - y0) / h)) + 1
-    xs = x0 + h * np.arange(nx)
-    ys = y0 + h * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
     total, nodes, status = _kernels.winding_batch(
-        jc.carrier.kinds, jc.carrier.geometry, centers
+        jc.carrier.kinds, jc.carrier.geometry, _grid_points((x0, y0), h, (ny, nx))
     )
     _, winding, residual, budget = _round_windings(total, nodes)
     valid = (status == _kernels.OK) & _certified(residual, budget)
-    return RegionGrid(spacing=h, centers=centers, winding=winding, valid=valid)
+    return RegionGrid(
+        origin=(x0, y0), spacing=h, shape=(ny, nx), winding=winding, valid=valid
+    )
 
 
 def region_distance(

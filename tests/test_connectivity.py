@@ -96,6 +96,48 @@ def test_path_carrier_gap_straight_segment(curves):
     assert gap <= 0.5
 
 
+def test_path_carrier_gap_of_one_vertex(curves):
+    jc = curves["circle"]
+    lo, _ = jc.carrier.distance((-2.0, 0.0))
+    assert path_carrier_gap(jc, [Point(-2.0, 0.0)], spacing=1e-3) == lo - 5e-4
+
+
+@pytest.mark.parametrize(
+    "n_vertices, spacing",
+    [(0, 1e-3), (2, 0.0), (2, -1e-3), (2, float("nan")), (2, float("inf"))],
+)
+def test_path_carrier_gap_rejects_an_empty_path_or_a_bad_spacing(curves, n_vertices, spacing):
+    vertices = [Point(-2.0, 0.0), Point(-1.5, 0.0)][:n_vertices]
+    with pytest.raises(ValueError, match="vertex|spacing"):
+        path_carrier_gap(curves["circle"], vertices, spacing)
+
+
+@pytest.mark.parametrize("name", ["kidney", "blob"])
+def test_join_gap_is_the_full_query_minimum_over_the_path(curves, name):
+    # the least-distance query behind the gap returns the least lower bound
+    # of a full query over the pulled path's samples, bit for bit
+    jc = curves[name]
+    h = _h(jc, 128)
+    clearance = 2.0 * h
+    grid = ClearanceGrid.build(jc, clearance, h)
+    rng = np.random.default_rng(3)
+    pts = sample_classified(jc, 16, rng, min_clearance=clearance + 2.0 * h)
+    joins = 0
+    for (p1, c1), (p2, c2) in zip(pts[::2], pts[1::2]):
+        if c1.verdict is not c2.verdict:
+            continue
+        join = polygonal_join(jc, p1, p2, clearance, h, grid=grid)
+        spacing = h / 4.0
+        v = join.vertices
+        samples = np.concatenate(
+            [connectivity._segment_samples(v[k], v[k + 1], spacing) for k in range(len(v) - 1)]
+        )
+        lo, _ = jc.carrier.distance_batch(samples)
+        assert join.gap == lo.min() - spacing / 2.0
+        joins += 1
+    assert joins >= 2
+
+
 def test_string_pulling_shortens(curves):
     jc = curves["circle"]
     h = _h(jc)

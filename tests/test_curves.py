@@ -31,6 +31,7 @@ from curvewind.fixtures import (
     fixture,
 )
 from curvewind import _kernels
+from curvewind import curves as curves_module
 from curvewind._kernels import diameter
 from curvewind.curves import _SAMPLES_PER_PIECE, CarrierIndex
 from curvewind.geometry import Point
@@ -253,6 +254,28 @@ def test_validate_rejects_open_path():
     half = CurveSpec((ArcPiece(Point(0, 0), 1.0, 0.0, math.pi),))
     with pytest.raises(ClosureFailure):
         validate_jordan(half, h=1e-3)
+
+
+@pytest.mark.parametrize(
+    "interval, h", [((0.0, 1e13), 1e-2), ((0.0, 1e300), 1e-300), ((0.0, 1.0), 5e-324)]
+)
+def test_validate_rejects_a_sample_count_it_cannot_hold(interval, h):
+    with pytest.raises(ValueError, match="samples"):
+        validate_jordan(reparametrize(fixture("kidney"), interval), h=h)
+
+
+def test_validate_takes_a_512_piece_curve_at_the_default_h(monkeypatch):
+    # the sample bound lets it through to the speed profile, which comes next
+
+    class Sampled(Exception):
+        pass
+
+    def speed_profile(c):
+        raise Sampled
+
+    monkeypatch.setattr(curves_module, "_speed_profile", speed_profile)
+    with pytest.raises(Sampled):
+        validate_jordan(cubic_blob(512), h=1e-3)
 
 
 SCALES = [10.0**k for k in range(-12, 13, 2)]

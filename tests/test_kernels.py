@@ -495,6 +495,8 @@ _ORACLE_CURVES = sorted(FIXTURES) + ["blob64"]
 def _oracle_curve(name):
     if name == "blob64":
         spec = cubic_blob(64)
+    elif name == "blob512":
+        spec = cubic_blob(512)
     elif name == "comb":
         spec = comb()
     else:
@@ -577,6 +579,74 @@ def test_threshold_check_catches_a_stop_rule_off_by_one_ulp(monkeypatch, side):
     pts = np.concatenate(_query_points(ci, spec))
     monkeypatch.setattr(_kernels, "_stopped", _stop_rule_off_by_one_ulp(side))
     assert _threshold_mismatches(ci, pts) > 0
+
+
+_LEAST_CURVES = _ORACLE_CURVES + ["blob512"]
+
+
+def _assert_least_is_the_full_minimum(ci, pts):
+    """``least_distance`` is the full query's least ``lo`` bit for bit; the
+    kernel's other entries are lower bounds of the full ``lo``."""
+
+    full, _ = ci.distance_batch(pts)
+    lo, _ = _kernels.carrier_batch(
+        ci.kinds, ci.data, None, None, pts, ci.geometry, least=True
+    )
+    assert ci.least_distance(pts) == full.min()
+    assert lo.min() == full.min()
+    assert np.all(lo <= full)
+
+
+def _least_sets(ci, spec, seed):
+    """One point; seeded sets of 1-400 points as scatter and on a line
+    across the padded bounding box; points next to the carrier, each
+    twice, with a scatter set."""
+
+    x0, y0, x1, y1 = ci.bbox
+    pad = 0.2 * ci.diam
+    lo, hi = (x0 - pad, y0 - pad), (x1 + pad, y1 + pad)
+    rng = np.random.default_rng(seed)
+    sets = [rng.uniform(lo, hi, size=(1, 2))]
+    for n in rng.integers(1, 401, size=6):
+        sets.append(rng.uniform(lo, hi, size=(n, 2)))
+        a, b = rng.uniform(lo, hi, size=(2, 2))
+        sets.append(a + np.linspace(0.0, 1.0, n)[:, None] * (b - a))
+    near = spec.points(rng.uniform(spec.a, spec.b, 40))
+    near += 1e-6 * ci.diam * rng.normal(size=near.shape)
+    sets.append(np.concatenate([near, sets[1], near[::-1]]))
+    return sets
+
+
+@pytest.mark.parametrize("name", _LEAST_CURVES)
+def test_least_distance_is_the_full_minimum(name):
+    ci, spec = _oracle_curve(name)
+    for pts in _least_sets(ci, spec, seed=len(name)):
+        _assert_least_is_the_full_minimum(ci, pts)
+
+
+def test_least_distance_on_exact_ties():
+    # the circle fixture is the unit circle: points on the concentric
+    # circles of radius 2 and 1/2 tie exactly on the axes
+    ci, _ = _oracle_curve("circle")
+    ang = np.linspace(0.0, TWO_PI, 37)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    for r in (2.0, 0.5):
+        ring = r * np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = np.concatenate([ring, r * axes])
+        assert np.count_nonzero(ci.distance_batch(pts)[0] == abs(r - 1.0)) >= 4
+        _assert_least_is_the_full_minimum(ci, pts)
+
+
+def test_least_distance_carries_its_bound_across_point_blocks(monkeypatch):
+    ci, spec = _oracle_curve("blob512")
+    pts = np.concatenate(_least_sets(ci, spec, seed=5))
+    assert len(_kernels._point_blocks(pts.shape[0], ci.kinds.shape[0])) >= 4
+    _assert_least_is_the_full_minimum(ci, pts)
+    # blocks of a few points each, on a curve of a few pieces
+    monkeypatch.setattr(_kernels, "_PAIR_BLOCK", 64)
+    ci, spec = _oracle_curve("kidney")
+    for pts in _least_sets(ci, spec, seed=6):
+        _assert_least_is_the_full_minimum(ci, pts)
 
 
 def _cut_sizes(cubics, pts):
