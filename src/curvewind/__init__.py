@@ -2,7 +2,7 @@
 
 Curves are chains of line, circular-arc, and cubic pieces.  After
 validation, points are classified inside/outside by two independent
-oracles (winding number and ray-crossing parity) that must agree; clear
+oracles (winding number and signed ray-crossing count) that must agree; clear
 polygonal joins certify same-region connectivity.
 """
 

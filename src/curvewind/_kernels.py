@@ -139,16 +139,10 @@ _HYPOT_FLOOR = 2.0**-1020
 def _angle_in_sweep(a0, sweep, theta):
     """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
 
-    if sweep > 0.0:
-        delta = (theta - a0) % TWO_PI
-        if delta <= sweep + _SWEEP_TOL:
-            u = delta / sweep
-            return u if u < 1.0 else 1.0
-        return -1.0
-    delta = (a0 - theta) % TWO_PI
-    if delta <= -sweep + _SWEEP_TOL:
-        u = delta / (-sweep)
-        return u if u < 1.0 else 1.0
+    delta = (theta - a0 if sweep > 0.0 else a0 - theta) % TWO_PI
+    span = abs(sweep)
+    if delta <= span + _SWEEP_TOL:
+        return min(delta / span, 1.0)
     return -1.0
 
 
@@ -696,20 +690,28 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
 
 
 def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
-    """Tighten ``best_hi``/``lo_acc`` in place by the cubic pieces.
+    """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
-    The cubics' start points lower ``best_hi``, then ``_refine_cubics``
-    finishes.  With a stop rule ``stop`` (``_stopped`` or
-    ``_least_stopped`` bound to these points, taking their envelopes), the
-    level-0 control boxes give every point an envelope, and points the
-    rule stops on it skip the refinement.
+    The cubics' start points lower ``best_hi`` first.  Level 0 is the
+    cubics' own control boxes, measured once over every (point, cubic)
+    pair from the run tree's first nodes.  With a stop rule ``stop``
+    (``_stopped`` or ``_least_stopped`` bound to these points, taking their
+    envelopes), those boxes give every point an envelope, and points the
+    rule stops on it skip the refinement.  The pairs whose box distance is
+    below ``best_hi`` then refine together, one level per step: a node is
+    finished when its box is small next to its distance, or at the last
+    level, and then lowers ``lo_acc`` to that distance; the halves of the
+    others are measured for the next level, and each right half's start
+    point, which lies on the curve, lowers ``best_hi``.  With ``stop``, a
+    point leaves the loop as soon as the rule stops it.
     """
 
     qq = q[:, :, None]
     nc = geo.ctl.shape[2]
-    d = np.maximum(geo.node_lo[:, None, :nc] - qq, qq - geo.node_hi[:, None, :nc])
-    np.maximum(d, 0.0, out=d)
-    db = np.hypot(d[0], d[1])
+    lo, hi = geo.node_lo[:, :nc], geo.node_hi[:, :nc]
+    gap = np.maximum(lo[:, None, :] - qq, qq - hi[:, None, :])
+    np.maximum(gap, 0.0, out=gap)
+    db = np.hypot(gap[0], gap[1])
     d = qq - geo.ctl[0][:, None, :]
     np.minimum(best_hi, np.hypot(d[0], d[1]).min(axis=1), out=best_hi)
     todo = np.arange(q.shape[1])
@@ -717,34 +719,16 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
         todo = (~stop(np.minimum(lo_acc, db.min(axis=1)))).nonzero()[0]
         if not todo.size:
             return
-    _refine_cubics(geo, q, db, todo, best_hi, lo_acc, stop)
-
-
-def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, stop):
-    """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
-
-    The (point, cubic) pairs of the points ``todo`` whose control box
-    distance ``db`` is below ``best_hi`` refine together, one level per
-    step; their start points have lowered ``best_hi`` already.  A node is
-    finished when its box is small next to its distance, or at the last
-    level, and then lowers ``lo_acc`` to that distance.  With ``stop``, a
-    point leaves the loop as soon as the stop rule stops it.
-    """
-
-    i, piece = np.nonzero(db[todo] < best_hi[todo, None])
-    idx = todo[i]
-    ctl = geo.ctl.take(piece, axis=2)
-    fresh = idx.size
+    db = db[todo]
+    near = db < best_hi[todo, None]
+    i, col = near.nonzero()
+    idx, db = todo[i], db[near]
+    ext = hi - lo
+    diag = np.hypot(ext[0], ext[1])[col]
+    node = geo.ctl
     for level in range(_REFINE_LEVELS):
-        qn = q.take(idx, axis=1)
-        lo, hi, gap = _node_gaps(ctl, qn)
-        db = np.hypot(gap[0], gap[1])
-        # a start point lies on the curve; a left half keeps its parent's
-        d0 = qn[:, fresh:] - ctl[0, :, fresh:]
-        np.minimum.at(best_hi, idx[fresh:], np.hypot(d0[0], d0[1]))
         live = db < best_hi[idx]
-        ext = hi - lo
-        done = np.hypot(ext[0], ext[1]) <= _REFINE_REL_TOL * db + 1e-15
+        done = diag <= _REFINE_REL_TOL * db + 1e-15
         if level == _REFINE_LEVELS - 1:
             done[:] = True
         np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))
@@ -755,10 +739,18 @@ def _refine_cubics(geo, q, db, todo, best_hi, lo_acc, stop):
             keep = keep[~stop(env)[idx[keep]]]
         if not keep.size:
             break
-        fresh = keep.size
-        idx = idx[keep]
-        idx = np.concatenate([idx, idx])
-        ctl = _split(ctl.take(keep, axis=2))
+        # the next level: both halves of each kept node, left halves first
+        node = _split(node.take(col[keep], axis=2))
+        idx = np.concatenate([idx[keep], idx[keep]])
+        col = np.arange(idx.size)
+        qn = q.take(idx, axis=1)
+        lo, hi, gap = _node_gaps(node, qn)
+        db = np.hypot(gap[0], gap[1])
+        ext = hi - lo
+        diag = np.hypot(ext[0], ext[1])
+        # a left half keeps its parent's start point
+        d0 = qn[:, keep.size :] - node[0, :, keep.size :]
+        np.minimum.at(best_hi, idx[keep.size :], np.hypot(d0[0], d0[1]))
 
 
 def _scan_blocks(n):

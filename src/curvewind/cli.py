@@ -192,39 +192,31 @@ def _point_pair(parser, flag, **kw):
     parser.add_argument(flag, nargs=2, type=_finite_float, metavar=("X", "Y"), **kw)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _number(text: str, ok, what: str) -> float:
-    value = float(text)
+def _number(text: str, ok, what: str, cast):
+    value = cast(text)
     if not ok(value):
         raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
     return value
 
 
+def _positive_int(text: str) -> int:
+    return _number(text, lambda v: v > 0, "a positive integer", int)
+
+
+def _non_negative_int(text: str) -> int:
+    return _number(text, lambda v: v >= 0, "a non-negative integer", int)
+
+
 def _finite_float(text: str) -> float:
-    return _number(text, math.isfinite, "a finite number")
+    return _number(text, math.isfinite, "a finite number", float)
 
 
 def _positive_float(text: str) -> float:
-    return _number(text, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+    return _number(text, lambda v: 0.0 < v < math.inf, "a finite positive number", float)
 
 
 def _finite_non_negative_float(text: str) -> float:
-    return _number(
-        text, lambda v: math.isfinite(v) and v >= 0.0, "a finite non-negative number"
-    )
+    return _number(text, lambda v: 0.0 <= v < math.inf, "a finite non-negative number", float)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,10 +50,10 @@ __all__ = [
     "curve_from_json",
 ]
 
-# joint and closure gaps are measured against these times the diameter of
-# the pieces' bounding box, so a certificate means the same at any scale
+# joint gaps are measured against this times the diameter of the pieces'
+# bounding box, so a certificate means the same at any scale; closure is
+# the joint from the last piece back to the first
 JOINT_TOL = 1e-9
-CLOSURE_TOL = 1e-9
 # parameters this many interval lengths past an end still evaluate there
 EVAL_TOL = 1e-12
 
@@ -67,11 +67,9 @@ _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 # validation takes at most this many samples (64 MB of points): eight times
 # a 512-piece curve on a unit interval per piece at the default h
 _MAX_SAMPLES = 1 << 22
+# the carrier diameter is the largest distance among this many points:
+# every n-th of the centres of this many equal steps of each of n pieces
 _SAMPLES_PER_PIECE = 512
-# the diameter's points sit at the centres of equal steps of each piece
-_SAMPLE_US = (np.arange(_SAMPLES_PER_PIECE) + 0.5) / _SAMPLES_PER_PIECE
-# the carrier diameter is the largest distance among this many samples
-_DIAM_SAMPLES = 512
 
 
 def _row_points(kinds, data, piece, u):
@@ -161,7 +159,7 @@ class CurveSpec:
 
     @property
     def closure_tol(self) -> float:
-        return CLOSURE_TOL * self._extent()
+        return JOINT_TOL * self._extent()
 
     @property
     def is_closed(self) -> bool:
@@ -315,8 +313,10 @@ class CarrierIndex:
     ``_REFINE_REL_TOL`` times the lower bound, plus round-off.
     ``distance`` and ``distance_batch`` run the same kernel,
     ``_kernels.carrier_batch``, so one point gets one answer either way.
-    The kernel's per-curve arrays, ``geometry``, are built on the first
-    query and kept: validation never queries.
+    ``build`` only wraps the flattened pieces and their bbox.  The
+    kernel's per-curve arrays, ``geometry``, and the length scale ``diam``
+    are each computed on the first read and kept: validation reads
+    neither.
 
     A caller that only asks whether the distance is at least some ``need``
     passes it, and each point stops refining once the answer is certain:
@@ -337,22 +337,13 @@ class CarrierIndex:
     kinds: np.ndarray
     data: np.ndarray
     bbox: tuple[float, float, float, float]
-    diam: float
 
     @classmethod
     def build(cls, spec: CurveSpec) -> "CarrierIndex":
         """The index of ``spec``."""
 
         kinds, data = spec._rows
-        # the diameter is taken over every stride-th of the points at the
-        # _SAMPLE_US of each piece, found without building the rest
-        total = spec.n_pieces * _SAMPLES_PER_PIECE
-        sub = np.arange(0, total, max(1, total // _DIAM_SAMPLES))
-        piece, k = np.divmod(sub, _SAMPLES_PER_PIECE)
-        pts = _row_points(kinds, data, piece, _SAMPLE_US[k])
-        return cls(
-            kinds=kinds, data=data, bbox=spec.bbox, diam=_kernels.diameter(pts)
-        )
+        return cls(kinds=kinds, data=data, bbox=spec.bbox)
 
     def distance(self, z, need: float | None = None) -> tuple[float, float]:
         """Certified [lower, upper] enclosure of the distance to the carrier,
@@ -387,8 +378,17 @@ class CarrierIndex:
     def geometry(self) -> _kernels.CarrierGeometry:
         """The kernels' per-curve arrays (``_kernels.carrier_geometry``)."""
 
-        # built on the first query, not in build(): validation never queries
         return _kernels.carrier_geometry(self.kinds, self.data)
+
+    @functools.cached_property
+    def diam(self) -> float:
+        """The curve's length scale, the farthest pair of the points that
+        ``_SAMPLES_PER_PIECE`` describes."""
+
+        s = _SAMPLES_PER_PIECE
+        piece, k = divmod(np.arange(s) * self.kinds.shape[0], s)
+        pts = _row_points(self.kinds, self.data, piece, (k + 0.5) / s)
+        return _kernels.diameter(pts)
 
     def max_radius(self) -> float:
         """Upper bound for max |z| over the carrier, from the pieces.
@@ -440,9 +440,6 @@ class JordanCurve:
 
     def deriv(self, t: float, side: str = "right") -> Point:
         return self.spec.deriv(t, side)
-
-    def carrier_distance(self, z) -> tuple[float, float]:
-        return self.carrier.distance(z)
 
     def diameter(self) -> float:
         return self.carrier.diam

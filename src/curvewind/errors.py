@@ -77,7 +77,8 @@ class PointTooClose(CurveError):
 
 
 class BudgetNotMet(CurveError):
-    """Adaptive refinement hit its cap before meeting the error budget."""
+    """A winding integral is not certified: its distance to the nearest
+    integer plus its round-off budget reaches the residual limit."""
 
 
 class DegenerateRay(CurveError):
@@ -90,15 +91,16 @@ class DegenerateRay(CurveError):
 
 
 class OracleDisagreement(CurveError):
-    """Winding number and crossing parity disagree.  Never suppressed."""
+    """Winding number and signed ray-crossing count disagree, or are not
+    0 or +-1.  Never suppressed."""
 
     def __init__(self, point, winding, crossing_index: int):
         self.point = point
         self.winding = winding
         self.crossing_index = crossing_index
         super().__init__(
-            f"winding rounded to {winding.rounded} but crossing parity is "
-            f"{crossing_index} at point ({point[0]!r}, {point[1]!r})"
+            f"winding rounded to {winding.rounded} but the signed crossing "
+            f"count is {crossing_index} at point ({point[0]!r}, {point[1]!r})"
         )
 
 

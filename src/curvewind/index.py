@@ -5,9 +5,12 @@ result to an integer winding number.  Lines and arcs contribute in closed
 form, one chord log each (an arc adds a whole turn for points between it
 and its chord), and cubics are subdivided until each node's chord log is
 exact, so the only error is float round-off tracked in ``error_budget``.
-The second oracle counts transversal crossings of a ray from p and
-reduces mod 2; a ray that meets a joint, grazes a piece or runs along one
-counts nothing and is retried in the next golden-angle direction.
+The second oracle counts transversal crossings of a ray from p, each
+signed by the side the curve crosses to; a ray that meets a joint, grazes
+a piece or runs along one counts nothing and is retried in the next
+golden-angle direction.  The index changes by exactly the sign at each
+crossing (the paper's Proposition jun04p1), so the signed count along a
+ray to infinity is the winding number itself, not only its parity.
 ``classify`` runs both and raises :class:`OracleDisagreement` on any
 mismatch rather than guessing.
 """
@@ -102,13 +105,15 @@ class WindingResult:
 
 @dataclass(frozen=True, slots=True)
 class CrossingRecord:
-    """One transversal ray/carrier crossing."""
+    """One transversal ray/carrier crossing; ``sign`` is +1 where the curve
+    crosses the ray from its right to its left, and -1 the other way."""
 
     t: float
     piece: int
     u: float
     point: tuple[float, float]
     angle: float
+    sign: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,7 +252,7 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
                 f"grazing hit: tangent within {angle:.2e} rad of the ray"
             )
         hit = (p.x + t * vx, p.y + t * vy)
-        records.append(CrossingRecord(t, piece, u, hit, angle))
+        records.append(CrossingRecord(t, piece, u, hit, angle, 1 if cross > 0.0 else -1))
 
     return tuple(records)
 
@@ -271,10 +276,11 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
     """Classify z inside/outside/near-carrier with both oracles in agreement.
 
     Rays start along +x and rotate by the golden angle on each degenerate
-    retry.  Any winding/parity mismatch raises :class:`OracleDisagreement`;
-    it is never downgraded to a verdict.  ``eps_band`` defaults to
-    ``jc.default_eps_band()``; a band that is not finite and non-negative
-    raises ValueError.
+    retry.  A signed crossing count other than the rounded winding, or
+    than 0 or +-1 (a Jordan curve's index), raises
+    :class:`OracleDisagreement`; it is never downgraded to a verdict.
+    ``eps_band`` defaults to ``jc.default_eps_band()``; a band that is not
+    finite and non-negative raises ValueError.
     """
 
     p = as_point(z)
@@ -315,13 +321,13 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             last = exc
     else:
         raise last
-    parity = len(records) % 2
-    if abs(wind.rounded) != parity:
-        raise OracleDisagreement((p.x, p.y), wind, parity)
+    signed = sum(r.sign for r in records)
+    if signed != wind.rounded or abs(signed) > 1:
+        raise OracleDisagreement((p.x, p.y), wind, signed)
 
     return Classification(
         point=wind.point,
-        verdict=Verdict.INSIDE if parity == 1 else Verdict.OUTSIDE,
+        verdict=Verdict.INSIDE if signed else Verdict.OUTSIDE,
         winding=wind,
         crossings=records,
         rays_tried=k + 1,

@@ -173,6 +173,30 @@ def test_validation_builds_no_carrier_samples():
     assert "geometry" in jc.carrier.__dict__
 
 
+# pinned jc.diameter() floats: taking the diameter on its first read must
+# not move them
+_DIAMETERS = {"circle": 2.0, "kidney": 2.0094680040252952}
+
+
+def test_validation_takes_no_diameter(monkeypatch):
+    def refuse(pts):
+        raise AssertionError("validation computed the diameter")
+
+    monkeypatch.setattr(_kernels, "diameter", refuse)
+    valid = {}
+    for name in FIXTURES:
+        try:
+            valid[name] = validate_jordan(fixture(name), h=1e-3)
+        except J1Failure:
+            assert name == "figure-eight"
+    assert sorted(valid) == sorted(GOOD_FIXTURES)
+    assert not any("diam" in jc.carrier.__dict__ for jc in valid.values())
+    monkeypatch.undo()
+    for name, diam in _DIAMETERS.items():
+        assert valid[name].diameter() == diam
+    assert "diam" in valid["circle"].carrier.__dict__
+
+
 def _dense_diameter(pts):
     d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
     return float(np.sqrt(d2.max()))

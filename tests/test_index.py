@@ -8,6 +8,7 @@ from curvewind import (
     Affine,
     BudgetNotMet,
     DegenerateRay,
+    OracleDisagreement,
     PointTooClose,
     Verdict,
     boundary_witnesses,
@@ -23,6 +24,7 @@ from curvewind import (
     validate_jordan,
     winding_number,
 )
+from curvewind import _kernels
 from curvewind.curves import CurveSpec
 from curvewind.fixtures import kidney, rounded_square
 from curvewind.geometry import Point
@@ -95,6 +97,48 @@ def test_classify_agrees_on_grids(curves):
                 assert abs(c.winding.rounded) == c.crossing_parity
                 inside += c.verdict is Verdict.INSIDE
         assert 0 < inside < 21 * 21, name
+
+
+def _first_inside(jc):
+    x0, y0, x1, y1 = jc.carrier.bbox
+    for x in np.linspace(x0, x1, 9)[1:-1]:
+        for y in np.linspace(y0, y1, 9)[1:-1]:
+            c = classify(jc, (float(x), float(y)))
+            if c.verdict is Verdict.INSIDE:
+                return c
+    raise AssertionError("no inside point on the grid")
+
+
+def test_signed_crossings_are_the_winding(curves):
+    # along a ray to infinity the signed crossing count is the index itself,
+    # on counterclockwise curves and on the kidney reflected to clockwise
+    jcs = dict(curves)
+    jcs["kidney-cw"] = transform_curve(curves["kidney"], Affine.reflection_x())
+    rng = np.random.default_rng(53)
+    for name, jc in jcs.items():
+        assert _first_inside(jc).orientation == (-1 if name == "kidney-cw" else 1)
+        for _, c in sample_classified(jc, 60, rng):
+            assert {r.sign for r in c.crossings} <= {-1, 1}, name
+            assert sum(r.sign for r in c.crossings) == c.winding.rounded, name
+
+
+@pytest.mark.parametrize("name", GOOD_FIXTURES)
+def test_negated_winding_is_a_disagreement(curves, name, monkeypatch):
+    # a winding kernel that negates every total keeps |w| and the parity, so
+    # only the signed crossing count can catch it
+    jc = curves[name]
+    c = _first_inside(jc)
+    wind = _kernels.winding_batch
+
+    def negated(kinds, geo, pts):
+        total, nodes, status = wind(kinds, geo, pts)
+        return -total, nodes, status
+
+    monkeypatch.setattr(_kernels, "winding_batch", negated)
+    with pytest.raises(OracleDisagreement) as exc:
+        classify(jc, c.point)
+    assert exc.value.winding.rounded == -c.winding.rounded
+    assert exc.value.crossing_index == c.winding.rounded
 
 
 def test_classify_near_carrier_band(curves):
@@ -196,7 +240,7 @@ def test_region_distance_matches_carrier_distance(curves):
     grid = region_grid(jc, res)
     for p in [(0.1, 0.05), (-0.4, -0.2), (2.0, 1.2), (-1.8, 0.6)]:
         d = region_distance(jc, p, "opposite", resolution=res, grid=grid)
-        lo, hi = jc.carrier_distance(p)
+        lo, hi = jc.carrier.distance(p)
         assert abs(d - 0.5 * (lo + hi)) <= 2.0 * res
 
 

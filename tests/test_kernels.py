@@ -38,6 +38,9 @@ from curvewind.pieces import (
 from conftest import comb, piece_points
 
 TWO_PI = 2.0 * math.pi
+# the status the old-kernel oracles below return when a refinement runs out
+# of levels; the kernels themselves no longer return it
+NODE_LIMIT = 2
 
 
 def _rows(pieces):
@@ -300,7 +303,7 @@ def _winding_batch_oracle(kinds, data, pts):
                 ulo = np.concatenate([ulo[rest], mid])
                 uhi = np.concatenate([mid, uhi[rest]])
             else:
-                status[idx] = _kernels.NODE_LIMIT
+                status[idx] = NODE_LIMIT
         else:
             ctrl = row[:8].astype(complex)
             ctrl = ctrl[0::2] + 1j * ctrl[1::2]
@@ -347,7 +350,7 @@ def _winding_batch_oracle(kinds, data, pts):
                     [0.5 * widths[rest], 0.5 * widths[rest]]
                 )
             else:
-                status[idx] = _kernels.NODE_LIMIT
+                status[idx] = NODE_LIMIT
     return total, nodes, status
 
 
@@ -948,8 +951,41 @@ _STACK_CAP = 256
 _HIT_CAP = 256
 _BRACKET_WIDTH = _kernels._BRACKET_WIDTH
 _ROOT_TOL = _kernels._ROOT_TOL
-_angle_in_sweep = _kernels._angle_in_sweep
-OK, ON_CARRIER, NODE_LIMIT = _kernels.OK, _kernels.ON_CARRIER, _kernels.NODE_LIMIT
+OK, ON_CARRIER = _kernels.OK, _kernels.ON_CARRIER
+
+
+def _angle_in_sweep(a0, sweep, theta):
+    """The arc-sweep rule with one branch per sweep sign."""
+
+    tol = _kernels._SWEEP_TOL
+    if sweep > 0.0:
+        delta = (theta - a0) % TWO_PI
+        if delta <= sweep + tol:
+            u = delta / sweep
+            return u if u < 1.0 else 1.0
+        return -1.0
+    delta = (a0 - theta) % TWO_PI
+    if delta <= -sweep + tol:
+        u = delta / (-sweep)
+        return u if u < 1.0 else 1.0
+    return -1.0
+
+
+def test_angle_in_sweep_matches_the_two_branch_rule():
+    rng = np.random.default_rng(61)
+    n = 20000
+    a0 = rng.uniform(-10.0, 10.0, n)
+    sweep = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-9, TWO_PI, n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    # exact ends, ends within the tolerance and ends wrapped into (-pi, pi]
+    end = a0 + sweep
+    theta[:4000] = a0[:4000]
+    theta[4000:8000] = end[4000:8000]
+    theta[8000:10000] = end[8000:10000] + rng.uniform(-2e-12, 2e-12, 2000)
+    theta[10000:12000] = np.arctan2(np.sin(end[10000:12000]), np.cos(end[10000:12000]))
+    for args in zip(a0.tolist(), sweep.tolist(), theta.tolist()):
+        assert _kernels._angle_in_sweep(*args) == _angle_in_sweep(*args)
+    assert _kernels._angle_in_sweep(0.0, 1.0, math.nan) == -1.0
 
 
 def _bern3(f0, f1, f2, f3, u):
@@ -1189,7 +1225,7 @@ def test_ray_hits_match_stack_kernel_oracle(name):
         want_n, want_status = _ray_hits_oracle(
             ci.kinds, ci.data, px, py, vx, vy, rows, t_min
         )
-        assert want_status != _kernels.NODE_LIMIT
+        assert want_status != NODE_LIMIT
         assert type(n) is int
         assert (n, status) == (want_n, want_status)
         assert hits == [
