@@ -17,8 +17,8 @@ over all (point, piece) pairs, cubics refine all their (point, piece)
 pairs of a block of points together, one subdivision level per step (in
 the winding kernel only the pairs that the run tree below leaves open),
 and ``carrier_dist_point`` is ``carrier_batch`` on one point.  The sample-pair
-kernels (``pair_scan``, ``polyline_crossing``, ``diameter``) run over the
-sample pairs of many blocks at once.
+kernels (``pair_scan``, ``polyline_crossing``) run over the sample pairs
+of many blocks at once.
 
 Threshold carrier queries: most callers of ``carrier_batch`` only ask
 whether a point's distance is at least some ``need``, as in Bishop's
@@ -126,8 +126,6 @@ _SCAN_BLOCK = 32
 # block pairs per vectorised step, and block pairs filtered to find them
 _SCAN_STEP = 32
 _SCAN_WINDOW = 2048
-# block pairs per vectorised step of the diameter's branch and bound
-_DIAM_STEP = 8
 # the scan picks minima on squared chords and takes hypot only on pairs
 # whose square is within this factor, plus _SQ_ABS, of the least square
 _SQ_REL = 1.0 + 1e-13
@@ -1031,40 +1029,6 @@ def _chords(I, J, x, y, slabs, mask):
     s, r, c = f // (bs * bs), f // bs % bs, f % bs
     i, j = I[slabs[s], r], J[slabs[s], c]
     return s, i, j, np.hypot(x[j] - x[i], y[j] - y[i])
-
-
-def diameter(pts) -> float:
-    """The largest distance between two rows of ``pts``, as the float
-    sqrt(max((x_i - x_j)**2 + (y_i - y_j)**2)) over all pairs.
-
-    Branch and bound over the blocks of ``_scan_blocks``, the
-    farthest-pair form of the chord scan.  A block pair's bound applies
-    the same formula to the widest axis spans of the two boxes; float
-    subtraction, squaring and addition are monotone, so the bound is at
-    least every square computed between the two blocks.  Block pairs are
-    taken in order of decreasing bound, and the rest are skipped once the
-    bound is no larger than the largest square found.
-    """
-
-    idx = _scan_blocks(pts.shape[0])
-    x, y = pts[idx, 0], pts[idx, 1]
-    x0, x1 = x.min(axis=1), x.max(axis=1)
-    y0, y1 = y.min(axis=1), y.max(axis=1)
-    P, Q = np.triu_indices(idx.shape[0])
-    gx = np.maximum(x1[Q] - x0[P], x1[P] - x0[Q])
-    gy = np.maximum(y1[Q] - y0[P], y1[P] - y0[Q])
-    bound = gx * gx + gy * gy
-    order = np.argsort(-bound, kind="stable")
-    best = 0.0
-    for s in range(0, order.size, _DIAM_STEP):
-        k = order[s : s + _DIAM_STEP]
-        k = k[bound[k] > best]
-        if not k.size:
-            break
-        dx = x[P[k]][:, :, None] - x[Q[k]][:, None, :]
-        dy = y[P[k]][:, :, None] - y[Q[k]][:, None, :]
-        best = max(best, float((dx * dx + dy * dy).max()))
-    return math.sqrt(best)
 
 
 def polyline_crossing(xy):

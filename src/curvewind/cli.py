@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 validation or domain failure, 3 parse failure,
-4 oracle disagreement.  All output is deterministic for a given input:
-reruns produce byte-identical bytes.
+Exit codes: 0 success, 2 validation or domain failure or an out-of-range
+number, 3 parse failure, 4 oracle disagreement.  All output is
+deterministic for a given input: reruns produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -303,7 +303,9 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except CurveError as exc:
+    except (CurveError, ValueError) as exc:
+        # ValueError: a number the library refuses, such as a resolution
+        # that takes too many samples or a grid of too many cells
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

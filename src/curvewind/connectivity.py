@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import JordanCurve
+from .curves import JordanCurve, _grid_size
 from .errors import NoPathAtResolution, PointTooClose
 from .geometry import Point, as_point
 
@@ -63,8 +63,9 @@ class ClearanceGrid:
     ) -> "ClearanceGrid":
         """The grid of cells of side ``h`` over ``bbox`` (the carrier's
         bounding box, padded, by default).  Raises ValueError for a
-        clearance that is not finite and non-negative or a cell size h
-        that is not finite and positive."""
+        clearance that is not finite and non-negative, a cell size h
+        that is not finite and positive, or more than
+        ``curves._MAX_GRID_CELLS`` cells."""
 
         _check_clearance_and_cell(clearance, h)
         if bbox is None:
@@ -72,8 +73,9 @@ class ClearanceGrid:
             pad = clearance + 4.0 * h
             bbox = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
         x0, y0, x1, y1 = bbox
-        nx = max(int(math.ceil((x1 - x0) / h)), 2)
-        ny = max(int(math.ceil((y1 - y0) / h)), 2)
+        nx, ny = _grid_size(
+            max(np.ceil((x1 - x0) / h), 2.0), max(np.ceil((y1 - y0) / h), 2.0)
+        )
         xs = x0 + h * (np.arange(nx) + 0.5)
         ys = y0 + h * (np.arange(ny) + 0.5)
         gx, gy = np.meshgrid(xs, ys)

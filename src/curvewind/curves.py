@@ -67,6 +67,9 @@ _DEFAULT_EPS_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 # validation takes at most this many samples (64 MB of points): eight times
 # a 512-piece curve on a unit interval per piece at the default h
 _MAX_SAMPLES = 1 << 22
+# region and clearance grids take at most this many cells (256 MB of
+# centres)
+_MAX_GRID_CELLS = 1 << 24
 # the carrier diameter is the largest distance among this many points:
 # every n-th of the centres of this many equal steps of each of n pieces
 _SAMPLES_PER_PIECE = 512
@@ -241,6 +244,19 @@ class CurveSpec:
         return math.hypot(x1 - x0, y1 - y0)
 
 
+def _grid_size(nx: float, ny: float) -> tuple[int, int]:
+    """A grid's side lengths in cells, counted in floats that may be inf,
+    as ints; ValueError when the grid has more than ``_MAX_GRID_CELLS``
+    cells, before anything is built for it."""
+
+    if not nx * ny <= _MAX_GRID_CELLS:
+        raise ValueError(
+            f"a grid of {nx:.4g} by {ny:.4g} cells has more than "
+            f"{_MAX_GRID_CELLS} cells"
+        )
+    return int(nx), int(ny)
+
+
 def lin(z1, z2) -> CurveSpec:
     """The linear path from z1 to z2 on [0, 1]."""
 
@@ -316,7 +332,8 @@ class CarrierIndex:
     ``build`` only wraps the flattened pieces and their bbox.  The
     kernel's per-curve arrays, ``geometry``, and the length scale ``diam``
     are each computed on the first read and kept: validation reads
-    neither.
+    neither.  ``diam`` is a plain maximum over all pairs of a fixed
+    sub-sample of 512 curve points, about a millisecond per curve.
 
     A caller that only asks whether the distance is at least some ``need``
     passes it, and each point stops refining once the answer is certain:
@@ -382,13 +399,18 @@ class CarrierIndex:
 
     @functools.cached_property
     def diam(self) -> float:
-        """The curve's length scale, the farthest pair of the points that
-        ``_SAMPLES_PER_PIECE`` describes."""
+        """The curve's length scale: the float sqrt(max((x_i - x_j)**2 +
+        (y_i - y_j)**2)) over the pairs i <= j of the points that
+        ``_SAMPLES_PER_PIECE`` describes, 64 rows of pairs at a time."""
 
         s = _SAMPLES_PER_PIECE
         piece, k = divmod(np.arange(s) * self.kinds.shape[0], s)
-        pts = _row_points(self.kinds, self.data, piece, (k + 0.5) / s)
-        return _kernels.diameter(pts)
+        x, y = _row_points(self.kinds, self.data, piece, (k + 0.5) / s).T
+        sq = 0.0
+        for i in range(0, s, 64):
+            dx, dy = x[i : i + 64, None] - x[i:], y[i : i + 64, None] - y[i:]
+            sq = max(sq, float((dx * dx + dy * dy).max()))
+        return math.sqrt(sq)
 
     def max_radius(self) -> float:
         """Upper bound for max |z| over the carrier, from the pieces.
@@ -635,6 +657,18 @@ def _parse_num(val, where: str) -> float:
     return float(val)
 
 
+# the JSON keys of a line and an arc, in the order of the piece's
+# arguments: (key, parser, piece attribute); a cubic is its list of four
+# control points under "points"
+_SCHEMA = {
+    "line": (LinePiece, (("from", _parse_xy, "start"), ("to", _parse_xy, "end"))),
+    "arc": (ArcPiece, (("center", _parse_xy, "center"),
+                       ("radius", _parse_num, "radius"),
+                       ("start_angle", _parse_num, "start_angle"),
+                       ("sweep", _parse_num, "sweep"))),
+}
+
+
 def curve_from_dict(obj) -> CurveSpec:
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
@@ -648,21 +682,11 @@ def curve_from_dict(obj) -> CurveSpec:
             raise ParseError("piece must be an object", where)
         kind = item.get("type")
         try:
-            if kind == "line":
+            # a list or object "type" is no key of the table
+            if isinstance(kind, str) and kind in _SCHEMA:
+                cls, fields = _SCHEMA[kind]
                 pieces.append(
-                    LinePiece(
-                        _parse_xy(item.get("from"), where + ".from"),
-                        _parse_xy(item.get("to"), where + ".to"),
-                    )
-                )
-            elif kind == "arc":
-                pieces.append(
-                    ArcPiece(
-                        _parse_xy(item.get("center"), where + ".center"),
-                        _parse_num(item.get("radius"), where + ".radius"),
-                        _parse_num(item.get("start_angle"), where + ".start_angle"),
-                        _parse_num(item.get("sweep"), where + ".sweep"),
-                    )
+                    cls(*(parse(item.get(k), f"{where}.{k}") for k, parse, _ in fields))
                 )
             elif kind == "cubic":
                 pts = item.get("points")
@@ -694,28 +718,16 @@ def curve_from_dict(obj) -> CurveSpec:
 def curve_to_dict(spec: CurveSpec) -> dict:
     out = []
     for p in spec.pieces:
-        if isinstance(p, LinePiece):
-            out.append(
-                {
-                    "type": "line",
-                    "from": [p.start.x, p.start.y],
-                    "to": [p.end.x, p.end.y],
-                }
-            )
-        elif isinstance(p, ArcPiece):
-            out.append(
-                {
-                    "type": "arc",
-                    "center": [p.center.x, p.center.y],
-                    "radius": p.radius,
-                    "start_angle": p.start_angle,
-                    "sweep": p.sweep,
-                }
-            )
+        for kind, (cls, fields) in _SCHEMA.items():
+            if isinstance(p, cls):
+                row = {"type": kind}
+                for key, _, attr in fields:
+                    val = getattr(p, attr)
+                    row[key] = [val.x, val.y] if isinstance(val, Point) else val
+                break
         else:
-            out.append(
-                {"type": "cubic", "points": [[q.x, q.y] for q in p.controls()]}
-            )
+            row = {"type": "cubic", "points": [[q.x, q.y] for q in p.controls()]}
+        out.append(row)
     return {"pieces": out}
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .curves import JordanCurve
+from .curves import JordanCurve, _grid_size
 from .errors import (
     BudgetNotMet,
     DegenerateRay,
@@ -157,16 +157,25 @@ class Classification:
         return 0
 
 
-def winding_number(jc: JordanCurve, z, check_distance: bool = True) -> WindingResult:
+def _require_clear(jc: JordanCurve, p: Point) -> None:
+    """Raise PointTooClose unless p has a certified positive clearance."""
+
+    lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
+    if lo <= 0.0:
+        raise PointTooClose(f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier")
+
+
+def winding_number(jc: JordanCurve, z) -> WindingResult:
     """Winding of the curve around z, with a certified round-off budget."""
 
     p = as_point(z)
-    if check_distance:
-        lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
-        if lo <= 0.0:
-            raise PointTooClose(
-                f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier"
-            )
+    _require_clear(jc, p)
+    return _winding(jc, p)
+
+
+def _winding(jc: JordanCurve, p: Point) -> WindingResult:
+    """``winding_number`` at a point whose clearance is already settled."""
+
     pts = np.array([[p.x, p.y]])
     total, nodes, status = _kernels.winding_batch(
         jc.carrier.kinds, jc.carrier.geometry, pts
@@ -263,11 +272,7 @@ def ray_crossing_index(
     """Crossing parity of a single ray; raises DegenerateRay when unsafe."""
 
     p = as_point(z)
-    lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
-    if lo <= 0.0:
-        raise PointTooClose(
-            f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier"
-        )
+    _require_clear(jc, p)
     records = _ray_once(jc, p, as_point(direction))
     return len(records) % 2, records
 
@@ -304,7 +309,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             carrier_bounds=(lo, hi),
         )
 
-    wind = winding_number(jc, p, check_distance=False)
+    wind = _winding(jc, p)
     if not wind.ok:
         raise BudgetNotMet(
             f"winding residual {wind.residual:.3e} + budget "
@@ -393,7 +398,8 @@ def _grid_points(origin, h, shape) -> np.ndarray:
 
 def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     """Sample windings on a grid twice as fine as the requested resolution,
-    which must be finite and positive (ValueError otherwise)."""
+    which must be finite and positive and give at most
+    ``curves._MAX_GRID_CELLS`` points (ValueError otherwise)."""
 
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
@@ -401,8 +407,7 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     x0, y0, x1, y1 = jc.carrier.bbox
     pad = 3.0 * resolution
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
-    nx = int(math.ceil((x1 - x0) / h)) + 1
-    ny = int(math.ceil((y1 - y0) / h)) + 1
+    nx, ny = _grid_size(np.ceil((x1 - x0) / h) + 1, np.ceil((y1 - y0) / h) + 1)
     total, nodes, status = _kernels.winding_batch(
         jc.carrier.kinds, jc.carrier.geometry, _grid_points((x0, y0), h, (ny, nx))
     )

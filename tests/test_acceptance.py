@@ -306,3 +306,43 @@ def test_c9_area_sanity(curves, capsys):
     _line(capsys, 9, ok,
           f"area sanity: inside fraction {frac:.5f} vs pi/16 = {target:.5f} "
           f"({abs(frac - target) / target:.2%} off, tolerance 2%)")
+
+
+def test_c10_index_is_polygon_winding(curves, pools, capsys):
+    """The paper's closing theorem: the index of a point off the carrier is
+    the winding number of any polygon inscribed finely enough.
+
+    At parameter spacing s = c / (2 M), with M = ``deriv_sup``, each edge
+    stays within M s < c of its arc, so the straight-line homotopy from
+    the curve to the polygon misses every point of clearance >= c and
+    keeps its winding.  The polygon's winding is a closed-form sum of
+    principal logs, one per edge.
+    """
+
+    checked = 0
+    vertices = []
+    for name in GOOD_FIXTURES:
+        jc = curves[name]
+        pts, results, _ = pools[name]
+        c = jc.diameter() / 100.0
+        xy = np.array(pts)
+        lo, _ = jc.carrier.distance_batch(xy, c)
+        keep = lo >= c
+        a, b = jc.interval
+        n = int(math.ceil((b - a) * 2.0 * jc.deriv_sup / c))
+        poly = jc.spec.points(a + (b - a) * np.arange(n) / n)
+        v = poly[:, 0] + 1j * poly[:, 1]
+        z = xy[keep, 0] + 1j * xy[keep, 1]
+        want = np.array([r.winding.rounded for r in results])[keep]
+        for s in range(0, z.size, 256):
+            w = v[None, :] - z[s : s + 256, None]
+            turns = np.angle(np.roll(w, -1, axis=1) / w).sum(axis=1) / TWO_PI
+            got = np.rint(turns)
+            assert np.abs(turns - got).max() < 1e-9, name
+            assert (got == want[s : s + 256]).all(), name
+        checked += z.size
+        vertices.append(n)
+    _line(capsys, 10, True,
+          f"index = winding: {checked} points of clearance >= diameter/100 wind "
+          f"around inscribed polygons of {'/'.join(map(str, vertices))} vertices "
+          "as their rounded windings say")

@@ -195,3 +195,22 @@ def test_deterministic_output(circle_file, capsys):
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{}", "--resolution", "1e-9"],
+        ["join", "{}", "--start", "0", "0", "--end", "0.5", "0",
+         "--clearance", "0", "--cell", "1e-6"],
+        ["render", "{}", "--shade", "1000000"],
+    ],
+    ids=["samples", "clearance-grid", "region-grid"],
+)
+def test_out_of_range_numbers_exit_2(circle_file, capsys, argv):
+    # each size check fires before anything is sampled or allocated
+    code = main([a.replace("{}", circle_file) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "more than" in err
+    assert "Traceback" not in err

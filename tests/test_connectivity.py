@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,21 @@ def test_grid_reuse(curves):
     assert j1.gap >= h and j2.gap >= h
     with pytest.raises(ValueError):
         polygonal_join(jc, (0.2, 0.1), (-0.3, -0.1), clearance=2 * h, h=h, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "bbox", [None, (0.0, 0.0, 1.0, float("inf")), (0.0, 0.0, float("nan"), 1.0)]
+)
+def test_grid_refuses_too_many_cells_before_building_them(curves, bbox):
+    # at h = 1e-6 the circle's padded bbox takes about 1.6e13 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 16777216 cells"):
+            ClearanceGrid.build(curves["circle"], 0.0, 1e-6, bbox=bbox)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_mismatched_coverage_rebuilds(curves):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ def test_region_distance_matches_carrier_distance(curves):
 def test_region_grid_rejects_a_non_finite_or_non_positive_resolution(curves, res):
     with pytest.raises(ValueError, match="resolution"):
         region_grid(curves["circle"], res)
+
+
+def test_region_grid_refuses_too_many_points_before_building_them(curves):
+    # at h = 1e-6 the circle's padded bbox takes about 1.6e13 points
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 16777216 cells"):
+            region_grid(curves["circle"], 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_region_distance_same_region_is_zero(curves):
