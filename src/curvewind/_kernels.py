@@ -794,34 +794,26 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     chord is ``np.hypot`` of the coordinate differences, as in a full
     O(n^2) scan, and the outputs equal that scan's bit for bit.
 
-    Branch and bound over blocks of _SCAN_BLOCK consecutive samples, the
-    dual-tree pruning of Gray & Moore ("N-Body Problems in Statistical
-    Learning", NIPS 2000).  Block pairs P <= Q are visited in order of
-    increasing box distance, up to _SCAN_STEP pairs per vectorised step;
-    the sample pairs of one block pair form a slab.  The box distance is
-    rounded down two ulps with ``np.nextafter``: the axis gaps round
-    monotonically and hypot is faithful to an ulp, so the result never
-    exceeds a chord computed between the two blocks.  The block parameter
-    ranges bound each pair's separation and cap the same way.
+    Two branch and bound scans over blocks of _SCAN_BLOCK consecutive
+    samples, the dual-tree pruning of Gray & Moore ("N-Body Problems in
+    Statistical Learning", NIPS 2000), one for ``min_gap`` (J1) and one for
+    the deltas (J2).  Both walk one list of the block pairs P <= Q in order
+    of increasing box distance, up to _SCAN_STEP pairs per vectorised step
+    (``_visit``); the sample pairs of one block pair form a slab.  The box
+    distance is rounded down two ulps with ``np.nextafter``: the axis gaps
+    round monotonically and hypot is faithful to an ulp, so the result
+    never exceeds a chord computed between the two blocks.  The block
+    parameter ranges bound each pair's separation and cap the same way.
 
-    The level minima are kept as suffix minima: ``deltas[k]`` runs over
-    every pair that reaches level k, so it is never above ``deltas[k + 1]``,
-    and the J2 threshold of a block pair is ``deltas`` at the highest level
-    its largest cap reaches.  A block pair is skipped when its box
-    distance is above both
-
-    * the current ``min_gap`` (or the pair holds no pair separated by
-      sep_floor or more), and
-    * its J2 threshold (or it reaches no level).
-
-    A slab chosen by the first bound alone skips the level work, and one
-    chosen by the second alone skips the J1 work.  Level k is updated only
-    from slabs whose box distance is at most ``deltas[k]``; no pair of any
-    other slab can lower it.  A slab whose pairs all pass a test (all
-    separated by sep_floor, or all reaching level k) takes its plain
-    minimum; only the others mask pairs.
-
-    A skipped pair can change neither a minimum nor a tie.
+    The J1 scan takes a block pair whose box distance is at most the
+    current ``min_gap`` and that holds a pair separated by sep_floor or
+    more, and masks the pairs of each slab by separation.  The J2 scan
+    keeps the level minima as suffix minima: ``deltas[k]`` runs over every
+    pair that reaches level k, so it is never above ``deltas[k + 1]``, and
+    the threshold of a block pair is ``deltas`` at the highest level its
+    largest cap reaches.  Level k is updated only from slabs whose box
+    distance is at most ``deltas[k]``; no pair of any other slab can lower
+    it.  A skipped pair can change neither a minimum nor a tie.
 
     Minima are picked on squared chords ``dx*dx + dy*dy``, and hypot is
     taken only on the pairs whose square lies within a factor _SQ_REL of
@@ -875,115 +867,86 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     x, y = xy[:, 0].copy(), xy[:, 1].copy()
     bs = cols.shape[1]
     buf = np.empty((3, _SCAN_STEP, bs, bs))
-    m = P.shape[0]
-    pos = 0
-    while pos < m:
-        # the appended -inf is read by top == -1, a pair that reaches no
-        # level; level_min is nondecreasing, so its largest entry is last
-        reach = np.append(level_min, -np.inf)
-        if lower[pos] > max(best, reach.max()):
-            break  # later pairs are no nearer
-        end = min(m, pos + _SCAN_WINDOW)
-        lw = lower[pos:end]
-        want1 = (lw <= best) & j1_ok[pos:end]
-        want2 = lw <= reach[top[pos:end]]
-        hit = np.flatnonzero(want1 | want2)[:_SCAN_STEP]
-        w1, w2 = want1[hit], want2[hit]
-        hit += pos
-        pos = end if hit.size < _SCAN_STEP else int(hit[-1]) + 1
-        if not hit.size:
-            continue
+
+    def slabs(hit):
+        """Rows, columns, squared chords and dt of the slabs ``hit``; a
+        diagonal slab also holds pairs i >= j, whose dt is -inf, so they
+        pass no test."""
+
         S = hit.size
         I, J = cols[P[hit]], cols[Q[hit]]
         dx = np.subtract(xs[J][:, None, :], xs[I][:, :, None], out=buf[0, :S])
         dy = np.subtract(ys[J][:, None, :], ys[I][:, :, None], out=buf[1, :S])
         np.multiply(dx, dx, out=dx)
         np.multiply(dy, dy, out=dy)
-        d2 = np.add(dx, dy, out=dx)
-        # the least separation and the least cap of a slab's pairs i < j;
-        # a diagonal slab also holds pairs i >= j, which count for nothing
-        p, q = P[hit], Q[hit]
-        diag = p == q
-        sep = np.where(diag, -np.inf, t_lo[q] - t_hi[p])
-        ends = np.minimum(2.0 * (t_lo[p] - a), 2.0 * (b - t_hi[q]))
-        all1 = np.minimum(sep, period - dt_max[hit]) >= sep_floor
-        # the lowest level each slab can still lower, and the levels that
-        # all of its pairs reach (up to bot) or only some (up to tp)
-        k0 = np.searchsorted(level_min, lower[hit], side="left")
-        bot = np.searchsorted(eps_levels, np.minimum(sep, ends), side="right") - 1
-        tp = top[hit]
-        lo2 = np.maximum(k0, bot + 1)
-        part1 = w1 & ~all1
-        part2 = w2 & (lo2 <= tp)
-        full = np.flatnonzero((w1 & all1) | (w2 & (k0 <= bot)))
-        if full.size:
-            smin, fc = _least(d2, I, J, x, y, full)
-        part = np.flatnonzero(part1 | part2)
-        if part.size:
-            dt = np.subtract(
-                ts[J[part]][:, None, :], ts[I[part]][:, :, None], out=buf[2, : part.size]
-            )
-            for s in np.flatnonzero(diag[part]):
-                # pairs i >= j: a separation of -inf passes no test
-                sub = dt[s]
-                sub[sub <= 0.0] = -np.inf
-        if w1.any():
-            cands = []
-            if full.size:
-                on = (w1 & all1)[full][fc[0]]
-                cands.append([c[on] for c in fc])
-            s1 = np.flatnonzero(part1[part])
-            if s1.size:
-                dts = _rows(dt, s1)
-                ok = dts >= sep_floor
-                # the far side of the seam counts only near the seam
-                wrap = np.flatnonzero(period - dt_max[hit[part[s1]]] < sep_floor)
-                if wrap.size:
-                    ok[wrap] &= period - dts[wrap] >= sep_floor
-                cands.append(_least(d2, I, J, x, y, part[s1], ok, False)[1])
-            _, ii, jj, hh = (np.concatenate(c) for c in zip(*cands))
-            g = float(hh.min()) if hh.size else np.inf
-            if g <= best and g < np.inf:
-                at = hh == g
-                ii, jj = ii[at], jj[at]
-                w = np.lexsort((jj, ii))[0]
-                tie = (int(ii[w]), int(jj[w]))
-                if g < best or tie < (bi, bj):
-                    best = g
-                    bi, bj = tie
-        if not w2.any():
-            continue
-        if full.size:
-            # a slab whose pairs all reach level k lowers it by its minimum
-            f2, kf, bf = w2[full], k0[full], bot[full]
-            for k in range(int(kf.min()), int(bf.max()) + 1):
-                on = f2 & (kf <= k) & (k <= bf)
-                if on.any():
-                    level_min[k] = min(level_min[k], float(smin[on].min()))
-        s2 = np.flatnonzero(part2[part])
-        if s2.size:
-            # the other slabs mask their pairs by cap, one level per slab
-            # and pass, from the top level down
-            sl = part[s2]
-            lo, hi = lo2[sl], tp[sl]
-            cap = _rows(dt, s2)
-            # where the interval ends allow every level a slab can reach,
-            # its caps are its separations
-            near = np.flatnonzero(ends[sl] < eps_levels[hi])
-            if near.size:
-                sub = cap[near]
-                lim = np.minimum(
-                    2.0 * (ts[I[sl[near]]] - a)[:, :, None],
-                    2.0 * (b - ts[J[sl[near]]])[:, None, :],
-                )
-                cap[near] = np.minimum(sub, lim, out=sub)
-            for depth in range(int((hi - lo).max()) + 1):
-                on = np.flatnonzero(hi - depth >= lo)
-                lev = hi[on] - depth
-                ok = _rows(cap, on) >= eps_levels[lev][:, None, None]
-                least, _ = _least(d2, I, J, x, y, sl[on], ok)
-                np.minimum.at(level_min, lev, least)
+        dt = np.subtract(ts[J][:, None, :], ts[I][:, :, None], out=buf[2, :S])
+        for s in np.flatnonzero(P[hit] == Q[hit]):
+            sub = dt[s]
+            sub[sub <= 0.0] = -np.inf
+        return I, J, np.add(dx, dy, out=dx), dt
+
+    # J1: the least chord among the pairs separated by sep_floor, and the
+    # smallest (i, j) at it
+    for hit in _visit(
+        lower,
+        lambda start, end: np.where(j1_ok[start:end], best, -np.inf),
+        lambda: best,
+    ):
+        I, J, d2, dt = slabs(hit)
+        ok = np.minimum(dt, period - dt) >= sep_floor
+        _, (_, ii, jj, hh) = _least(d2, I, J, x, y, np.arange(hit.size), ok, False)
+        g = float(hh.min()) if hh.size else np.inf
+        if g <= best and g < np.inf:
+            at = hh == g
+            ii, jj = ii[at], jj[at]
+            w = np.lexsort((jj, ii))[0]
+            tie = (int(ii[w]), int(jj[w]))
+            if g < best or tie < (bi, bj):
+                best = g
+                bi, bj = tie
+    # J2: the level minima.  The appended -inf is read by top == -1, a pair
+    # that reaches no level; level_min is nondecreasing, so its largest
+    # entry is the last
+    for hit in _visit(
+        lower,
+        lambda start, end: np.append(level_min, -np.inf)[top[start:end]],
+        lambda: level_min.max(initial=-np.inf),
+    ):
+        I, J, d2, cap = slabs(hit)
+        np.minimum(cap, 2.0 * (ts[I] - a)[:, :, None], out=cap)
+        np.minimum(cap, 2.0 * (b - ts[J])[:, None, :], out=cap)
+        # the levels each slab can still lower; a slab's box distance is at
+        # most level_min[top], so lo <= hi.  One level per slab and pass,
+        # from the top level down
+        lo = np.searchsorted(level_min, lower[hit], side="left")
+        hi = top[hit]
+        for depth in range(int((hi - lo).max()) + 1):
+            on = np.flatnonzero(hi - depth >= lo)
+            lev = hi[on] - depth
+            ok = _rows(cap, on) >= eps_levels[lev][:, None, None]
+            least, _ = _least(d2, I, J, x, y, on, ok)
+            np.minimum.at(level_min, lev, least)
     return best, bi, bj, level_min
+
+
+def _visit(lower, admit, cap):
+    """The steps of a branch and bound over block pairs sorted by ``lower``.
+
+    Yields up to _SCAN_STEP positions at a time whose ``lower`` is at most
+    ``admit(start, end)``, the bounds of positions start:end, searching
+    _SCAN_WINDOW positions at a time, and stops at the first window whose
+    ``lower`` is above ``cap()``: no later pair is nearer.  Both are read
+    again before every step, so they see what the last step lowered.
+    """
+
+    m = lower.shape[0]
+    pos = 0
+    while pos < m and lower[pos] <= cap():
+        end = min(m, pos + _SCAN_WINDOW)
+        hit = np.flatnonzero(lower[pos:end] <= admit(pos, end))[:_SCAN_STEP] + pos
+        pos = end if hit.size < _SCAN_STEP else int(hit[-1]) + 1
+        if hit.size:
+            yield hit
 
 
 def _rows(arr, idx):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .connectivity import polygonal_join
-from .curves import curve_from_json, curve_to_json, validate_jordan
+from .curves import _grid_size, curve_from_json, curve_to_json, validate_jordan
 from .errors import (
     CurveError,
     NoPathAtResolution,
@@ -97,7 +97,7 @@ def _grid_points(args, jc):
         x0, y0, x1, y1 = jc.carrier.bbox
         padx, pady = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
         x0, y0, x1, y1 = x0 - padx, y0 - pady, x1 + padx, y1 + pady
-    nx, ny = args.grid
+    nx, ny = _grid_size(*args.grid)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     # row-major from the bottom row: y varies slowest, ascending

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import JordanCurve, _grid_size
+from .curves import _MAX_GRID_CELLS, JordanCurve, _grid_size
 from .errors import NoPathAtResolution, PointTooClose
 from .geometry import Point, as_point
 
@@ -129,8 +129,9 @@ def path_carrier_gap(jc: JordanCurve, vertices, spacing: float) -> float:
 
     Samples every edge at the given spacing (one vertex is a path of one
     point) and subtracts the Lipschitz slack spacing / 2, so the bound holds
-    between samples too.  Raises ValueError for an empty path or a spacing
-    that is not finite and positive.
+    between samples too.  Raises ValueError for an empty path, a spacing
+    that is not finite and positive, or more than
+    ``curves._MAX_GRID_CELLS`` samples.
     """
 
     if not (math.isfinite(spacing) and spacing > 0.0):
@@ -139,6 +140,13 @@ def path_carrier_gap(jc: JordanCurve, vertices, spacing: float) -> float:
     if not pts:
         raise ValueError("a path needs at least one vertex")
     edges = list(zip(pts, pts[1:])) or [(pts[0], pts[0])]
+    # counted in floats, which may be inf, before any sample is built
+    count = sum(max(np.ceil(p.dist(q) / spacing), 1.0) + 1.0 for p, q in edges)
+    if not count <= _MAX_GRID_CELLS:
+        raise ValueError(
+            f"a path sampled at spacing {spacing!r} takes {count:.4g} points, "
+            f"more than {_MAX_GRID_CELLS}"
+        )
     samples = np.concatenate([_segment_samples(p, q, spacing) for p, q in edges])
     return jc.carrier.least_distance(samples) - spacing / 2.0
 

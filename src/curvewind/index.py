@@ -398,12 +398,14 @@ def _grid_points(origin, h, shape) -> np.ndarray:
 
 def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     """Sample windings on a grid twice as fine as the requested resolution,
-    which must be finite and positive and give at most
+    which must be finite, positive after halving and give at most
     ``curves._MAX_GRID_CELLS`` points (ValueError otherwise)."""
 
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     h = resolution / 2.0
+    if not h > 0.0:
+        raise ValueError(f"resolution {resolution!r} halves to 0")
     x0, y0, x1, y1 = jc.carrier.bbox
     pad = 3.0 * resolution
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad

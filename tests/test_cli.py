@@ -204,8 +204,9 @@ def test_deterministic_output(circle_file, capsys):
         ["join", "{}", "--start", "0", "0", "--end", "0.5", "0",
          "--clearance", "0", "--cell", "1e-6"],
         ["render", "{}", "--shade", "1000000"],
+        ["classify", "{}", "--grid", "5000", "5000"],
     ],
-    ids=["samples", "clearance-grid", "region-grid"],
+    ids=["samples", "clearance-grid", "region-grid", "classify-grid"],
 )
 def test_out_of_range_numbers_exit_2(circle_file, capsys, argv):
     # each size check fires before anything is sampled or allocated

@@ -129,6 +129,21 @@ def test_path_carrier_gap_rejects_an_empty_path_or_a_bad_spacing(curves, n_verti
         path_carrier_gap(curves["circle"], vertices, spacing)
 
 
+@pytest.mark.parametrize("spacing", [1e-9, 5e-324])
+def test_path_carrier_gap_refuses_too_many_samples_before_building_them(curves, spacing):
+    # the two half-unit edges take 1e9 samples at 1e-9; at 5e-324 the
+    # count is inf
+    vertices = [Point(-2.0, 0.0), Point(-1.5, 0.0), Point(-1.5, 0.5)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 16777216"):
+            path_carrier_gap(curves["circle"], vertices, spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("name", ["kidney", "blob"])
 def test_join_gap_is_the_full_query_minimum_over_the_path(curves, name):
     # the least-distance query behind the gap returns the least lower bound

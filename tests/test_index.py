@@ -245,7 +245,8 @@ def test_region_distance_matches_carrier_distance(curves):
         assert abs(d - 0.5 * (lo + hi)) <= 2.0 * res
 
 
-@pytest.mark.parametrize("res", [float("nan"), math.inf, 0.0, -0.1])
+# 5e-324 is positive, but half of it rounds to 0
+@pytest.mark.parametrize("res", [float("nan"), math.inf, 0.0, -0.1, 5e-324])
 def test_region_grid_rejects_a_non_finite_or_non_positive_resolution(curves, res):
     with pytest.raises(ValueError, match="resolution"):
         region_grid(curves["circle"], res)

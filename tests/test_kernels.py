@@ -8,7 +8,8 @@ that refine one piece at a time, and the winding kernel's node counts
 with a recursive walk of its run trees; region grids with the winding
 kernel before the run tree; threshold carrier queries with the full
 enclosures, whose decisions they must repeat; the pair scan
-with an O(N^2) reference, exactly; the crossing test with exact rational
+with an O(N^2) reference, exactly, also on hypothesis-drawn lattice
+points full of ties; the crossing test with exact rational
 orientations; grid paths with scipy's shortest paths on the free-cell graph.
 """
 
@@ -17,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -1415,6 +1418,40 @@ def test_pair_scan_level_minimum_behind_a_nearer_box(monkeypatch):
     )
     assert (best, bi, bj) == (np.inf, -1, -1)
     assert deltas.tolist() == [4.999]
+
+
+@st.composite
+def _lattice_scans(draw):
+    """A block size and a scan on a small integer lattice: repeated points
+    and exact ties, integer parameters, a sep_floor that is one pair's dt,
+    above period / 2 or 0, and eps levels that may be 0 or equal a pair's
+    cap exactly.  At 0 only the pairs i >= j are left out."""
+
+    n = draw(st.integers(2, 80))
+    ts = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    ts = ts.astype(float)
+    a = ts[0] - draw(st.integers(0, 2))
+    b = ts[-1] + draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)), dtype=float)
+    i = draw(st.integers(0, n - 2))
+    j = draw(st.integers(i + 1, n - 1))
+    sep = draw(st.sampled_from([ts[j] - ts[i], (b - a) / 2.0 + 0.5, 0.0]))
+    caps = np.minimum(ts[None, :] - ts[:, None], 2.0 * (ts[:, None] - a))
+    caps = np.minimum(caps, 2.0 * (b - ts[None, :]))[np.triu_indices(n, 1)]
+    level = st.one_of(st.sampled_from([0.0] + caps.tolist()), st.floats(0.0, b - a))
+    eps_levels = np.sort(draw(st.lists(level, max_size=5)))
+    block = draw(st.sampled_from([1, 3, 8, 32]))
+    return block, (xy, ts, b - a, sep, a, b, eps_levels)
+
+
+@given(_lattice_scans())
+@settings(max_examples=200, deadline=None)
+def test_pair_scan_matches_bruteforce_on_a_lattice(case):
+    block, args = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BLOCK", block)
+        _assert_scan_exact(*args)
 
 
 def _crossing_oracle(xy):
