@@ -41,6 +41,22 @@ def _read_curve(path: str):
     return curve_from_json(text)
 
 
+def _validated(args):
+    """The curve named by ``args.curve``, validated at ``args.resolution``."""
+
+    return validate_jordan(_read_curve(args.curve), h=args.resolution)
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout for -."""
+
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _emit(obj, as_json: bool) -> None:
     if as_json:
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -50,9 +66,8 @@ def _emit(obj, as_json: bool) -> None:
 
 
 def cmd_validate(args) -> int:
-    spec = _read_curve(args.curve)
     try:
-        jc = validate_jordan(spec, h=args.resolution)
+        jc = _validated(args)
     except ValidationFailure as exc:
         report = {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
         _emit(report, args.format == "json")
@@ -73,8 +88,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    spec = _read_curve(args.curve)
-    jc = validate_jordan(spec, h=args.resolution)
+    jc = _validated(args)
     x, y = args.point
     res = winding_number(jc, (x, y))
     _emit(
@@ -105,8 +119,7 @@ def _grid_points(args, jc):
 
 
 def cmd_classify(args) -> int:
-    spec = _read_curve(args.curve)
-    jc = validate_jordan(spec, h=args.resolution)
+    jc = _validated(args)
     if args.grid is not None:
         pts = _grid_points(args, jc)
     elif args.point:
@@ -116,19 +129,16 @@ def cmd_classify(args) -> int:
     rows = []
     for x, y in pts:
         c = classify(jc, (x, y), eps_band=args.eps_band)
-        w = "" if c.winding is None else str(c.winding.rounded)
+        w = None if c.winding is None else c.winding.rounded
         rows.append((x, y, c.verdict.value, w))
     if args.format == "csv":
         print("x,y,verdict,winding")
         for x, y, v, w in rows:
-            print(f"{x!r},{y!r},{v},{w}")
+            print(f"{x!r},{y!r},{v},{'' if w is None else w}")
     else:
         print(
             json.dumps(
-                [
-                    {"x": x, "y": y, "verdict": v, "winding": None if w == "" else int(w)}
-                    for x, y, v, w in rows
-                ],
+                [{"x": x, "y": y, "verdict": v, "winding": w} for x, y, v, w in rows],
                 sort_keys=True,
                 indent=2,
             )
@@ -137,8 +147,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_join(args) -> int:
-    spec = _read_curve(args.curve)
-    jc = validate_jordan(spec, h=args.resolution)
+    jc = _validated(args)
     x1, y1 = args.start
     x2, y2 = args.end
     try:
@@ -163,28 +172,17 @@ def cmd_join(args) -> int:
 
 
 def cmd_render(args) -> int:
-    spec = _read_curve(args.curve)
-    shade = None
     if args.shade:
-        jc = validate_jordan(spec, h=args.resolution)
-        shade = region_grid(jc, jc.diameter() / args.shade)
-    doc = render_svg(spec, size=args.size, shade=shade)
-    if args.output == "-":
-        sys.stdout.write(doc)
+        jc = _validated(args)
+        spec, shade = jc.spec, region_grid(jc, jc.diameter() / args.shade)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        spec, shade = _read_curve(args.curve), None
+    _write(args.output, render_svg(spec, size=args.size, shade=shade))
     return 0
 
 
 def cmd_fixture(args) -> int:
-    spec = fixture(args.name)
-    text = curve_to_json(spec)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write(args.output, curve_to_json(fixture(args.name)) + "\n")
     return 0
 
 

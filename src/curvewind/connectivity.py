@@ -64,8 +64,9 @@ class ClearanceGrid:
         """The grid of cells of side ``h`` over ``bbox`` (the carrier's
         bounding box, padded, by default).  Raises ValueError for a
         clearance that is not finite and non-negative, a cell size h
-        that is not finite and positive, or more than
-        ``curves._MAX_GRID_CELLS`` cells."""
+        that is not finite and positive, a ``bbox`` (x0, y0, x1, y1) with
+        x1 <= x0 or y1 <= y0, or more than ``curves._MAX_GRID_CELLS``
+        cells."""
 
         _check_clearance_and_cell(clearance, h)
         if bbox is None:
@@ -73,32 +74,35 @@ class ClearanceGrid:
             pad = clearance + 4.0 * h
             bbox = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
         x0, y0, x1, y1 = bbox
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"bbox {tuple(bbox)!r} needs x0 < x1 and y0 < y1")
         nx, ny = _grid_size(
             max(np.ceil((x1 - x0) / h), 2.0), max(np.ceil((y1 - y0) / h), 2.0)
         )
-        xs = x0 + h * (np.arange(nx) + 0.5)
-        ys = y0 + h * (np.arange(ny) + 0.5)
-        gx, gy = np.meshgrid(xs, ys)
-        centers = np.column_stack([gx.ravel(), gy.ravel()])
+        centers = _cell_centers((x0, y0), h, *np.indices((ny, nx), sparse=True))
         need = clearance + h * _FREE_MARGIN
         lo, _ = jc.carrier.distance_batch(centers, need)
         free = (lo >= need).astype(np.uint8).reshape(ny, nx)
         return cls(origin=(x0, y0), h=h, clearance=clearance, free=free)
 
-    def cell_of(self, p: Point) -> tuple[int, int]:
-        j = int(math.floor((p.x - self.origin[0]) / self.h))
-        i = int(math.floor((p.y - self.origin[1]) / self.h))
-        return i, j
+    def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and in-grid mask of the cells holding the (m, 2)
+        points; a cell holds its lower and left edges."""
 
-    def center_of(self, i: int, j: int) -> Point:
-        return Point(
-            self.origin[0] + (j + 0.5) * self.h,
-            self.origin[1] + (i + 0.5) * self.h,
-        )
+        ny, nx = self.free.shape
+        cells = np.floor((pts - self.origin) / self.h).astype(np.int64)
+        inside = ((cells >= 0) & (cells < (nx, ny))).all(axis=1)
+        return cells[:, 1], cells[:, 0], inside
 
-    def contains(self, p: Point) -> bool:
-        i, j = self.cell_of(p)
-        return 0 <= i < self.free.shape[0] and 0 <= j < self.free.shape[1]
+
+def _cell_centers(origin, h: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The centres, as an (m, 2) array, of the cells at ``rows`` and
+    ``cols`` (broadcast together, row-major) of a grid of side ``h`` whose
+    lower left corner is ``origin``."""
+
+    x = origin[0] + (cols + 0.5) * h
+    y = origin[1] + (rows + 0.5) * h
+    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,9 @@ def _segment_clear(
     # clearance + h*(sqrt(2)/2 + 1/4) and the Lipschitz slack to the
     # farthest corner eats sqrt(2)/2 * h, leaving clearance + h/4
     # >= clearance + spacing/2.  Only strays need an exact scan.
-    jj = np.floor((pts[:, 0] - grid.origin[0]) / grid.h).astype(np.int64)
-    ii = np.floor((pts[:, 1] - grid.origin[1]) / grid.h).astype(np.int64)
-    ny, nx = grid.free.shape
-    inb = (ii >= 0) & (ii < ny) & (jj >= 0) & (jj < nx)
+    rows, cols, inside = grid._cells(pts)
     certified = np.zeros(pts.shape[0], dtype=bool)
-    certified[inb] = grid.free[ii[inb], jj[inb]] == 1
+    certified[inside] = grid.free[rows[inside], cols[inside]] == 1
     pts = pts[~certified]
     if pts.shape[0] == 0:
         return True
@@ -209,7 +210,8 @@ def polygonal_join(
                 f"endpoint ({p.x!r}, {p.y!r}) has clearance in "
                 f"[{lo:.3e}, {hi:.3e}], needs {need:.3e}"
             )
-    if grid is None or not (grid.contains(p1) and grid.contains(p2)):
+    ends = np.array([p1.as_tuple(), p2.as_tuple()])
+    if grid is None or not grid._cells(ends)[2].all():
         x0, y0, x1, y1 = jc.carrier.bbox
         pad = clearance + 4.0 * h
         bbox = (
@@ -222,8 +224,10 @@ def polygonal_join(
     elif grid.clearance != clearance or grid.h != h:
         raise ValueError("prebuilt grid does not match clearance/resolution")
 
-    start = grid.cell_of(p1)
-    goal = grid.cell_of(p2)
+    rows, cols, _ = grid._cells(ends)
+    # Python ints: grid_path walks back cell by cell in Python, where
+    # numpy scalars are slow
+    start, goal = zip(rows.tolist(), cols.tolist())
     cells = _kernels.grid_path(grid.free, start, goal)
     if cells is None:
         raise NoPathAtResolution(
@@ -231,9 +235,9 @@ def polygonal_join(
             h,
         )
 
-    vertices: list[Point] = [p1]
-    vertices.extend(grid.center_of(i, j) for i, j in cells)
-    vertices.append(p2)
+    rows, cols = np.array(cells).T
+    centers = _cell_centers(grid.origin, grid.h, rows, cols).tolist()
+    vertices = [p1, *(Point(x, y) for x, y in centers), p2]
 
     # shortcut by halving candidate step sizes: O(log) certifications per
     # hop, and the unit step between neighbouring free cells always passes

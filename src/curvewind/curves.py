@@ -168,27 +168,28 @@ class CurveSpec:
     def is_closed(self) -> bool:
         return self.closure_gap <= self.closure_tol
 
-    def _locate(self, t: float) -> tuple[int, float]:
+    def _params(self, ts) -> np.ndarray:
+        """``ts`` as a float array, or ValueError when one names no point
+        of the curve: NaN, or more than ``EVAL_TOL`` interval lengths
+        outside [a, b]."""
+
+        ts = np.asarray(ts, dtype=float)
         a, b = self.interval
         tol = EVAL_TOL * (b - a)
-        if not (a - tol <= t <= b + tol):
-            raise ValueError(f"parameter {t!r} outside [{a!r}, {b!r}]")
-        n = self.n_pieces
-        s = (t - a) * n / (b - a)
-        k = int(math.floor(s))
-        if k < 0:
-            k = 0
-        elif k > n - 1:
-            k = n - 1
-        return k, s - k
+        out = ~((ts >= a - tol) & (ts <= b + tol))
+        if out.any():
+            raise ValueError(f"parameter {float(ts[out][0])!r} outside [{a!r}, {b!r}]")
+        return ts
 
     def eval(self, t: float) -> Point:
-        k, u = self._locate(t)
-        return self.pieces[k].point(u)
+        return Point(*self.points([t])[0].tolist())
 
     def deriv(self, t: float, side: str = "right") -> Point:
-        """One-sided derivative in global-parameter units."""
+        """One-sided derivative in global-parameter units.  Raises
+        ValueError where ``points`` does, and for a right derivative at b
+        or a left one at a."""
 
+        self._params(t)
         a, b = self.interval
         n = self.n_pieces
         scale = n / (b - a)
@@ -197,22 +198,22 @@ class CurveSpec:
             if t >= b - EVAL_TOL * (b - a):
                 raise ValueError("no right derivative at the interval end")
             k = int(math.floor(s + EVAL_TOL))
-            u = s - k
         elif side == "left":
             if t <= a + EVAL_TOL * (b - a):
                 raise ValueError("no left derivative at the interval start")
             k = int(math.ceil(s - EVAL_TOL)) - 1
-            u = s - k
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         k = min(max(k, 0), n - 1)
-        u = min(max(u, 0.0), 1.0)
+        u = min(max(s - k, 0.0), 1.0)
         return self.pieces[k].velocity(u).scaled(scale)
 
     def points(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation at global parameters (shape (m, 2))."""
+        """Vectorised evaluation at global parameters (shape (m, 2)).
+        Raises ValueError for NaN or a parameter more than ``EVAL_TOL``
+        interval lengths outside [a, b]."""
 
-        ts = np.asarray(ts, dtype=float)
+        ts = self._params(ts)
         a, b = self.interval
         n = self.n_pieces
         s = (ts - a) * n / (b - a)

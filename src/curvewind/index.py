@@ -78,6 +78,14 @@ _WITNESS_START = 0.05
 _WITNESS_HALVINGS = 40
 
 
+def _ray_direction(k: int) -> tuple[float, float]:
+    """Unit direction of ``classify``'s k-th ray, k golden angles
+    counterclockwise from +x."""
+
+    theta = k * _GOLDEN_ANGLE
+    return (math.cos(theta), math.sin(theta))
+
+
 class Verdict(str, Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
@@ -139,8 +147,7 @@ class Classification:
 
         if self.rays_tried == 0:
             return None
-        theta = (self.rays_tried - 1) * _GOLDEN_ANGLE
-        return (math.cos(theta), math.sin(theta))
+        return _ray_direction(self.rays_tried - 1)
 
     @property
     def crossing_parity(self) -> int | None:
@@ -317,10 +324,8 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
         )
 
     for k in range(_MAX_RAYS):
-        theta = k * _GOLDEN_ANGLE
-        d = Point(math.cos(theta), math.sin(theta))
         try:
-            records = _ray_once(jc, p, d)
+            records = _ray_once(jc, p, Point(*_ray_direction(k)))
             break
         except DegenerateRay as exc:
             last = exc

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -82,18 +83,55 @@ def test_grid_reuse(curves):
 
 
 @pytest.mark.parametrize(
-    "bbox", [None, (0.0, 0.0, 1.0, float("inf")), (0.0, 0.0, float("nan"), 1.0)]
+    "bbox",
+    [
+        None,
+        (0.0, 0.0, 1.0, float("inf")),
+        (0.0, 0.0, float("nan"), 1.0),
+        (1.0, 1.0, -1.0, -1.0),
+    ],
 )
 def test_grid_refuses_too_many_cells_before_building_them(curves, bbox):
-    # at h = 1e-6 the circle's padded bbox takes about 1.6e13 cells
+    # at h = 1e-6 the circle's padded bbox takes about 1.6e13 cells; an
+    # inverted bbox holds no cell at all
+    inverted = bbox == (1.0, 1.0, -1.0, -1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="more than 16777216 cells"):
+        with pytest.raises(
+            ValueError, match="needs x0 < x1" if inverted else "more than 16777216 cells"
+        ):
             ClearanceGrid.build(curves["circle"], 0.0, 1e-6, bbox=bbox)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_grid_cells_follow_the_floor_rule(curves):
+    # one rule maps points to cells: the floor of the offset from the
+    # origin in cells, on cell edges, corners, the grid border and outside
+    # the grid alike; a cell's centre is its corner plus half a cell
+    grid = ClearanceGrid.build(curves["kidney"], 0.01, 0.05)
+    (ox, oy), h = grid.origin, grid.h
+    ny, nx = grid.free.shape
+    rng = np.random.default_rng(19)
+    i = rng.integers(-3, ny + 4, 600)
+    j = rng.integers(-3, nx + 4, 600)
+    i[:60], j[60:120] = rng.choice([0, ny], 60), rng.choice([0, nx], 60)
+    fy = rng.choice([0.0, 0.5, 1.0, rng.uniform()], 600)
+    fx = rng.choice([0.0, 0.5, 1.0, rng.uniform()], 600)
+    pts = np.column_stack([ox + (j + fx) * h, oy + (i + fy) * h])
+    pts = np.concatenate([pts, rng.uniform(-50.0, 50.0, (100, 2))])
+    rows, cols, inside = grid._cells(pts)
+    for (x, y), r, c, k in zip(pts.tolist(), rows, cols, inside):
+        want_r = int(math.floor((y - oy) / h))
+        want_c = int(math.floor((x - ox) / h))
+        assert (r, c) == (want_r, want_c)
+        assert k == (0 <= want_r < ny and 0 <= want_c < nx)
+    centers = connectivity._cell_centers(grid.origin, h, rows[inside], cols[inside])
+    for (x, y), r, c in zip(centers.tolist(), rows[inside], cols[inside]):
+        assert (x, y) == (ox + (int(c) + 0.5) * h, oy + (int(r) + 0.5) * h)
+    assert inside.sum() > 300 and (~inside).sum() > 100
 
 
 def test_grid_mismatched_coverage_rebuilds(curves):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvewind.curves import CurveSpec, _row_points
+from curvewind.curves import EVAL_TOL, CurveSpec, _row_points
 from curvewind.geometry import Point
 from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
@@ -88,11 +88,15 @@ def test_flat_points_match_per_piece_oracle_bit_for_bit():
 
 
 def test_vectorised_points_match_scalar():
-    # the ends t = a and t = b, every joint, and points in between, on one
-    # path with all three kinds
+    # the ends t = a and t = b, half the tolerance band past each, every
+    # joint, and points in between, on one path with all three kinds
     spec = _mixed_path()
+    half = EVAL_TOL * (spec.b - spec.a) / 2.0
     ts = np.concatenate(
-        [np.linspace(spec.a, spec.b, 31), [0.0, 1.0, 2.0, 3.0, 1.0 - 1e-15, 2.0 + 1e-15]]
+        [
+            np.linspace(spec.a, spec.b, 31),
+            [0.0, 1.0, 2.0, 3.0, 1.0 - 1e-15, 2.0 + 1e-15, spec.a - half, spec.b + half],
+        ]
     )
     batch = spec.points(ts)
     for t, row in zip(ts, batch):
@@ -102,6 +106,34 @@ def test_vectorised_points_match_scalar():
     for t, k, u in ((0.0, 0, 0.0), (1.0, 1, 0.0), (2.0, 2, 0.0), (3.0, 2, 1.0)):
         want = piece_points(spec.pieces[k], [u])
         assert np.array_equal(spec.points(np.array([t])), want)
+
+
+@pytest.mark.parametrize("t", [8.0, -5.0, math.nan])
+def test_parameters_outside_the_interval_are_refused(t):
+    # a parameter names a point of the curve only within EVAL_TOL interval
+    # lengths of [a, b] = [0, 3]: b + 5, a - 5 and NaN are refused by the
+    # batch, by one point and by either one-sided derivative
+    spec = _mixed_path()
+    with pytest.raises(ValueError, match="outside"):
+        spec.points(np.array([0.5, t, 2.5]))
+    with pytest.raises(ValueError, match="outside"):
+        spec.eval(t)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="outside"):
+            spec.deriv(t, side)
+
+
+def test_derivatives_half_the_band_past_an_end():
+    # past an end, the one-sided derivative is the one at that end: the
+    # piece index is clamped, and the local parameter with it
+    spec = _mixed_path()
+    half = EVAL_TOL * (spec.b - spec.a) / 2.0
+    for t, side, end in ((spec.a - half, "right", spec.a), (spec.b + half, "left", spec.b)):
+        assert spec.deriv(t, side) == spec.deriv(end, side)
+    with pytest.raises(ValueError, match="no left derivative"):
+        spec.deriv(spec.a - half, "left")
+    with pytest.raises(ValueError, match="no right derivative"):
+        spec.deriv(spec.b + half, "right")
 
 
 @given(coord, coord, coord, coord, coord, coord, coord, coord)
