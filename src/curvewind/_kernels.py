@@ -16,9 +16,10 @@ points or grid cells at once: lines and arcs take one closed-form pass
 over all (point, piece) pairs, cubics refine all their (point, piece)
 pairs of a block of points together, one subdivision level per step (in
 the winding kernel only the pairs that the run tree below leaves open),
-and ``carrier_dist_point`` is ``carrier_batch`` on one point.  The sample-pair
-kernels (``pair_scan``, ``polyline_crossing``) run over the sample pairs
-of many blocks at once.
+``carrier_dist_point`` is ``carrier_batch`` on one point, and
+``chord_winding`` winds with chords that ``carrier_batch`` collected (see
+the end of this docstring).  The sample-pair kernels (``pair_scan``,
+``polyline_crossing``) run over the sample pairs of many blocks at once.
 
 Threshold carrier queries: most callers of ``carrier_batch`` only ask
 whether a point's distance is at least some ``need``, as in Bishop's
@@ -85,6 +86,34 @@ exactly once, and the cubics whose box holds the point refine as above.
 A joint that is off by any amount, even inside the validation tolerance,
 ends the run: a node across it would add the gap's chord, which no piece
 has.  The only error left is float round-off.
+
+Winding chords from a distance query: ``carrier_batch`` refines the same
+de Casteljau nodes as ``winding_batch``, and given a list ``chords`` it
+collects the winding's chords on the way, so ``classify`` refines each
+cubic once and winds with ``chord_winding``.  Call a node held when its
+control box holds its point: its axis gaps are 0, which both kernels test
+alike, so its box distance is exactly 0.  For every point whose returned
+``lo`` is positive, the refinement keeps and splits every held node down
+to level _WIND_LEVELS (below _REFINE_LEVELS), because each way to lose one
+sets ``lo`` to 0:
+
+* a held node that finishes lowers ``lo_acc`` to its distance, 0;
+* a held node that is not live, or not near at level 0, has ``hi <= 0``;
+* a point stopped by a stop rule takes its envelope as ``lo_acc``, and a
+  kept held node makes that envelope 0 (the least-distance rule never
+  stops such a point: 0 is above no bound).
+
+Level 0 holds the cubics in column order, so the held ones come in the
+order ``winding_batch`` starts from.  Each level's nodes are [left halves,
+right halves] of the kept nodes in order, so by induction the halves of
+held nodes come as ``winding_batch`` has them, [left halves, right halves]
+of the held nodes in order, and ``_split`` computes each column alone, so
+their floats are equal too.  Both kernels pass these halves to
+``_held_chords``, which gives the chord ratios of the halves that exclude
+the point and applies the width rule at level _WIND_LEVELS.  A half lies in
+its node's box, so no other node can be held.  ``_add_chords`` then sums
+the run-tree cut and these chords per point in the same order, so
+``total``, ``nodes`` and ``status`` are ``winding_batch``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -119,6 +148,10 @@ _REFINE_REL_TOL = 1e-3
 # subdivision levels of the carrier-distance refinement; a node that
 # reaches the last one is finished as it stands
 _REFINE_LEVELS = 80
+# a cubic winding node this many halvings deep, of parameter width 2**-44
+# (below 1e-13), whose box still holds the point puts it ON_CARRIER; fewer
+# than _REFINE_LEVELS, so a carrier_batch query reaches it too
+_WIND_LEVELS = 44
 # (point, piece) pairs per block of query points in the batch kernels
 _PAIR_BLOCK = 1 << 17
 # consecutive samples per block in the chord scan and the crossing test
@@ -271,11 +304,14 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
     return len(out), OK
 
 
-def carrier_dist_point(kinds, data, samples, offsets, px, py, geo, need=None):
+def carrier_dist_point(
+    kinds, data, samples, offsets, px, py, geo, need=None, chords=None
+):
     """``carrier_batch`` on the one point (px, py): returns floats (lo, hi)."""
 
     lo, hi = carrier_batch(
-        kinds, data, samples, offsets, np.array([[px, py]]), geo, need
+        kinds, data, samples, offsets, np.array([[px, py]]), geo, need,
+        chords=chords,
     )
     return float(lo[0]), float(hi[0])
 
@@ -375,14 +411,41 @@ def winding_batch(kinds, geo, pts):
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
     for blk in _point_blocks(m, geo.e0.size + geo.node_parent.size):
-        z = pts[blk, 0] + 1j * pts[blk, 1]
-        if geo.e0.size:
-            total[blk], on = _wind_chords(geo.e0, geo.e1, geo.arc, z)
-            nodes[blk] = geo.e0.size
-            status[blk] = np.where(on, ON_CARRIER, OK)
-        if geo.ctl.shape[2]:
-            _wind_cubics(geo, z, total[blk], nodes[blk], status[blk])
+        _wind_block(geo, pts[blk], total[blk], nodes[blk], status[blk])
     return total, nodes, status
+
+
+def chord_winding(geo, pts, chords):
+    """``winding_batch`` at points whose cubic refinement chords are
+    ``chords``, as a ``carrier_batch`` call collected them: returns (total,
+    nodes, status), equal to ``winding_batch``'s for every point whose
+    ``lo`` that call returned positive (module docstring).  The points
+    form one block."""
+
+    pts = np.ascontiguousarray(pts, dtype=float)
+    m = pts.shape[0]
+    total = np.zeros(m, dtype=complex)
+    nodes = np.zeros(m, dtype=np.int64)
+    status = np.zeros(m, dtype=np.int64)
+    _wind_block(geo, pts, total, nodes, status, chords)
+    return total, nodes, status
+
+
+def _wind_block(geo, pts, total, nodes, status, chords=None):
+    """Fill one block's ``total``, ``nodes`` and ``status`` in place: the
+    line and arc chords, then the run-tree cut and the cubic refinement
+    chords, from ``_refine_held`` unless ``chords`` gives them."""
+
+    z = pts[:, 0] + 1j * pts[:, 1]
+    if geo.e0.size:
+        total[:], on = _wind_chords(geo.e0, geo.e1, geo.arc, z)
+        nodes[:] = geo.e0.size
+        status[:] = np.where(on, ON_CARRIER, OK)
+    if geo.ctl.shape[2]:
+        cut, excl = _tree_cut(geo, z)
+        if chords is None:
+            chords = _refine_held(geo, z, excl)
+        _add_chords([cut, *chords], total, nodes, status)
 
 
 def _log(ratio):
@@ -430,19 +493,18 @@ def _wind_chords(e0, e1, arc, z):
     return term.sum(axis=1), bad.any(axis=1)
 
 
-def _wind_cubics(geo, z, total, nodes, status):
-    """Add the chord terms of every (point, cubic) pair to the block's
-    ``total``, ``nodes`` and ``status`` in place.
+def _tree_cut(geo, z):
+    """The run-tree cut for the points ``z``.
 
-    One pass tests every run-tree node's box against every point and takes
-    the cut; the cubics whose own control box holds a point refine on
-    control boxes from their halves.  Chord ratios of all levels are
-    collected and their logs taken once.
+    One pass tests every run-tree node's box against every point.  Returns
+    ((i, ratio), excl): the point index and chord ratio of every node whose
+    box excludes point i while its parent's box does not (or that is a
+    root), and the (b, k) mask of the cubics, nodes 0 .. k - 1, whose
+    control box excludes each point.
     """
 
     b = z.shape[0]
     nn = geo.node_parent.size
-    nc = geo.ctl.shape[2]
     px, py = z.real[:, None], z.imag[:, None]
     lo, hi = geo.node_lo, geo.node_hi
     # whether each node's box excludes each point; the last column stays
@@ -456,31 +518,69 @@ def _wind_cubics(geo, z, total, nodes, status):
     # the cut: excluded, and the parent is not
     i, n = np.divmod(np.flatnonzero(out > excl[:, geo.node_parent]), nn)
     zi = z[i]
-    acc = [(i, (geo.node_e1[n] - zi) / (geo.node_e0[n] - zi))]
-    # the cubics, nodes 0 .. nc - 1, whose control box holds the point
-    idx, col = np.divmod(np.flatnonzero(~out[:, :nc]), nc)
+    cut = (i, (geo.node_e1[n] - zi) / (geo.node_e0[n] - zi))
+    return cut, out[:, : geo.ctl.shape[2]]
+
+
+def _refine_held(geo, z, excl):
+    """The refinement chords of every (point, cubic) pair whose control box
+    holds the point (``excl`` False): the cubics split into halves, and
+    each level passes through ``_held_chords``."""
+
+    nc = geo.ctl.shape[2]
+    chords = []
+    idx, col = np.divmod(np.flatnonzero(~excl), nc)
+    if not idx.size:
+        return chords
     node = _split(geo.ctl.take(col, axis=2))
     idx = np.concatenate([idx, idx])
     q = np.stack([z.real, z.imag])
-    width = 0.5
-    while idx.size:
+    for level in range(1, _WIND_LEVELS + 1):
         _, _, gap = _node_gaps(node, q.take(idx, axis=1))
         outside = np.maximum.reduce(gap) > 0.0
-        a = outside.nonzero()[0]
-        za = z[idx[a]]
-        w0 = (node[0, 0, a] + 1j * node[0, 1, a]) - za
-        w1 = (node[3, 0, a] + 1j * node[3, 1, a]) - za
-        acc.append((idx[a], w1 / w0))
-        rest = (~outside).nonzero()[0]
-        if width < 1e-13:
-            status[idx[rest]] = ON_CARRIER
+        rest = _held_chords(node, outside, idx, z, level, chords)
+        if not rest.size:
             break
-        width *= 0.5
         idx = idx[rest]
         idx = np.concatenate([idx, idx])
         node = _split(node.take(rest, axis=2))
-    idx = np.concatenate([i for i, _ in acc])
-    term = _log(np.concatenate([r for _, r in acc]))
+    return chords
+
+
+def _held_chords(node, outside, idx, z, level, chords):
+    """One winding refinement level of the (4, 2, k) nodes ``node``, the
+    halves of cubic nodes whose box holds their point ``z[idx]``;
+    ``outside`` marks the halves whose box excludes it.
+
+    Appends (idx, ratio) to ``chords`` for those, each ratio (end - z) /
+    (start - z), and returns the positions of the others.  At level
+    _WIND_LEVELS those points are on the carrier: (their idx, None) is
+    appended instead and no position is returned.
+    """
+
+    a = outside.nonzero()[0]
+    ends = node[0::3, :, a]
+    w = (ends[:, 0] + 1j * ends[:, 1]) - z[idx[a]]
+    chords.append((idx[a], w[1] / w[0]))
+    rest = (~outside).nonzero()[0]
+    if level == _WIND_LEVELS:
+        chords.append((idx[rest], None))
+        return rest[:0]
+    return rest
+
+
+def _add_chords(chords, total, nodes, status):
+    """Add the (idx, ratio) chords to the block's ``total`` and ``nodes``
+    in place, all logs in one call, each point's terms summed in the order
+    given; an (idx, None) entry puts its points ON_CARRIER."""
+
+    b = total.shape[0]
+    for i, ratio in chords:
+        if ratio is None:
+            status[i] = ON_CARRIER
+    chords = [c for c in chords if c[1] is not None]
+    idx = np.concatenate([i for i, _ in chords])
+    term = _log(np.concatenate([r for _, r in chords]))
     total += np.bincount(idx, term.real, b) + 1j * np.bincount(idx, term.imag, b)
     nodes += np.bincount(idx, minlength=b)
 
@@ -584,7 +684,9 @@ def carrier_geometry(kinds, data):
     )
 
 
-def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None, least=False):
+def carrier_batch(
+    kinds, data, samples, offsets, pts, geo, need=None, least=False, chords=None
+):
     """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
 
     Line and arc pieces are exact.  Cubic pieces refine control boxes until
@@ -609,6 +711,10 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None, least=Fals
     points stop by the least-distance rule in the module docstring, and
     ``lo.min()`` is that of the full query bit for bit.  Every entry is at
     most the full ``lo`` and at least that minimum.
+
+    ``chords``, an empty list, collects the winding chords of the cubic
+    refinement as ``chord_winding`` takes them: (point index, ratio) and
+    (point index, None) entries, in the order of the module docstring.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -632,7 +738,10 @@ def carrier_batch(kinds, data, samples, offsets, pts, geo, need=None, least=Fals
                 stop = functools.partial(
                     _least_stopped, best_hi=hi_b, lo_acc=lo_b, bound=bound
                 )
-            _cubic_pieces(geo, q, hi_b, lo_b, stop)
+            part = None if chords is None else []
+            _cubic_pieces(geo, q, hi_b, lo_b, stop, part)
+            if part:
+                chords += [(i + blk.start, r) for i, r in part]
         if least:
             bound = min(bound, float(hi_b.min()))
     lo = np.minimum(lo_acc, best_hi)
@@ -687,7 +796,7 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         np.minimum(lo_acc, d, out=lo_acc)
 
 
-def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
+def _cubic_pieces(geo, q, best_hi, lo_acc, stop, chords=None):
     """Tighten ``best_hi``/``lo_acc`` in place by every cubic's control boxes.
 
     The cubics' start points lower ``best_hi`` first.  Level 0 is the
@@ -701,10 +810,15 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
     level, and then lowers ``lo_acc`` to that distance; the halves of the
     others are measured for the next level, and each right half's start
     point, which lies on the curve, lowers ``best_hi``.  With ``stop``, a
-    point leaves the loop as soon as the rule stops it.
+    point leaves the loop as soon as the rule stops it.  With a list
+    ``chords``, the children of the kept nodes whose box holds their point
+    pass through ``_held_chords`` down to level _WIND_LEVELS.
     """
 
     qq = q[:, :, None]
+    # whether kept nodes may still hold their point and give chords
+    wind = chords is not None
+    z = q[0] + 1j * q[1] if wind else None
     nc = geo.ctl.shape[2]
     lo, hi = geo.node_lo[:, :nc], geo.node_hi[:, :nc]
     gap = np.maximum(lo[:, None, :] - qq, qq - hi[:, None, :])
@@ -737,6 +851,12 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
             keep = keep[~stop(env)[idx[keep]]]
         if not keep.size:
             break
+        # the kept nodes whose box holds their point; a half lies in its
+        # node's box, so only the halves of these can hold it in turn
+        held = keep[:0]
+        if wind:
+            held = np.flatnonzero(db[keep] == 0.0)
+            wind = held.size > 0 and level + 1 < _WIND_LEVELS
         # the next level: both halves of each kept node, left halves first
         node = _split(node.take(col[keep], axis=2))
         idx = np.concatenate([idx[keep], idx[keep]])
@@ -746,6 +866,9 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, stop):
         db = np.hypot(gap[0], gap[1])
         ext = hi - lo
         diag = np.hypot(ext[0], ext[1])
+        if held.size:
+            c = np.concatenate([held, held + keep.size])
+            _held_chords(node[:, :, c], db[c] > 0.0, idx[c], z, level + 1, chords)
         # a left half keeps its parent's start point
         d0 = qn[:, keep.size :] - node[0, :, keep.size :]
         np.minimum.at(best_hi, idx[keep.size :], np.hypot(d0[0], d0[1]))

@@ -64,9 +64,9 @@ class ClearanceGrid:
         """The grid of cells of side ``h`` over ``bbox`` (the carrier's
         bounding box, padded, by default).  Raises ValueError for a
         clearance that is not finite and non-negative, a cell size h
-        that is not finite and positive, a ``bbox`` (x0, y0, x1, y1) with
-        x1 <= x0 or y1 <= y0, or more than ``curves._MAX_GRID_CELLS``
-        cells."""
+        that is not finite and positive, a ``bbox`` (x0, y0, x1, y1) that
+        holds a NaN or has x1 <= x0 or y1 <= y0, or more than
+        ``curves._MAX_GRID_CELLS`` cells."""
 
         _check_clearance_and_cell(clearance, h)
         if bbox is None:
@@ -74,6 +74,8 @@ class ClearanceGrid:
             pad = clearance + 4.0 * h
             bbox = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
         x0, y0, x1, y1 = bbox
+        if any(math.isnan(v) for v in bbox):
+            raise ValueError(f"bbox {tuple(bbox)!r} is not finite: it holds a NaN")
         if x1 <= x0 or y1 <= y0:
             raise ValueError(f"bbox {tuple(bbox)!r} needs x0 < x1 and y0 < y1")
         nx, ny = _grid_size(
@@ -87,10 +89,13 @@ class ClearanceGrid:
 
     def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and in-grid mask of the cells holding the (m, 2)
-        points; a cell holds its lower and left edges."""
+        points; a cell holds its lower and left edges.  Offsets beyond
+        +-2**62 cells, all outside the grid, are clipped there, so the
+        cast to int64 stays in range."""
 
         ny, nx = self.free.shape
-        cells = np.floor((pts - self.origin) / self.h).astype(np.int64)
+        cells = np.floor((pts - self.origin) / self.h)
+        cells = np.clip(cells, -(2.0**62), 2.0**62).astype(np.int64)
         inside = ((cells >= 0) & (cells < (nx, ny))).all(axis=1)
         return cells[:, 1], cells[:, 0], inside
 

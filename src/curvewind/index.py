@@ -5,6 +5,11 @@ result to an integer winding number.  Lines and arcs contribute in closed
 form, one chord log each (an arc adds a whole turn for points between it
 and its chord), and cubics are subdivided until each node's chord log is
 exact, so the only error is float round-off tracked in ``error_budget``.
+``classify`` first certifies the point's clearance with a threshold
+carrier-distance query, which splits every cubic node whose box holds the
+point just as the winding does; that query hands over those chords, and
+the winding sums them with the rest without refining the cubics again
+(``_kernels.chord_winding``), to the same floats.
 The second oracle counts transversal crossings of a ray from p, each
 signed by the side the curve crosses to; a ray that meets a joint, grazes
 a piece or runs along one counts nothing and is retried in the next
@@ -180,13 +185,17 @@ def winding_number(jc: JordanCurve, z) -> WindingResult:
     return _winding(jc, p)
 
 
-def _winding(jc: JordanCurve, p: Point) -> WindingResult:
-    """``winding_number`` at a point whose clearance is already settled."""
+def _winding(jc: JordanCurve, p: Point, chords: list | None = None) -> WindingResult:
+    """``winding_number`` at a point whose clearance is already settled;
+    ``chords``, when given, are the cubic refinement chords its threshold
+    distance query collected, and the cubics are not refined again."""
 
     pts = np.array([[p.x, p.y]])
-    total, nodes, status = _kernels.winding_batch(
-        jc.carrier.kinds, jc.carrier.geometry, pts
-    )
+    ci = jc.carrier
+    if chords is None:
+        total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts)
+    else:
+        total, nodes, status = _kernels.chord_winding(ci.geometry, pts, chords)
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
     integral, rounded, residual, _ = _round_windings(total, nodes)
@@ -302,8 +311,10 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             f"eps_band must be a finite non-negative number, got {eps_band!r}"
         )
     # a positive band decides lo <= 0 along with hi < band; a band of 0
-    # leaves lo <= 0 alone to decide
-    lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE))
+    # leaves lo <= 0 alone to decide.  The query keeps the chords of its
+    # cubic refinement, which are the winding's wherever lo > 0
+    chords: list = []
+    lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE), chords)
     if hi < band or lo <= 0.0:
         # hi < band: certified near.  lo <= 0: cannot certify any clearance,
         # so the conservative call is also near-carrier.
@@ -316,7 +327,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             carrier_bounds=(lo, hi),
         )
 
-    wind = _winding(jc, p)
+    wind = _winding(jc, p, chords)
     if not wind.ok:
         raise BudgetNotMet(
             f"winding residual {wind.residual:.3e} + budget "

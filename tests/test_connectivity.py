@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,18 +94,32 @@ def test_grid_reuse(curves):
 )
 def test_grid_refuses_too_many_cells_before_building_them(curves, bbox):
     # at h = 1e-6 the circle's padded bbox takes about 1.6e13 cells; an
-    # inverted bbox holds no cell at all
-    inverted = bbox == (1.0, 1.0, -1.0, -1.0)
+    # inverted bbox holds no cell at all, and a NaN extent is no size
+    match = "more than 16777216 cells"
+    if bbox == (1.0, 1.0, -1.0, -1.0):
+        match = "needs x0 < x1"
+    elif bbox is not None and math.isnan(bbox[2]):
+        match = "is not finite"
     tracemalloc.start()
     try:
-        with pytest.raises(
-            ValueError, match="needs x0 < x1" if inverted else "more than 16777216 cells"
-        ):
+        with pytest.raises(ValueError, match=match):
             ClearanceGrid.build(curves["circle"], 0.0, 1e-6, bbox=bbox)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_join_from_far_outside_a_prebuilt_grid_warns_nothing(curves):
+    # an end 1e300 away is outside the grid: its cell offset is clipped
+    # before the cast to int64, and the grid rebuilt to cover it is refused
+    # by its size, with no RuntimeWarning on the way
+    jc = curves["circle"]
+    grid = ClearanceGrid.build(jc, 0.01, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="more than 16777216 cells"):
+            polygonal_join(jc, (1e300, 0.0), (0.0, 0.0), 0.01, 0.05, grid=grid)
 
 
 def test_grid_cells_follow_the_floor_rule(curves):

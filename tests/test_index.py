@@ -25,10 +25,11 @@ from curvewind import (
     validate_jordan,
     winding_number,
 )
-from curvewind import _kernels
+from curvewind import _kernels, fixtures
 from curvewind.curves import CurveSpec
 from curvewind.fixtures import kidney, rounded_square
 from curvewind.geometry import Point
+from curvewind import index
 from curvewind.index import _JOINT_U_TOL
 from curvewind.pieces import ArcPiece, LinePiece
 
@@ -126,16 +127,17 @@ def test_signed_crossings_are_the_winding(curves):
 @pytest.mark.parametrize("name", GOOD_FIXTURES)
 def test_negated_winding_is_a_disagreement(curves, name, monkeypatch):
     # a winding kernel that negates every total keeps |w| and the parity, so
-    # only the signed crossing count can catch it
+    # only the signed crossing count can catch it.  classify winds through
+    # chord_winding, on the chords of its distance query
     jc = curves[name]
     c = _first_inside(jc)
-    wind = _kernels.winding_batch
+    wind = _kernels.chord_winding
 
-    def negated(kinds, geo, pts):
-        total, nodes, status = wind(kinds, geo, pts)
+    def negated(geo, pts, chords):
+        total, nodes, status = wind(geo, pts, chords)
         return -total, nodes, status
 
-    monkeypatch.setattr(_kernels, "winding_batch", negated)
+    monkeypatch.setattr(_kernels, "chord_winding", negated)
     with pytest.raises(OracleDisagreement) as exc:
         classify(jc, c.point)
     assert exc.value.winding.rounded == -c.winding.rounded
@@ -396,3 +398,96 @@ def test_reflection_negates_winding(curves):
     for (p, c) in sample_classified(jc, 25, rng):
         w = winding_number(jr, (p[0], -p[1]))
         assert w.rounded == -c.winding.rounded
+
+
+def _classify_two_pass(jc, z, eps_band=None):
+    """The oracle: ``classify`` in two passes, a threshold distance query
+    and then ``winding_batch``, which refines the cubics a second time."""
+
+    p = Point(*z)
+    band = jc.default_eps_band() if eps_band is None else eps_band
+    lo, hi = jc.carrier.distance(p, max(band, index._LEAST_POSITIVE))
+    if hi < band or lo <= 0.0:
+        near = Verdict.NEAR_CARRIER
+        return index.Classification((p.x, p.y), near, None, None, 0, (lo, hi))
+    wind = index._winding(jc, p)
+    if not wind.ok:
+        raise BudgetNotMet(f"residual {wind.residual!r}")
+    for k in range(index._MAX_RAYS):
+        try:
+            records = index._ray_once(jc, p, Point(*index._ray_direction(k)))
+            break
+        except DegenerateRay as exc:
+            last = exc
+    else:
+        raise last
+    signed = sum(r.sign for r in records)
+    if signed != wind.rounded or abs(signed) > 1:
+        raise OracleDisagreement((p.x, p.y), wind, signed)
+    verdict = Verdict.INSIDE if signed else Verdict.OUTSIDE
+    return index.Classification((p.x, p.y), verdict, wind, records, k + 1, (lo, hi))
+
+
+def _outcome(fn, *args, **kw):
+    """What ``fn`` returns, or the type, message and winding of what it
+    raises."""
+
+    try:
+        return fn(*args, **kw)
+    except (PointTooClose, BudgetNotMet, DegenerateRay, OracleDisagreement) as exc:
+        return type(exc), str(exc), getattr(exc, "winding", None)
+
+
+def _off_curve(jc, rng, n, offsets):
+    """``n`` points at ``offsets`` (drawn per point) along random
+    directions from random curve points."""
+
+    spec = jc.spec
+    on = spec.points(rng.uniform(spec.a, spec.b, n))
+    theta = rng.uniform(0.0, TWO_PI, n)
+    return on + rng.choice(offsets, n)[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta)]
+    )
+
+
+def test_classify_equals_the_two_pass_oracle(curves):
+    # classify takes its cubic chords from the distance refinement; the
+    # Classification, or the exception, must be the two-pass one exactly
+    jcs = dict(curves)
+    jcs["blob64"] = validate_jordan(fixtures.cubic_blob(64), h=1e-3)
+    jcs["comb"] = validate_jordan(comb(), h=1e-3, require_smooth=False)
+    raised = 0
+    for name, jc in jcs.items():
+        rng = np.random.default_rng(len(name))
+        x0, y0, x1, y1 = jc.carrier.bbox
+        d, band = jc.diameter(), jc.default_eps_band()
+        box = (x0 - 0.1 * d, y0 - 0.1 * d), (x1 + 0.1 * d, y1 + 0.1 * d)
+        pts = np.concatenate([
+            rng.uniform(*box, (40, 2)),
+            rng.uniform(-1.0, 1.0, (10, 2)) * 3.0 * index.outer_radius(jc),
+            _off_curve(jc, rng, 40, band * np.array([2.0, 5.0, 30.0, 100.0, 1000.0])),
+            _off_curve(jc, rng, 20, [1e-13 * d]),
+        ])
+        for x, y in pts.tolist():
+            for eps in (None, 0.0):
+                got = _outcome(classify, jc, (x, y), eps_band=eps)
+                want = _outcome(_classify_two_pass, jc, (x, y), eps)
+                assert got == want, (name, x, y, eps)
+                raised += isinstance(got, tuple)
+    # the points next to the carrier reach the exceptions too
+    assert raised > 0
+
+
+def test_classify_applies_the_winding_width_rule():
+    # a point 1e-14 diameters off the blob: its distance query certifies a
+    # clearance, but a cubic node 44 halvings deep still holds it, so the
+    # winding puts it on the carrier and classify with a band of 0 raises
+    jc = validate_jordan(fixtures.fixture("blob"), h=1e-3)
+    p = (0.7425567198333105, -0.46895002291961546)
+    assert jc.carrier.distance(p, index._LEAST_POSITIVE)[0] > 0.0
+    ci = jc.carrier
+    _, _, status = _kernels.winding_batch(ci.kinds, ci.geometry, np.array([p]))
+    assert status[0] == _kernels.ON_CARRIER
+    for fn in (classify, _classify_two_pass):
+        with pytest.raises(PointTooClose, match="evaluates on the carrier"):
+            fn(jc, p, 0.0)
