@@ -89,13 +89,13 @@ has.  The only error left is float round-off.
 
 Winding chords from a distance query: ``carrier_batch`` refines the same
 de Casteljau nodes as ``winding_batch``, and given a list ``chords`` it
-collects the winding's chords on the way, so ``classify`` refines each
-cubic once and winds with ``chord_winding``.  Call a node held when its
-control box holds its point: its axis gaps are 0, which both kernels test
-alike, so its box distance is exactly 0.  For every point whose returned
-``lo`` is positive, the refinement keeps and splits every held node down
-to level _WIND_LEVELS (below _REFINE_LEVELS), because each way to lose one
-sets ``lo`` to 0:
+collects the winding's chords on the way, so ``winding_number`` and
+``classify`` refine each cubic once and wind with ``chord_winding``.
+Call a node held when its control box holds its point: its axis gaps are
+0, which both kernels test alike, so its box distance is exactly 0.  For
+every point whose returned ``lo`` is positive, the refinement keeps and
+splits every held node down to level _WIND_LEVELS (below _REFINE_LEVELS),
+because each way to lose one sets ``lo`` to 0:
 
 * a held node that finishes lowers ``lo_acc`` to its distance, 0;
 * a held node that is not live, or not near at level 0, has ``hi <= 0``;

@@ -5,11 +5,12 @@ result to an integer winding number.  Lines and arcs contribute in closed
 form, one chord log each (an arc adds a whole turn for points between it
 and its chord), and cubics are subdivided until each node's chord log is
 exact, so the only error is float round-off tracked in ``error_budget``.
-``classify`` first certifies the point's clearance with a threshold
-carrier-distance query, which splits every cubic node whose box holds the
-point just as the winding does; that query hands over those chords, and
-the winding sums them with the rest without refining the cubics again
-(``_kernels.chord_winding``), to the same floats.
+``winding_number`` and ``classify`` first certify the point's clearance
+with a threshold carrier-distance query, which splits every cubic node
+whose box holds the point just as the winding does; that query hands over
+those chords, and the winding sums them with the rest without refining
+the cubics again (``_kernels.chord_winding``), to the same floats as
+``_kernels.winding_batch``, which ``region_grid`` runs on its grid alone.
 The second oracle counts transversal crossings of a ray from p, each
 signed by the side the curve crosses to; a ray that meets a joint, grazes
 a piece or runs along one counts nothing and is retried in the next
@@ -169,33 +170,43 @@ class Classification:
         return 0
 
 
-def _require_clear(jc: JordanCurve, p: Point) -> None:
-    """Raise PointTooClose unless p has a certified positive clearance."""
+def _clearance(jc: JordanCurve, p: Point, need: float):
+    """``jc.carrier.distance(p, need)`` together with the winding chords
+    its cubic refinement collected: returns (lo, hi, chords).  Where lo > 0
+    the chords are ``winding_batch``'s (``_kernels`` module docstring)."""
 
-    lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE)
+    ci = jc.carrier
+    chords: list = []
+    lo, hi = _kernels.carrier_dist_point(
+        ci.kinds, ci.data, None, None, p.x, p.y, ci.geometry, need, chords
+    )
+    return lo, hi, chords
+
+
+def _require_clear(jc: JordanCurve, p: Point) -> list:
+    """Raise PointTooClose unless p has a certified positive clearance;
+    returns the winding chords of the query that certified it."""
+
+    lo, _, chords = _clearance(jc, p, _LEAST_POSITIVE)
     if lo <= 0.0:
         raise PointTooClose(f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier")
+    return chords
 
 
 def winding_number(jc: JordanCurve, z) -> WindingResult:
     """Winding of the curve around z, with a certified round-off budget."""
 
     p = as_point(z)
-    _require_clear(jc, p)
-    return _winding(jc, p)
+    return _winding(jc, p, _require_clear(jc, p))
 
 
-def _winding(jc: JordanCurve, p: Point, chords: list | None = None) -> WindingResult:
-    """``winding_number`` at a point whose clearance is already settled;
-    ``chords``, when given, are the cubic refinement chords its threshold
-    distance query collected, and the cubics are not refined again."""
+def _winding(jc: JordanCurve, p: Point, chords: list) -> WindingResult:
+    """``winding_number`` at a point whose positive clearance a threshold
+    distance query certified, from the cubic chords that query collected:
+    the cubics are not refined again."""
 
     pts = np.array([[p.x, p.y]])
-    ci = jc.carrier
-    if chords is None:
-        total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts)
-    else:
-        total, nodes, status = _kernels.chord_winding(ci.geometry, pts, chords)
+    total, nodes, status = _kernels.chord_winding(jc.carrier.geometry, pts, chords)
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
     integral, rounded, residual, _ = _round_windings(total, nodes)
@@ -313,8 +324,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
     # a positive band decides lo <= 0 along with hi < band; a band of 0
     # leaves lo <= 0 alone to decide.  The query keeps the chords of its
     # cubic refinement, which are the winding's wherever lo > 0
-    chords: list = []
-    lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE), chords)
+    lo, hi, chords = _clearance(jc, p, max(band, _LEAST_POSITIVE))
     if hi < band or lo <= 0.0:
         # hi < band: certified near.  lo <= 0: cannot certify any clearance,
         # so the conservative call is also near-carrier.

@@ -400,6 +400,32 @@ def test_reflection_negates_winding(curves):
         assert w.rounded == -c.winding.rounded
 
 
+def _winding_two_pass(jc, p):
+    """The oracle's winding at a point of certified clearance: the cubics
+    refined again by ``winding_batch``."""
+
+    ci = jc.carrier
+    pts = np.array([[p.x, p.y]])
+    total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts)
+    if status[0] == _kernels.ON_CARRIER:
+        raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
+    integral, rounded, residual, _ = index._round_windings(total, nodes)
+    return index.WindingResult(
+        (p.x, p.y), complex(integral[0]), int(rounded[0]), float(residual[0]),
+        int(nodes[0]),
+    )
+
+
+def _winding_number_two_pass(jc, z):
+    """The oracle for ``winding_number``: a threshold distance query, then
+    ``_winding_two_pass``."""
+
+    p = Point(*z)
+    if jc.carrier.distance(p, index._LEAST_POSITIVE)[0] <= 0.0:
+        raise PointTooClose(f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier")
+    return _winding_two_pass(jc, p)
+
+
 def _classify_two_pass(jc, z, eps_band=None):
     """The oracle: ``classify`` in two passes, a threshold distance query
     and then ``winding_batch``, which refines the cubics a second time."""
@@ -410,7 +436,7 @@ def _classify_two_pass(jc, z, eps_band=None):
     if hi < band or lo <= 0.0:
         near = Verdict.NEAR_CARRIER
         return index.Classification((p.x, p.y), near, None, None, 0, (lo, hi))
-    wind = index._winding(jc, p)
+    wind = _winding_two_pass(jc, p)
     if not wind.ok:
         raise BudgetNotMet(f"residual {wind.residual!r}")
     for k in range(index._MAX_RAYS):
@@ -451,8 +477,9 @@ def _off_curve(jc, rng, n, offsets):
 
 
 def test_classify_equals_the_two_pass_oracle(curves):
-    # classify takes its cubic chords from the distance refinement; the
-    # Classification, or the exception, must be the two-pass one exactly
+    # classify and winding_number take their cubic chords from the distance
+    # refinement; the result, or the exception, must be the two-pass one
+    # exactly
     jcs = dict(curves)
     jcs["blob64"] = validate_jordan(fixtures.cubic_blob(64), h=1e-3)
     jcs["comb"] = validate_jordan(comb(), h=1e-3, require_smooth=False)
@@ -474,6 +501,8 @@ def test_classify_equals_the_two_pass_oracle(curves):
                 want = _outcome(_classify_two_pass, jc, (x, y), eps)
                 assert got == want, (name, x, y, eps)
                 raised += isinstance(got, tuple)
+            got = _outcome(winding_number, jc, (x, y))
+            assert got == _outcome(_winding_number_two_pass, jc, (x, y)), (name, x, y)
     # the points next to the carrier reach the exceptions too
     assert raised > 0
 
@@ -491,3 +520,6 @@ def test_classify_applies_the_winding_width_rule():
     for fn in (classify, _classify_two_pass):
         with pytest.raises(PointTooClose, match="evaluates on the carrier"):
             fn(jc, p, 0.0)
+    for fn in (winding_number, _winding_number_two_pass):
+        with pytest.raises(PointTooClose, match="evaluates on the carrier"):
+            fn(jc, p)
