@@ -17,8 +17,9 @@ over all (point, piece) pairs, cubics refine all their (point, piece)
 pairs of a block of points together, one subdivision level per step (in
 the winding kernel only the pairs that the run tree below leaves open),
 ``carrier_dist_point`` is ``carrier_batch`` on one point, and
-``chord_winding`` winds with chords that ``carrier_batch`` collected (see
-the end of this docstring).  The sample-pair kernels (``pair_scan``,
+``winding_batch`` takes the cubic chords that ``carrier_batch`` collected
+in place of its own refinement when it is given them (see the end of this
+docstring).  The sample-pair kernels (``pair_scan``,
 ``polyline_crossing``) run over the sample pairs of many blocks at once.
 
 Threshold carrier queries: most callers of ``carrier_batch`` only ask
@@ -90,7 +91,8 @@ has.  The only error left is float round-off.
 Winding chords from a distance query: ``carrier_batch`` refines the same
 de Casteljau nodes as ``winding_batch``, and given a list ``chords`` it
 collects the winding's chords on the way, so ``winding_number`` and
-``classify`` refine each cubic once and wind with ``chord_winding``.
+``classify`` refine each cubic once: they pass those chords to
+``winding_batch``, which then skips ``_refine_held``.
 Call a node held when its control box holds its point: its axis gaps are
 0, which both kernels test alike, so its box distance is exactly 0.  For
 every point whose returned ``lo`` is positive, the refinement keeps and
@@ -125,8 +127,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .pieces import FULL_TURN_TOL, KIND_ARC, KIND_CUBIC, KIND_LINE
-
-TWO_PI = 2.0 * math.pi
 
 # status codes shared by the kernels
 OK = 0
@@ -170,7 +170,7 @@ _HYPOT_FLOOR = 2.0**-1020
 def _angle_in_sweep(a0, sweep, theta):
     """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
 
-    delta = (theta - a0 if sweep > 0.0 else a0 - theta) % TWO_PI
+    delta = (theta - a0 if sweep > 0.0 else a0 - theta) % math.tau
     span = abs(sweep)
     if delta <= span + _SWEEP_TOL:
         return min(delta / span, 1.0)
@@ -380,7 +380,7 @@ def _arc_rows(arc):
     rows = []
     for cx, cy, r, a0, sweep in arc[:, :5].tolist():
         a1 = a0 + sweep
-        full = abs(abs(sweep) - TWO_PI) <= FULL_TURN_TOL
+        full = abs(abs(sweep) - math.tau) <= FULL_TURN_TOL
         rows.append((
             cx, cy, r, a0, math.copysign(1.0, sweep),
             math.inf if full else abs(sweep) + _SWEEP_TOL,
@@ -390,7 +390,7 @@ def _arc_rows(arc):
     return np.array(rows).reshape(-1, 10).T.copy()
 
 
-def winding_batch(kinds, geo, pts):
+def winding_batch(kinds, geo, pts, chords=None):
     """Winding integrals for many points: returns (total, nodes, status).
 
     ``total`` is the complex contour integral of dz/(z - p) per point,
@@ -403,6 +403,12 @@ def winding_batch(kinds, geo, pts):
     loop, which ends once every node is accepted or too narrow to split.
     The chord ratios of a block go through one log.  ``geo`` is the
     curve's ``carrier_geometry``.
+
+    ``chords``, when given, are the points' cubic refinement chords as a
+    ``carrier_batch`` call with a chords list collected them, and the
+    cubics are not refined again: the result is the same for every point
+    whose ``lo`` that call returned positive (module docstring).  Points
+    given with chords form one block, since the chords index them all.
     """
 
     pts = np.ascontiguousarray(pts, dtype=float)
@@ -410,24 +416,11 @@ def winding_batch(kinds, geo, pts):
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
+    if chords is not None:
+        _wind_block(geo, pts, total, nodes, status, chords)
+        return total, nodes, status
     for blk in _point_blocks(m, geo.e0.size + geo.node_parent.size):
         _wind_block(geo, pts[blk], total[blk], nodes[blk], status[blk])
-    return total, nodes, status
-
-
-def chord_winding(geo, pts, chords):
-    """``winding_batch`` at points whose cubic refinement chords are
-    ``chords``, as a ``carrier_batch`` call collected them: returns (total,
-    nodes, status), equal to ``winding_batch``'s for every point whose
-    ``lo`` that call returned positive (module docstring).  The points
-    form one block."""
-
-    pts = np.ascontiguousarray(pts, dtype=float)
-    m = pts.shape[0]
-    total = np.zeros(m, dtype=complex)
-    nodes = np.zeros(m, dtype=np.int64)
-    status = np.zeros(m, dtype=np.int64)
-    _wind_block(geo, pts, total, nodes, status, chords)
     return total, nodes, status
 
 
@@ -446,6 +439,14 @@ def _wind_block(geo, pts, total, nodes, status, chords=None):
         if chords is None:
             chords = _refine_held(geo, z, excl)
         _add_chords([cut, *chords], total, nodes, status)
+
+
+def _in_sweep(wx, wy, a0, sign, span):
+    """Whether the directions (wx, wy) from the arcs' centres lie on their
+    sweeps, within _SWEEP_TOL (anywhere, for a full circle); ``a0``,
+    ``sign`` and ``span`` are the arcs' ``_arc_rows`` rows."""
+
+    return np.mod(sign * (np.arctan2(wy, wx) - a0), math.tau) <= span
 
 
 def _log(ratio):
@@ -487,7 +488,7 @@ def _wind_chords(e0, e1, arc, z):
         side = np.signbit(ratio[:, -na:].imag) == (sign > 0.0)
         turn = (rad < r) & (side | np.isinf(span))
         term[:, -na:] += np.where(turn, (2j * math.pi) * sign, 0.0)
-        on = np.mod(sign * (np.angle(w) - a0), TWO_PI) <= span
+        on = _in_sweep(w.real, w.imag, a0, sign, span)
         bad[:, -na:] |= on & (np.abs(rad - r) <= _ON_ARC_TOL * r)
     term[bad] = 0.0
     return term.sum(axis=1), bad.any(axis=1)
@@ -713,7 +714,7 @@ def carrier_batch(
     most the full ``lo`` and at least that minimum.
 
     ``chords``, an empty list, collects the winding chords of the cubic
-    refinement as ``chord_winding`` takes them: (point index, ratio) and
+    refinement as ``winding_batch`` takes them: (point index, ratio) and
     (point index, None) entries, in the order of the module docstring.
     """
 
@@ -785,7 +786,7 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         wx, wy = px - cx, py - cy
         rad = np.abs(np.hypot(wx, wy) - r)
-        on = np.mod(sign * (np.arctan2(wy, wx) - a0), TWO_PI) <= span
+        on = _in_sweep(wx, wy, a0, sign, span)
         ends = np.minimum(
             np.hypot(px - e0x, py - e0y), np.hypot(px - e1x, py - e1y)
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import _MAX_GRID_CELLS, JordanCurve, _grid_size
+from .curves import _MAX_GRID_CELLS, JordanCurve, _grid_size, _lattice
 from .errors import NoPathAtResolution, PointTooClose
 from .geometry import Point, as_point
 
@@ -70,9 +70,7 @@ class ClearanceGrid:
 
         _check_clearance_and_cell(clearance, h)
         if bbox is None:
-            x0, y0, x1, y1 = jc.carrier.bbox
-            pad = clearance + 4.0 * h
-            bbox = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+            bbox = _padded_bbox(jc, clearance, h)
         x0, y0, x1, y1 = bbox
         if any(math.isnan(v) for v in bbox):
             raise ValueError(f"bbox {tuple(bbox)!r} is not finite: it holds a NaN")
@@ -81,7 +79,8 @@ class ClearanceGrid:
         nx, ny = _grid_size(
             max(np.ceil((x1 - x0) / h), 2.0), max(np.ceil((y1 - y0) / h), 2.0)
         )
-        centers = _cell_centers((x0, y0), h, *np.indices((ny, nx), sparse=True))
+        rows, cols = np.indices((ny, nx), sparse=True)
+        centers = _lattice((x0, y0), h, rows + 0.5, cols + 0.5)
         need = clearance + h * _FREE_MARGIN
         lo, _ = jc.carrier.distance_batch(centers, need)
         free = (lo >= need).astype(np.uint8).reshape(ny, nx)
@@ -100,14 +99,20 @@ class ClearanceGrid:
         return cells[:, 1], cells[:, 0], inside
 
 
-def _cell_centers(origin, h: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The centres, as an (m, 2) array, of the cells at ``rows`` and
-    ``cols`` (broadcast together, row-major) of a grid of side ``h`` whose
-    lower left corner is ``origin``."""
+def _padded_bbox(jc: JordanCurve, clearance: float, h: float, *ends: Point):
+    """The carrier's bounding box, grown to hold the points ``ends``, with
+    ``clearance + 4h`` of padding on every side: ``ClearanceGrid.build``'s
+    default box, and the box ``polygonal_join`` builds a grid over."""
 
-    x = origin[0] + (cols + 0.5) * h
-    y = origin[1] + (rows + 0.5) * h
-    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
+    x0, y0, x1, y1 = jc.carrier.bbox
+    xs, ys = [p.x for p in ends], [p.y for p in ends]
+    pad = clearance + 4.0 * h
+    return (
+        min([x0, *xs]) - pad,
+        min([y0, *ys]) - pad,
+        max([x1, *xs]) + pad,
+        max([y1, *ys]) + pad,
+    )
 
 
 @dataclass(frozen=True)
@@ -217,14 +222,7 @@ def polygonal_join(
             )
     ends = np.array([p1.as_tuple(), p2.as_tuple()])
     if grid is None or not grid._cells(ends)[2].all():
-        x0, y0, x1, y1 = jc.carrier.bbox
-        pad = clearance + 4.0 * h
-        bbox = (
-            min(x0, p1.x, p2.x) - pad,
-            min(y0, p1.y, p2.y) - pad,
-            max(x1, p1.x, p2.x) + pad,
-            max(y1, p1.y, p2.y) + pad,
-        )
+        bbox = _padded_bbox(jc, clearance, h, p1, p2)
         grid = ClearanceGrid.build(jc, clearance, h, bbox)
     elif grid.clearance != clearance or grid.h != h:
         raise ValueError("prebuilt grid does not match clearance/resolution")
@@ -241,7 +239,7 @@ def polygonal_join(
         )
 
     rows, cols = np.array(cells).T
-    centers = _cell_centers(grid.origin, grid.h, rows, cols).tolist()
+    centers = _lattice(grid.origin, grid.h, rows + 0.5, cols + 0.5).tolist()
     vertices = [p1, *(Point(x, y) for x, y in centers), p2]
 
     # shortcut by halving candidate step sizes: O(log) certifications per

@@ -258,6 +258,17 @@ def _grid_size(nx: float, ny: float) -> tuple[int, int]:
     return int(nx), int(ny)
 
 
+def _lattice(origin, h: float, rows, cols) -> np.ndarray:
+    """The points ``origin + h * (cols, rows)`` as an (m, 2) array, ``rows``
+    and ``cols`` broadcast together, row-major: ``index.region_grid``'s
+    grid points at whole offsets, and ``connectivity.ClearanceGrid``'s cell
+    centres at offsets of a whole number and a half."""
+
+    x = origin[0] + h * cols
+    y = origin[1] + h * rows
+    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
+
+
 def lin(z1, z2) -> CurveSpec:
     """The linear path from z1 to z2 on [0, 1]."""
 
@@ -284,8 +295,8 @@ def reparametrize(c: CurveSpec, interval: tuple[float, float]) -> CurveSpec:
 def unit_circular_path() -> CurveSpec:
     """Unit circle traced counterclockwise, parametrised by angle on [0, 2*pi]."""
 
-    piece = ArcPiece(Point(0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
-    return CurveSpec((piece,), (0.0, 2.0 * math.pi))
+    piece = ArcPiece(Point(0.0, 0.0), 1.0, 0.0, math.tau)
+    return CurveSpec((piece,), (0.0, math.tau))
 
 
 @dataclass(frozen=True)
@@ -430,7 +441,7 @@ class CarrierIndex:
         nl = geo.line.shape[1]
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         c = np.hypot(cx, cy)
-        far = np.mod(sign * (np.arctan2(cy, cx) - a0), _kernels.TWO_PI) <= span
+        far = _kernels._in_sweep(cx, cy, a0, sign, span)
         ends = np.maximum(np.hypot(e0x, e0y), np.hypot(e1x, e1y))
         ends += 4.0 * eps * (c + r * (2.0 + np.abs(a0) + span))
         m = max(
@@ -528,7 +539,9 @@ def validate_jordan(
     loc1 = float(np.hypot(*(xy[(i1 + 1) % n_samp] - xy[i1])))
     loc2 = float(np.hypot(*(xy[(i2 + 1) % n_samp] - xy[i2])))
     threshold = _J1_FACTOR * min(loc1, loc2) * (h / h_eff)
-    if min_gap < threshold:
+    # a chord of 0 between samples at least h apart is a collision whatever
+    # the threshold, which is itself 0 where consecutive samples coincide
+    if min_gap < threshold or min_gap == 0.0:
         raise J1Failure(float(ts[i1]), float(ts[i2]), float(min_gap), threshold)
     # a transversal crossing can fall between samples, half a step from the
     # nearest sample pair; the sample polyline still crosses itself there

@@ -25,8 +25,6 @@ __all__ = [
     "fixture",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 
 def arc_through(p0: Point, pm: Point, p1: Point) -> ArcPiece:
     """The circular arc from p0 to p1 passing through pm."""
@@ -44,9 +42,9 @@ def arc_through(p0: Point, pm: Point, p1: Point) -> ArcPiece:
     center = Point(cx, cy)
     radius = center.dist(p0)
     a0 = math.atan2(p0.y - cy, p0.x - cx)
-    dm = math.fmod(math.atan2(pm.y - cy, pm.x - cx) - a0, TWO_PI) % TWO_PI
-    d1 = math.fmod(math.atan2(p1.y - cy, p1.x - cx) - a0, TWO_PI) % TWO_PI
-    sweep = d1 if dm < d1 else d1 - TWO_PI
+    dm = math.fmod(math.atan2(pm.y - cy, pm.x - cx) - a0, math.tau) % math.tau
+    d1 = math.fmod(math.atan2(p1.y - cy, p1.x - cx) - a0, math.tau) % math.tau
+    sweep = d1 if dm < d1 else d1 - math.tau
     return ArcPiece(center, radius, a0, sweep)
 
 
@@ -64,7 +62,7 @@ def rotated_ellipse(
     ct, st = math.cos(tilt), math.sin(tilt)
     pts = []
     for j in range(2 * n_arcs):
-        th = TWO_PI * j / (2 * n_arcs)
+        th = math.tau * j / (2 * n_arcs)
         x, y = rx * math.cos(th), ry * math.sin(th)
         pts.append(Point(ct * x - st * y, st * x + ct * y))
     pieces = []
@@ -125,7 +123,7 @@ def cubic_blob(n_points: int = 8, wobble: float = 0.25) -> CurveSpec:
 
     pts = []
     for k in range(n_points):
-        th = TWO_PI * k / n_points
+        th = math.tau * k / n_points
         r = 1.0 + wobble * math.cos(3.0 * th)
         pts.append(Point(r * math.cos(th), r * math.sin(th)))
     return _catmull_rom_loop(pts)
@@ -137,7 +135,7 @@ def kidney() -> CurveSpec:
     radii = [0.45, 0.8] + [1.0] * 9 + [0.8]
     pts = []
     for k, r in enumerate(radii):
-        th = TWO_PI * k / len(radii)
+        th = math.tau * k / len(radii)
         pts.append(Point(r * math.cos(th), r * math.sin(th)))
     return _catmull_rom_loop(pts)
 
@@ -147,8 +145,8 @@ def figure_eight() -> CurveSpec:
 
     return CurveSpec(
         (
-            ArcPiece(Point(-1.0, 0.0), 1.0, 0.0, TWO_PI),
-            ArcPiece(Point(1.0, 0.0), 1.0, math.pi, -TWO_PI),
+            ArcPiece(Point(-1.0, 0.0), 1.0, 0.0, math.tau),
+            ArcPiece(Point(1.0, 0.0), 1.0, math.pi, -math.tau),
         )
     )
 

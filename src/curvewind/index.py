@@ -8,9 +8,9 @@ exact, so the only error is float round-off tracked in ``error_budget``.
 ``winding_number`` and ``classify`` first certify the point's clearance
 with a threshold carrier-distance query, which splits every cubic node
 whose box holds the point just as the winding does; that query hands over
-those chords, and the winding sums them with the rest without refining
-the cubics again (``_kernels.chord_winding``), to the same floats as
-``_kernels.winding_batch``, which ``region_grid`` runs on its grid alone.
+those chords, and ``_kernels.winding_batch`` sums them with the rest
+without refining the cubics again, to the same floats as its own
+refinement, which ``region_grid`` runs on its grid alone.
 The second oracle counts transversal crossings of a ray from p, each
 signed by the side the curve crosses to; a ray that meets a joint, grazes
 a piece or runs along one counts nothing and is retried in the next
@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .curves import JordanCurve, _grid_size
+from .curves import JordanCurve, _grid_size, _lattice
 from .errors import (
     BudgetNotMet,
     DegenerateRay,
@@ -59,8 +59,6 @@ __all__ = [
     "boundary_witnesses",
     "segment_integral",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # round-off per accepted node: one complex log plus a handful of adds
 _PER_NODE = 5e-16
@@ -205,8 +203,9 @@ def _winding(jc: JordanCurve, p: Point, chords: list) -> WindingResult:
     distance query certified, from the cubic chords that query collected:
     the cubics are not refined again."""
 
+    ci = jc.carrier
     pts = np.array([[p.x, p.y]])
-    total, nodes, status = _kernels.chord_winding(jc.carrier.geometry, pts, chords)
+    total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts, chords)
     if status[0] == _kernels.ON_CARRIER:
         raise PointTooClose(f"({p.x!r}, {p.y!r}) evaluates on the carrier")
     integral, rounded, residual, _ = _round_windings(total, nodes)
@@ -375,7 +374,7 @@ def outer_radius(jc: JordanCurve) -> float:
     """
 
     a, b = jc.interval
-    return jc.carrier.max_radius() + (b - a) * (1.0 + jc.deriv_sup) / TWO_PI
+    return jc.carrier.max_radius() + (b - a) * (1.0 + jc.deriv_sup) / math.tau
 
 
 def constant_index_radius(jc: JordanCurve, z) -> float:
@@ -411,15 +410,7 @@ class RegionGrid:
 
     @property
     def centers(self) -> np.ndarray:
-        return _grid_points(self.origin, self.spacing, self.shape)
-
-
-def _grid_points(origin, h, shape) -> np.ndarray:
-    """The (ny * nx, 2) points ``origin + h * (j, i)``, row by row."""
-
-    (x0, y0), (ny, nx) = origin, shape
-    gx, gy = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
-    return np.column_stack([gx.ravel(), gy.ravel()])
+        return _lattice(self.origin, self.spacing, *np.indices(self.shape, sparse=True))
 
 
 def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
@@ -436,9 +427,9 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     pad = 3.0 * resolution
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     nx, ny = _grid_size(np.ceil((x1 - x0) / h) + 1, np.ceil((y1 - y0) / h) + 1)
-    total, nodes, status = _kernels.winding_batch(
-        jc.carrier.kinds, jc.carrier.geometry, _grid_points((x0, y0), h, (ny, nx))
-    )
+    pts = _lattice((x0, y0), h, *np.indices((ny, nx), sparse=True))
+    ci = jc.carrier
+    total, nodes, status = _kernels.winding_batch(ci.kinds, ci.geometry, pts)
     _, winding, residual, budget = _round_windings(total, nodes)
     valid = (status == _kernels.OK) & _certified(residual, budget)
     return RegionGrid(
@@ -550,8 +541,9 @@ def boundary_witnesses(jc: JordanCurve, params) -> tuple[Witness, ...]:
 def segment_integral(z1, z2, zeta) -> complex:
     """Exact integral of dz/(z - zeta) along the segment z1 -> z2.
 
-    A segment subtends less than pi from any point off its line, so the
-    principal logarithm of the endpoint ratio is the true integral.
+    A segment subtends less than pi from any point off it, so the
+    principal logarithm of the endpoint ratio is the true integral.  A pole
+    on the segment, where no integral exists, raises PointTooClose.
     """
 
     a = complex(*as_point(z1).as_tuple())
@@ -560,4 +552,9 @@ def segment_integral(z1, z2, zeta) -> complex:
     w0, w1 = a - c, b - c
     if abs(w0) == 0.0 or abs(w1) == 0.0:
         raise PointTooClose("pole sits on a segment endpoint")
+    # the ends are collinear with the pole and on opposite sides of it
+    cross = w0.real * w1.imag - w0.imag * w1.real
+    dot = w0.real * w1.real + w0.imag * w1.imag
+    if cross == 0.0 and dot < 0.0:
+        raise PointTooClose("pole sits inside the segment")
     return cmath.log(w1 / w0)

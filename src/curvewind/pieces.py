@@ -151,7 +151,7 @@ class ArcPiece:
         object.__setattr__(self, "center", as_point(self.center))
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("arc radius must be positive and finite")
-        if not (0.0 < abs(self.sweep) <= 2.0 * math.pi + FULL_TURN_TOL):
+        if not (0.0 < abs(self.sweep) <= math.tau + FULL_TURN_TOL):
             raise ValueError("arc sweep must satisfy 0 < |sweep| <= 2*pi")
         if not math.isfinite(self.start_angle):
             raise ValueError("arc start_angle must be finite")
@@ -160,7 +160,7 @@ class ArcPiece:
 
     @property
     def is_full_turn(self) -> bool:
-        return abs(abs(self.sweep) - 2.0 * math.pi) <= FULL_TURN_TOL
+        return abs(abs(self.sweep) - math.tau) <= FULL_TURN_TOL
 
     def point(self, u: float) -> Point:
         a = self.start_angle + self.sweep * u

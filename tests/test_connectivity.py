@@ -19,6 +19,7 @@ from curvewind import (
 )
 from curvewind import connectivity
 from curvewind.connectivity import _FREE_MARGIN
+from curvewind.curves import _lattice
 from curvewind.geometry import Point
 
 from conftest import comb, sample_classified
@@ -143,7 +144,7 @@ def test_grid_cells_follow_the_floor_rule(curves):
         want_c = int(math.floor((x - ox) / h))
         assert (r, c) == (want_r, want_c)
         assert k == (0 <= want_r < ny and 0 <= want_c < nx)
-    centers = connectivity._cell_centers(grid.origin, h, rows[inside], cols[inside])
+    centers = _lattice(grid.origin, h, rows[inside] + 0.5, cols[inside] + 0.5)
     for (x, y), r, c in zip(centers.tolist(), rows[inside], cols[inside]):
         assert (x, y) == (ox + (int(c) + 0.5) * h, oy + (int(r) + 0.5) * h)
     assert inside.sum() > 300 and (~inside).sum() > 100

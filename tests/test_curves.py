@@ -340,6 +340,21 @@ def test_figure_eight_fails_injectivity_with_witness():
     assert p2.dist(Point(0.0, 0.0)) < 1e-6
 
 
+def test_a_repeated_point_fails_injectivity():
+    # a constant cubic at the corner (1, 0) of the unit square: its samples
+    # all repeat that point, so the chord is 0 and so is the threshold
+    corner = Point(1.0, 0.0)
+    square = [Point(0.0, 0.0), corner, Point(1.0, 1.0), Point(0.0, 1.0)]
+    lines = [LinePiece(p, q) for p, q in zip(square, square[1:] + square[:1])]
+    spec = CurveSpec((lines[0], CubicPiece(corner, corner, corner, corner), *lines[1:]))
+    with pytest.raises(J1Failure) as exc:
+        validate_jordan(spec, h=1e-3, require_smooth=False)
+    err = exc.value
+    assert err.chord == 0.0 and err.threshold == 0.0
+    assert spec.eval(err.t1) == spec.eval(err.t2) == corner
+    assert abs(err.t2 - err.t1) >= 1e-3
+
+
 def test_cusp_rejected_unless_allowed():
     a = Point(0.0, 0.0)
     b = Point(2.0, 0.0)

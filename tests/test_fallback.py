@@ -31,3 +31,29 @@ def test_runtime_needs_numpy_alone(tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+# the package's public names at the last change before each module's
+# __all__ became the one list of them
+_PUBLIC = """
+    Affine ArcPiece BudgetNotMet CarrierIndex Classification ClearanceGrid
+    ClosureFailure CrossingRecord CubicPiece CurveError CurveSpec DegenerateRay
+    FIXTURES J1Certificate J1Failure J2Certificate JordanCurve LinePiece
+    NoPathAtResolution NonSmoothPiece OracleDisagreement ParseError Point
+    PointTooClose PolygonalJoin RegionEmpty USING_NUMBA ValidationFailure
+    Verdict WindingResult Witness WitnessNotFound __version__
+    boundary_witnesses classify constant_index_radius curve_from_dict
+    curve_from_json curve_to_dict curve_to_json fixture lin outer_radius
+    path_carrier_gap path_sum polygonal_join ray_crossing_index
+    region_distance region_grid render_svg reparametrize segment_integral
+    transform_curve unit_circular_path validate_jordan winding_number
+""".split()
+
+
+def test_public_names_resolve_once():
+    names = curvewind.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(curvewind, n)] == []
+    # RegionGrid, the type region_grid returns, is the one name added
+    assert sorted(names) == sorted(_PUBLIC + ["RegionGrid"])
+    assert curvewind.RegionGrid is curvewind.index.RegionGrid

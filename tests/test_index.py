@@ -128,16 +128,16 @@ def test_signed_crossings_are_the_winding(curves):
 def test_negated_winding_is_a_disagreement(curves, name, monkeypatch):
     # a winding kernel that negates every total keeps |w| and the parity, so
     # only the signed crossing count can catch it.  classify winds through
-    # chord_winding, on the chords of its distance query
+    # winding_batch, on the chords of its distance query
     jc = curves[name]
     c = _first_inside(jc)
-    wind = _kernels.chord_winding
+    wind = _kernels.winding_batch
 
-    def negated(geo, pts, chords):
-        total, nodes, status = wind(geo, pts, chords)
+    def negated(kinds, geo, pts, chords=None):
+        total, nodes, status = wind(kinds, geo, pts, chords)
         return -total, nodes, status
 
-    monkeypatch.setattr(_kernels, "chord_winding", negated)
+    monkeypatch.setattr(_kernels, "winding_batch", negated)
     with pytest.raises(OracleDisagreement) as exc:
         classify(jc, c.point)
     assert exc.value.winding.rounded == -c.winding.rounded
@@ -313,6 +313,18 @@ def test_segment_integral_matches_quadrature():
         im, _ = quad(lambda u: ((b - a) / (a + u * (b - a) - z)).imag, 0, 1,
                      limit=200, epsabs=1e-12)
         assert abs(got - complex(re, im)) < 1e-9
+
+
+def test_segment_integral_refuses_a_pole_on_the_segment():
+    # inside the segment no integral exists, whatever the sign of a zero
+    with pytest.raises(PointTooClose, match="inside the segment"):
+        segment_integral((0.0, 0.0), (2.0, 0.0), (1.0, 0.0))
+    with pytest.raises(PointTooClose, match="endpoint"):
+        segment_integral((0.0, 0.0), (2.0, 0.0), (2.0, 0.0))
+    # on the segment's line beyond its end: the real log of the ratio
+    got = segment_integral((0.0, 0.0), (2.0, 0.0), (3.0, 0.0))
+    assert got.imag == 0.0
+    assert got.real == math.log(1.0 / 3.0)
 
 
 def test_affine_invariance_of_verdicts(curves):

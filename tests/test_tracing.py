@@ -61,3 +61,18 @@ def test_traced_grid_build_counts_one_point_per_cell():
         "_kernels.carrier_batch", "connectivity.ClearanceGrid.build", "points"
     )
     assert points == grid.free.size
+
+
+def test_traced_classify_counts_its_winding():
+    # classify winds through winding_batch on the chords of its clearance
+    # query, so the tracer's winding span sits under the classify span
+    tracing = _load_tracing()
+    tracer = tracing.Tracer().install()
+    try:
+        jc = curves.validate_jordan(fixture("kidney"), h=1e-2)
+        c = index.classify(jc, (0.2, 0.1))
+    finally:
+        tracer.uninstall()
+    assert c.verdict is index.Verdict.INSIDE
+    assert tracer.under("_kernels.winding_batch", "index.classify") == 1
+    assert tracer.under("_kernels.winding_batch", "index.classify", "points") == 1
