@@ -165,6 +165,10 @@ _SQ_REL = 1.0 + 1e-13
 _SQ_ABS = float(np.finfo(float).tiny)
 # below this a chord's hypot may round by more than an ulp of itself
 _HYPOT_FLOOR = 2.0**-1020
+# a float orientation determinant a - b above _ORIENT_ERR (|a| + |b|) plus
+# _ORIENT_ABS, the round-off of products that underflow, has the exact sign
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_ABS = 2.0**-1070
 
 
 def _angle_in_sweep(a0, sweep, theta):
@@ -200,11 +204,12 @@ def _bisect_root(f, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
+def ray_hits_point(kinds, data, px, py, vx, vy, out):
     """All forward ray/carrier intersections, unsorted.
 
-    Only hits at ray parameters above ``t_min`` count as forward, so the
-    caller sets the floor to the curve's scale.  ``out`` is an empty list;
+    Every hit at a positive ray parameter counts as forward: callers shoot
+    rays only from points with a certified positive clearance, which no
+    true hit lies nearer than.  ``out`` is an empty list;
     each hit is appended to it as a tuple (t, piece, u, tan_x, tan_y).
     Returns (len(out), status) where status is OK, or ON_CARRIER as soon as
     a collinear segment overlap turns up.  Tangential (even-order) contacts
@@ -225,12 +230,12 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
                 if abs(perp) <= 1e-12 * elen:
                     f0 = rx * vx + ry * vy
                     f1 = (x1 - px) * vx + (y1 - py) * vy
-                    if f0 > t_min or f1 > t_min:
+                    if f0 > 0.0 or f1 > 0.0:
                         return len(out), ON_CARRIER
                 continue
             t = (rx * ey - ry * ex) / den
             u = (rx * vy - ry * vx) / den
-            if -1e-12 <= u <= 1.0 + 1e-12 and t > t_min:
+            if -1e-12 <= u <= 1.0 + 1e-12 and t > 0.0:
                 out.append((t, i, min(1.0, max(0.0, u)), ex, ey))
         elif kind == KIND_ARC:
             cx, cy, r, a0, sweep = row[:5]
@@ -242,7 +247,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
                 continue
             sq = math.sqrt(disc)
             for t in (-b - sq, -b + sq):
-                if t <= t_min:
+                if t <= 0.0:
                     continue
                 hx, hy = ux + t * vx, uy + t * vy
                 u = _angle_in_sweep(a0, sweep, math.atan2(hy, hx))
@@ -294,7 +299,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out, t_min):
                 hx = _cubic_value(x0, x1, x2, x3, u)
                 hy = _cubic_value(y0, y1, y2, y3, u)
                 t = (hx - px) * vx + (hy - py) * vy
-                if t <= t_min:
+                if t <= 0.0:
                     continue
                 v = 1.0 - u
                 c0, c1, c2 = 3.0 * v * v, 6.0 * v * u, 3.0 * u * u
@@ -1119,14 +1124,16 @@ def _chords(I, J, x, y, slabs, mask):
 
 
 def polyline_crossing(xy):
-    """The smallest pair of non-adjacent sample segments that cross.
+    """The smallest pair of non-adjacent sample segments that meet.
 
     Segment k runs from sample k to sample k + 1, the last one back to
     sample 0.  Returns (i, j), i < j, for the smallest pair of segments
-    that are not neighbours on the closed polyline and whose interiors
-    cross properly (strict orientation changes both ways), or (-1, -1).
-    Only block pairs whose boxes overlap are tested, each box spanning
-    its block's samples and the end of its last segment.
+    that are not neighbours on the closed polyline and that cross or
+    touch (a sample on another segment counts), or (-1, -1).  Each has
+    its ends on both sides of the other's line or on it, and collinear
+    segments meet where their boxes do.  Only block pairs whose boxes
+    overlap are tested, each box spanning its block's samples and the end
+    of its last segment.
     """
 
     xy = np.ascontiguousarray(xy, dtype=float)
@@ -1149,27 +1156,27 @@ def polyline_crossing(xy):
     skip = ((P == Q) & mono_self[P]) | ((Q == nxt[P]) & mono_next[P])
     skip |= (P == nxt[Q]) & mono_next[Q]
     near = np.flatnonzero((gx == 0.0) & (gy == 0.0) & ~skip)
-    x, y = xy[:, 0], xy[:, 1]
     found = (n, n)
     for s in range(0, near.size, _SCAN_STEP):
         k = near[s : s + _SCAN_STEP]
-        i = cols[P[k]][:, :, None]
-        j = cols[Q[k]][:, None, :]
-        i1, j1 = (i + 1) % n, (j + 1) % n
-        # first the segments j whose ends lie strictly on both sides of the
-        # line of segment i, few of them.  Neighbours share an endpoint,
-        # whose turn is exactly 0, so j > i is the only other mask needed
-        s0 = _orient(x[i], y[i], x[i1], y[i1], x[j], y[j])
-        s1 = _orient(x[i], y[i], x[i1], y[i1], x[j1], y[j1])
-        ok = (j > i) & (s0 * s1 < 0)
-        if not ok.any():
-            continue
-        ii = np.broadcast_to(i, ok.shape)[ok]
-        jj = np.broadcast_to(j, ok.shape)[ok]
-        ii1, jj1 = (ii + 1) % n, (jj + 1) % n
-        s0 = _orient(x[jj], y[jj], x[jj1], y[jj1], x[ii], y[ii])
-        s1 = _orient(x[jj], y[jj], x[jj1], y[jj1], x[ii1], y[ii1])
-        hit = s0 * s1 < 0
+        i, j = np.broadcast_arrays(cols[P[k]][:, :, None], cols[Q[k]][:, None, :])
+        # each pair once, and no neighbours: they share an endpoint
+        pair = (j > i + 1) & ((j + 1) % n != i)
+        ii, jj = i[pair], j[pair]
+        a0, a1, b0, b1 = xy[ii], xy[(ii + 1) % n], xy[jj], xy[(jj + 1) % n]
+        # first the segments j whose ends lie on both sides of the line of
+        # segment i or on it, few of them
+        s0, s1 = _orient(a0, a1, b0), _orient(a0, a1, b1)
+        ok = s0 * s1 <= 0
+        flat = ((s0 == 0) & (s1 == 0))[ok]
+        ii, jj, a0, a1, b0, b1 = ii[ok], jj[ok], a0[ok], a1[ok], b0[ok], b1[ok]
+        s0, s1 = _orient(b0, b1, a0), _orient(b0, b1, a1)
+        hit = s0 * s1 <= 0
+        # four ends on one line: the segments meet where their boxes do
+        flat &= (s0 == 0) & (s1 == 0)
+        lo = np.maximum(np.minimum(a0, a1), np.minimum(b0, b1))
+        hi = np.minimum(np.maximum(a0, a1), np.maximum(b0, b1))
+        hit[flat] = (lo <= hi).all(axis=1)[flat]
         if hit.any():
             ii, jj = ii[hit], jj[hit]
             w = np.lexsort((jj, ii))[0]
@@ -1188,10 +1195,25 @@ def _forward(seg, chord):
     return (dots > 0.0).all(axis=1)
 
 
-def _orient(px, py, qx, qy, rx, ry):
-    """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear."""
+def _orient(p, q, r):
+    """Exact sign of the turn p -> q -> r, rows of points: +1 left, -1
+    right, 0 collinear.  Shewchuk's orient2d filter ("Adaptive Precision
+    Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997)
+    passes the float signs it proves; the rest, float zeros among them,
+    are decided on the floats as exact integers."""
 
-    return np.sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
+    (ux, uy), (vx, vy) = (q - p).T, (r - p).T
+    a, b = ux * vy, uy * vx
+    out = np.sign(a - b)
+    err = _ORIENT_ERR * (np.abs(a) + np.abs(b)) + _ORIENT_ABS
+    k = np.flatnonzero(~(np.abs(a - b) > err))
+    if k.size:
+        m, e = np.frexp(np.stack([p[k], q[k], r[k]]))
+        e = (e - e.min()).astype(object)
+        p, q, r = np.ldexp(m, 53).astype(np.int64).astype(object) << e
+        (ux, uy), (vx, vy) = (q - p).T, (r - p).T
+        out[k] = np.sign(ux * vy - uy * vx)
+    return out
 
 
 def grid_path(free, start, goal):

@@ -119,13 +119,12 @@ def _grid_points(args, jc):
 
 
 def cmd_classify(args) -> int:
-    jc = _validated(args)
-    if args.grid is not None:
-        pts = _grid_points(args, jc)
-    elif args.point:
-        pts = [(x, y) for x, y in args.point]
-    else:
+    if args.grid is None and not args.point:
         raise CurveError("classify needs --point or --grid")
+    if args.grid is None and args.bounds is not None:
+        raise ValueError("--bounds applies only to --grid")
+    jc = _validated(args)
+    pts = args.point if args.grid is None else _grid_points(args, jc)
     rows = []
     for x, y in pts:
         c = classify(jc, (x, y), eps_band=args.eps_band)
@@ -246,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", parents=[common], help="inside/outside verdicts")
     add_format(c, "csv", "json")
-    c.add_argument(
+    where = c.add_mutually_exclusive_group()
+    where.add_argument(
         "--point",
         nargs=2,
         type=_finite_float,
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("X", "Y"),
         help="query point, repeatable",
     )
-    c.add_argument("--grid", nargs=2, type=_positive_int, metavar=("NX", "NY"))
+    where.add_argument("--grid", nargs=2, type=_positive_int, metavar=("NX", "NY"))
     c.add_argument(
         "--bounds", nargs=4, type=_finite_float, metavar=("X0", "Y0", "X1", "Y1")
     )
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.set_defaults(func=cmd_join)
 
     r = sub.add_parser("render", parents=[common], help="write an SVG picture")
-    add_format(r, "text", "json")
     r.add_argument("-o", "--output", default="-")
     r.add_argument("--size", type=_positive_int, default=640)
     r.add_argument(

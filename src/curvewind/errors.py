@@ -14,7 +14,6 @@ __all__ = [
     "DegenerateRay",
     "OracleDisagreement",
     "WitnessNotFound",
-    "RegionEmpty",
     "NoPathAtResolution",
 ]
 
@@ -106,10 +105,6 @@ class OracleDisagreement(CurveError):
 
 class WitnessNotFound(CurveError):
     """Both-side boundary witnesses could not be classified at any scale."""
-
-
-class RegionEmpty(CurveError):
-    """No sample of the requested region was found at this resolution."""
 
 
 class NoPathAtResolution(CurveError):

@@ -37,7 +37,6 @@ from .errors import (
     DegenerateRay,
     OracleDisagreement,
     PointTooClose,
-    RegionEmpty,
     WitnessNotFound,
 )
 from .geometry import Point, as_point
@@ -73,9 +72,6 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_RAYS = 32
 _JOINT_U_TOL = 1e-8
 _ISOLATION_FRACTION = 1e-6
-# ray hits nearer the origin than this times the curve's diameter are not
-# counted as forward
-_RAY_T_MIN = 1e-12
 # boundary witnesses start their normal probes this many diameters off the
 # curve and halve the offset at most this often
 _WITNESS_START = 0.05
@@ -247,8 +243,10 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
 
     Every counted hit crosses the interior of a piece at an angle.  A ray
     that runs along a straight piece, passes within ``_JOINT_U_TOL`` of a
-    joint, grazes a piece or has two hits closer than the isolation
-    window is degenerate, and ``classify`` retries it in a new direction.
+    joint, grazes a piece (a zero tangent has angle 0) or has two hits
+    closer than the isolation window is degenerate, and ``classify``
+    retries it in a new direction.  Every hit past the origin counts: p has
+    a certified clearance lo > 0, and no crossing lies nearer than lo.
     """
 
     carrier = jc.carrier
@@ -258,9 +256,7 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
     # kernels measure the ray parameter as arc length, so normalise here
     vx, vy = direction.x / norm, direction.y / norm
     hits = []
-    _, status = _kernels.ray_hits_point(
-        carrier.kinds, carrier.data, p.x, p.y, vx, vy, hits, _RAY_T_MIN * carrier.diam
-    )
+    _, status = _kernels.ray_hits_point(carrier.kinds, carrier.data, p.x, p.y, vx, vy, hits)
     if status == _kernels.ON_CARRIER:
         raise DegenerateRay("ray runs along a straight piece")
     hits.sort(key=lambda h: h[0])
@@ -277,8 +273,6 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
                 f"two hits only {t - hits[i - 1][0]:.3e} apart along the ray",
                 record=(hits[i - 1][:3], (t, piece, u)),
             )
-        if math.hypot(tx, ty) <= 0.0:
-            raise DegenerateRay("zero tangent at a hit")
         cross = vx * ty - vy * tx
         dot = vx * tx + vy * ty
         angle = math.atan2(abs(cross), abs(dot))
@@ -437,40 +431,28 @@ def region_grid(jc: JordanCurve, resolution: float) -> RegionGrid:
     )
 
 
-def region_distance(
-    jc: JordanCurve,
-    z,
-    target: str = "opposite",
-    resolution: float | None = None,
-    grid: RegionGrid | None = None,
-) -> float:
-    """Approximate distance from z to the inside/outside region.
+def region_distance(jc: JordanCurve, z, target: str = "opposite") -> float:
+    """Distance from z to the inside or the outside region.
 
     ``target`` is "inside", "outside", or "opposite" (the region not
-    containing z).  The approximation error is bounded by the resolution:
-    returned values use region samples on a half-resolution grid.
+    containing z; PointTooClose for a near-carrier z).  Returns 0 where
+    ``classify`` puts z in the target, and otherwise the upper end of
+    ``jc.carrier.distance(z)``: the carrier is the boundary of both
+    regions, so a point's distance to the other region is its distance to
+    the carrier.  A near-carrier z may lie in the target already, so for
+    it the value is an upper bound.
     """
 
     p = as_point(z)
-    res = jc.diameter() / 256.0 if resolution is None else float(resolution)
     if target not in ("inside", "outside", "opposite"):
         raise ValueError(f"unknown target region {target!r}")
     own = classify(jc, p).verdict
     if target == "opposite":
         if own is Verdict.NEAR_CARRIER:
             raise PointTooClose("ambiguous side: point is near the carrier")
-        want_inside = own is Verdict.OUTSIDE
-    else:
-        want_inside = target == "inside"
-    if (own is Verdict.INSIDE) == want_inside and own is not Verdict.NEAR_CARRIER:
+    elif own is (Verdict.INSIDE if target == "inside" else Verdict.OUTSIDE):
         return 0.0
-    if grid is None:
-        grid = region_grid(jc, res)
-    sel = grid.valid & ((grid.winding != 0) == want_inside)
-    if not sel.any():
-        raise RegionEmpty(f"no {target} sample found at resolution {res:.3e}")
-    pts = grid.centers[sel]
-    return float(np.hypot(pts[:, 0] - p.x, pts[:, 1] - p.y).min())
+    return jc.carrier.distance(p)[1]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from curvewind import (
     outer_radius,
     polygonal_join,
     region_distance,
-    region_grid,
     reparametrize,
     segment_integral,
     transform_curve,
@@ -218,8 +217,6 @@ def test_c5_segment_integral_stability(capsys):
 
 def test_c6_region_distance(curves, capsys):
     jc = curves["circle"]
-    res = jc.diameter() / 256.0
-    grid = region_grid(jc, res)
     rng = np.random.default_rng(1006)
     worst = 0.0
     for side, radii in (("inside", rng.uniform(0.05, 0.92, 20)),
@@ -227,14 +224,13 @@ def test_c6_region_distance(curves, capsys):
         for k, rad in enumerate(radii):
             th = TWO_PI * (k + 0.29) / 20
             p = (rad * math.cos(th), rad * math.sin(th))
-            d = region_distance(jc, p, "opposite", resolution=res, grid=grid)
+            d = region_distance(jc, p, "opposite")
             exact = abs(1.0 - rad)
             err = abs(d - exact)
-            worst = max(worst, err)
-            assert err <= 2.0 * res, (side, p, d, exact)
+            worst = max(worst, err / exact)
+            assert err <= 1e-3 * exact, (side, p, d, exact)
     _line(capsys, 6, True,
-          f"region distance: 40 points, max |error| {worst:.2e} <= "
-          f"2*resolution {2 * res:.2e}")
+          f"region distance: 40 points, max relative error {worst:.2e} <= 1e-3")
 
 
 def test_c7_boundary_witnesses(curves, capsys):

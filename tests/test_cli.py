@@ -89,6 +89,29 @@ def test_classify_needs_points(circle_file, capsys):
     assert main(["classify", circle_file]) == 2
 
 
+def test_classify_takes_points_or_a_grid_not_both(circle_file, capsys):
+    point, grid = ["--point", "0", "0"], ["--grid", "2", "2"]
+    for argv in (point + grid, grid + point):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", circle_file, *argv])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_classify_refuses_bounds_without_a_grid(circle_file, capsys):
+    code = main(["classify", circle_file, "--point", "0", "0", "--bounds", "5", "5", "6", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --bounds applies only to --grid\n"
+
+
+def test_render_has_no_format_option(circle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", circle_file, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("band", ["nan", "-1", "-0.5", "inf"])
 def test_classify_rejects_a_nan_or_negative_band(circle_file, capsys, band):
     with pytest.raises(SystemExit) as exc:

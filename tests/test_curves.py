@@ -355,6 +355,25 @@ def test_a_repeated_point_fails_injectivity():
     assert abs(err.t2 - err.t1) >= 1e-3
 
 
+def _pinched_pentagon(x):
+    verts = [Point(0.0, 0.0), Point(4.0, 0.0), Point(4.0, 3.0), Point(x, 0.0), Point(0.0, 3.0)]
+    return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+
+
+def test_a_vertex_on_an_edge_fails_injectivity():
+    # the vertex (x, 0) lies on the edge from (0, 0) to (4, 0), so the
+    # pentagon is two triangles pinched at a point.  At x = 2.002 its
+    # nearest sample pair is 2.0e-3 apart, above the threshold of 7.5e-4,
+    # and only the touch of the sample polylines gives it away
+    with pytest.raises(J1Failure) as exc:
+        validate_jordan(_pinched_pentagon(2.002), h=1e-3, require_smooth=False)
+    assert exc.value.chord == 0.0 and exc.value.threshold == pytest.approx(7.5e-4)
+    rng = np.random.default_rng(0)
+    for x in rng.uniform(0.5, 3.5, 200):
+        with pytest.raises(J1Failure):
+            validate_jordan(_pinched_pentagon(float(x)), h=1e-3, require_smooth=False)
+
+
 def test_cusp_rejected_unless_allowed():
     a = Point(0.0, 0.0)
     b = Point(2.0, 0.0)

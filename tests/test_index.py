@@ -1,14 +1,19 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from curvewind import (
     Affine,
     BudgetNotMet,
+    CurveError,
     DegenerateRay,
+    J1Failure,
     OracleDisagreement,
     PointTooClose,
     Verdict,
@@ -239,12 +244,11 @@ def test_outer_radius_bounds_carrier(curves):
 
 def test_region_distance_matches_carrier_distance(curves):
     jc = curves["ellipse"]
-    res = jc.diameter() / 256.0
-    grid = region_grid(jc, res)
     for p in [(0.1, 0.05), (-0.4, -0.2), (2.0, 1.2), (-1.8, 0.6)]:
-        d = region_distance(jc, p, "opposite", resolution=res, grid=grid)
+        d = region_distance(jc, p, "opposite")
         lo, hi = jc.carrier.distance(p)
-        assert abs(d - 0.5 * (lo + hi)) <= 2.0 * res
+        assert d == hi
+        assert abs(d - 0.5 * (lo + hi)) <= 1e-3 * d
 
 
 # 5e-324 is positive, but half of it rounds to 0
@@ -391,6 +395,218 @@ def test_ray_crossing_index_through_a_joint_is_degenerate(make, z):
     jc = validate_jordan(make(), h=1e-2)
     with pytest.raises(DegenerateRay, match="joint"):
         ray_crossing_index(jc, z, (1.0, 0.0))
+
+
+def test_a_ray_tangent_to_a_circle_is_grazing(curves):
+    # the +x ray from (-3, 1) touches the unit circle at (0, 1): both roots
+    # of the quadratic are t = 3, and the first hit's tangent is the ray's
+    with pytest.raises(DegenerateRay, match="grazing hit: tangent within 0.00e"):
+        ray_crossing_index(curves["circle"], (-3.0, 1.0), (1.0, 0.0))
+
+
+def test_a_ray_nearly_tangent_to_a_small_arc_fails_the_isolation_window():
+    # a corner arc of radius 1e-5 on a square of side 2: a ray 0.02 rad
+    # off its tangent at mid-arc cuts a chord of 4e-7, below the window of
+    # 1e-6 diameters, and crosses at 0.02 rad, above the grazing angle
+    r, alpha = 1e-5, 0.02
+    jc = validate_jordan(rounded_square(1.0, r), h=1e-2)
+    (cx, cy), d = jc.spec.pieces[1].center.as_tuple(), r * math.cos(alpha)
+    s = 1.0 / math.sqrt(2.0)
+    p = (cx + d * s + s, cy + d * s - s)
+    with pytest.raises(DegenerateRay, match="two hits only") as exc:
+        ray_crossing_index(jc, p, (-s, s))
+    (t0, piece0, _), (t1, piece1, _) = exc.value.record
+    assert piece0 == piece1 == 1
+    # the kernel's discriminant is the difference of two numbers near 1,
+    # about 4e-14, so the chord keeps only a few digits
+    assert t1 - t0 == pytest.approx(2.0 * r * math.sin(alpha), rel=1e-2)
+
+
+def test_a_ray_at_slope_1e_5_to_a_line_piece_is_grazing():
+    # the bottom side rises 1e-4 over 10; the +x ray from (-1, 5e-5)
+    # crosses the left side first, cleanly, then the bottom at x = 5
+    verts = [Point(0.0, 0.0), Point(10.0, 1e-4), Point(5.0, 5.0)]
+    spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+    jc = validate_jordan(spec, h=1e-2)
+    with pytest.raises(DegenerateRay, match="grazing hit"):
+        ray_crossing_index(jc, (-1.0, 5e-5), (1.0, 0.0))
+    # the next golden-angle ray points away from the triangle
+    assert classify(jc, (-1.0, 5e-5)).verdict is Verdict.OUTSIDE
+
+
+def _one_hit(hit):
+    """A stand-in for ``_kernels.ray_hits_point`` that reports ``hit``
+    (t, piece, u, tan_x, tan_y) on every ray, and the rays it was asked."""
+
+    rays = []
+
+    def fake(kinds, data, px, py, vx, vy, out):
+        rays.append((vx, vy))
+        out.append(hit)
+        return len(out), _kernels.OK
+
+    return fake, rays
+
+
+def test_a_zero_tangent_is_grazing(curves, monkeypatch):
+    fake, _ = _one_hit((0.5, 0, 0.5, 0.0, 0.0))
+    monkeypatch.setattr(_kernels, "ray_hits_point", fake)
+    with pytest.raises(DegenerateRay, match="grazing hit: tangent within 0.00e"):
+        ray_crossing_index(curves["circle"], (0.5, 0.0), (1.0, 0.0))
+
+
+def test_classify_raises_the_last_degenerate_ray(curves, monkeypatch):
+    # every ray passes through a joint: classify tries _MAX_RAYS of them,
+    # in distinct directions, and raises the last reason
+    fake, rays = _one_hit((0.5, 0, 0.0, 0.0, 1.0))
+    monkeypatch.setattr(_kernels, "ray_hits_point", fake)
+    with pytest.raises(DegenerateRay, match="joint"):
+        classify(curves["circle"], (0.5, 0.0))
+    assert len(rays) == len(set(rays)) == index._MAX_RAYS
+
+
+def test_a_boundary_witness_halves_its_offset_in_a_thin_strip():
+    # a 10 x 0.1 strip: both probes of the first offsets, from 0.05
+    # diameters down to a quarter of that, cross the strip and land outside
+    verts = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 0.1), Point(0.0, 0.1)]
+    spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+    jc = validate_jordan(spec, h=1e-2)
+    (w,) = boundary_witnesses(jc, [0.5])
+    assert w.on_curve == (5.0, 0.0)
+    assert w.delta == index._WITNESS_START * jc.diameter() / 8.0 < 0.1
+    assert classify(jc, w.inside).verdict is Verdict.INSIDE
+    assert classify(jc, w.outside).verdict is Verdict.OUTSIDE
+
+
+@pytest.mark.parametrize("name", ["kidney", "blob", "rounded-square"])
+def test_classify_at_band_0_decides_points_near_the_carrier(curves, name):
+    # 120 parameters, both normals, 1e-12 and 1e-13 diameters off: every
+    # ray hit past the origin counts, so each point gets the side of its
+    # normal (the fixtures run counterclockwise) or a PointTooClose
+    jc = curves[name]
+    a, b = jc.interval
+    sides = []
+    for e in (12, 13):
+        off = 10.0**-e * jc.diameter()
+        for k in range(120):
+            t = a + (k + 0.5) * (b - a) / 120
+            z, v = jc.eval(t), jc.deriv(t)
+            nx, ny = -v.y / v.norm(), v.x / v.norm()
+            for s, want in ((1.0, Verdict.INSIDE), (-1.0, Verdict.OUTSIDE)):
+                try:
+                    got = classify(jc, (z.x + s * off * nx, z.y + s * off * ny), eps_band=0.0)
+                except PointTooClose:
+                    continue
+                sides.append(got.verdict is want)
+    assert all(sides) and len(sides) >= 360
+
+
+def _exact_winding(verts, p):
+    """The signed crossings of the +x ray from p with the polygon's sides,
+    in exact arithmetic, with the half-open rule at vertices: a side counts
+    where it passes from y <= py to y > py or back.  None on a side."""
+
+    px, py = Fraction(p[0]), Fraction(p[1])
+    w = 0
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        ax, ay, bx, by = map(Fraction, (a.x, a.y, b.x, b.y))
+        turn = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if turn == 0 and min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
+            return None
+        if ay <= py < by and turn > 0:
+            w += 1
+        elif by <= py < ay and turn < 0:
+            w -= 1
+    return w
+
+
+@st.composite
+def _star_polygons(draw):
+    """Simple polygons with dyadic vertices: lattice points sorted by
+    angle about the origin, with distinct angles less than pi apart, so
+    each side keeps to its own sector; scaled by a power of two."""
+
+    lattice = st.tuples(st.integers(-32, 32), st.integers(-32, 32))
+    pts = draw(
+        st.lists(
+            lattice.filter(lambda q: q != (0, 0)),
+            min_size=3,
+            max_size=9,
+            unique_by=lambda q: math.atan2(q[1], q[0]),
+        )
+    )
+    pts.sort(key=lambda q: math.atan2(q[1], q[0]))
+    angles = [math.atan2(y, x) for x, y in pts]
+    gaps = np.diff(angles + [angles[0] + TWO_PI])
+    if gaps.max() >= math.pi - 1e-9:
+        pts = pts[:0]
+    scale = 2.0 ** draw(st.integers(-20, 20)) / 32.0
+    return [Point(x * scale, y * scale) for x, y in pts]
+
+
+@given(
+    verts=_star_polygons(),
+    probes=st.lists(
+        st.tuples(st.integers(0, 8), st.floats(0.0, 1.0), st.sampled_from([12, 13, 14, 15])),
+        min_size=4,
+        max_size=4,
+    ),
+    uniform=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=2
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_classify_at_band_0_never_takes_the_wrong_side(verts, probes, uniform):
+    # points 1e-12 to 1e-15 diameters off random sides, on both normals,
+    # and uniform points in the bounding box; the referee counts the +x
+    # ray's crossings exactly
+    if len(verts) < 3:
+        return
+    spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+    try:
+        jc = validate_jordan(spec, h=1e-2, require_smooth=False)
+    except J1Failure as exc:
+        # the samples of a simple polygon never meet: only the gap
+        # threshold may refuse one
+        assert exc.chord > 0.0
+        return
+    diam = jc.diameter()
+    pts = []
+    for k, u, e in probes:
+        a, b = verts[k % len(verts)], verts[(k + 1) % len(verts)]
+        dx, dy = b.x - a.x, b.y - a.y
+        off = 10.0**-e * diam / math.hypot(dx, dy)
+        x, y = a.x + u * dx, a.y + u * dy
+        pts += [(x - off * dy, y + off * dx), (x + off * dy, y - off * dx)]
+    x0, y0, x1, y1 = jc.carrier.bbox
+    pts += [(x0 + u * (x1 - x0), y0 + v * (y1 - y0)) for u, v in uniform]
+    for p in pts:
+        want = _exact_winding(verts, p)
+        try:
+            got = classify(jc, p, eps_band=0.0).verdict
+        except CurveError:
+            continue
+        # a point on a side has no side to take; that classify may still
+        # give it one is the defect test_a_point_on_a_side_gets_no_side shows
+        if got is not Verdict.NEAR_CARRIER and want is not None:
+            assert got is (Verdict.INSIDE if want else Verdict.OUTSIDE), p
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the line distance rounds a point on a vertical side 3.5e-18 off "
+    "it, a positive lower bound, so band 0 certifies a clearance it lacks",
+)
+def test_a_point_on_a_side_gets_no_side():
+    # the probe 1e-12 diameters above the bottom left vertex, on the bottom
+    # side's normal, lies exactly on the left side x = -1/32
+    verts = [Point(-0.03125, -0.03125), Point(0.03125, -0.03125), Point(-0.03125, 0.0625)]
+    spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+    jc = validate_jordan(spec, h=1e-2, require_smooth=False)
+    p = (-0.03125, -0.031249999999887538)
+    assert _exact_winding(verts, p) is None
+    assert jc.carrier.distance(p)[0] == 0.0
+    assert classify(jc, p, eps_band=0.0).verdict is Verdict.NEAR_CARRIER
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-12])

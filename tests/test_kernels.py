@@ -131,7 +131,7 @@ def _ray(kinds, data, p, v):
     """One ray's hits as an (n, 5) array of (t, piece, u, tan_x, tan_y) rows."""
 
     hits = []
-    _, status = _kernels.ray_hits_point(kinds, data, p[0], p[1], v[0], v[1], hits, 1e-12)
+    _, status = _kernels.ray_hits_point(kinds, data, p[0], p[1], v[0], v[1], hits)
     return np.array(hits, dtype=float).reshape(-1, 5), status
 
 
@@ -1022,7 +1022,7 @@ def _cubic_velocity(row, u):
     return x, y
 
 
-def _ray_hits_oracle(kinds, data, px, py, vx, vy, out, t_min):
+def _ray_hits_oracle(kinds, data, px, py, vx, vy, out):
     """Rows (t, piece, u, tan_x, tan_y, 0) of ``out``: returns (n_hits, status)."""
 
     nh = 0
@@ -1041,12 +1041,12 @@ def _ray_hits_oracle(kinds, data, px, py, vx, vy, out, t_min):
                 if abs(perp) <= 1e-12 * elen:
                     f0 = rx * vx + ry * vy
                     f1 = (row[2] - px) * vx + (row[3] - py) * vy
-                    if f0 > t_min or f1 > t_min:
+                    if f0 > 0.0 or f1 > 0.0:
                         return nh, ON_CARRIER
                 continue
             t = (rx * ey - ry * ex) / den
             u = (rx * vy - ry * vx) / den
-            if -1e-12 <= u <= 1.0 + 1e-12 and t > t_min:
+            if -1e-12 <= u <= 1.0 + 1e-12 and t > 0.0:
                 if nh >= _HIT_CAP:
                     return nh, NODE_LIMIT
                 uu = min(1.0, max(0.0, u))
@@ -1067,7 +1067,7 @@ def _ray_hits_oracle(kinds, data, px, py, vx, vy, out, t_min):
             sq = math.sqrt(disc)
             for sgn in range(2):
                 t = -b - sq if sgn == 0 else -b + sq
-                if t <= t_min:
+                if t <= 0.0:
                     continue
                 hx = ux + t * vx
                 hy = uy + t * vy
@@ -1173,7 +1173,7 @@ def _ray_hits_oracle(kinds, data, px, py, vx, vy, out, t_min):
                 prev = u
                 hx, hy = _cubic_point(row, u)
                 t = (hx - px) * vx + (hy - py) * vy
-                if t <= t_min:
+                if t <= 0.0:
                     continue
                 if nh >= _HIT_CAP:
                     return nh, NODE_LIMIT
@@ -1218,16 +1218,13 @@ def _ray_cases(spec, ci):
 @pytest.mark.parametrize("name", _RAY_CURVES)
 def test_ray_hits_match_stack_kernel_oracle(name):
     ci, spec = _oracle_curve(name)
-    t_min = 1e-12 * ci.diam
     cases, n_lines = _ray_cases(spec, ci)
     on_carrier = most = 0
     for (px, py), (vx, vy) in cases:
         hits = []
-        n, status = _kernels.ray_hits_point(ci.kinds, ci.data, px, py, vx, vy, hits, t_min)
+        n, status = _kernels.ray_hits_point(ci.kinds, ci.data, px, py, vx, vy, hits)
         rows = np.empty((_HIT_CAP, 6))
-        want_n, want_status = _ray_hits_oracle(
-            ci.kinds, ci.data, px, py, vx, vy, rows, t_min
-        )
+        want_n, want_status = _ray_hits_oracle(ci.kinds, ci.data, px, py, vx, vy, rows)
         assert want_status != NODE_LIMIT
         assert type(n) is int
         assert (n, status) == (want_n, want_status)
@@ -1455,7 +1452,8 @@ def test_pair_scan_matches_bruteforce_on_a_lattice(case):
 
 
 def _crossing_oracle(xy):
-    """Smallest pair of non-adjacent crossing segments, in exact arithmetic."""
+    """Smallest pair of non-adjacent segments that cross or touch, in exact
+    arithmetic."""
 
     pts = [(Fraction(x), Fraction(y)) for x, y in xy.tolist()]
     n = len(pts)
@@ -1464,11 +1462,22 @@ def _crossing_oracle(xy):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
         return (v > 0) - (v < 0)
 
+    def meet(p, q, r, s):
+        a, b = turn(p, q, r), turn(p, q, s)
+        if a * b > 0:
+            return False
+        c, d = turn(r, s, p), turn(r, s, q)
+        if a == b == c == d == 0:
+            # all four ends on one line: the segments' boxes must meet
+            return all(
+                max(min(p[k], q[k]), min(r[k], s[k])) <= min(max(p[k], q[k]), max(r[k], s[k]))
+                for k in (0, 1)
+            )
+        return c * d <= 0
+
     for i in range(n):
         for j in range(i + 2, n - (i == 0)):
-            p, q = pts[i], pts[(i + 1) % n]
-            r, s = pts[j], pts[(j + 1) % n]
-            if turn(p, q, r) * turn(p, q, s) < 0 and turn(r, s, p) * turn(r, s, q) < 0:
+            if meet(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
                 return i, j
     return -1, -1
 
@@ -1487,6 +1496,39 @@ def test_polyline_crossing_matches_exact_oracle(seed):
             np.cumsum(rng.normal(size=(n, 2)), axis=0),
         ):
             assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polyline_crossing_matches_exact_oracle_on_touches(seed):
+    # random points of a 5 x 5 lattice: samples on other segments, collinear
+    # overlaps, repeated samples and end-to-end touches, all in exact floats
+    rng = np.random.default_rng(100 + seed)
+    for n in (4, 5, 9, _kernels._SCAN_BLOCK + 1, 70):
+        for _ in range(6):
+            xy = rng.integers(0, 5, size=(n, 2)).astype(float)
+            assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy)
+
+
+def test_polyline_crossing_finds_a_sample_on_an_edge():
+    # the square's bottom edge, sampled, and a spike whose tip sample lies
+    # on it; lifted off it, the tip touches nothing
+    bottom = [(k / 8.0, 0.0) for k in range(9)]
+    tip = (0.3, 0.0)
+    rest = [(1.0, 1.0), (0.5, 1.0), tip, (0.2, 1.0), (0.0, 1.0)]
+    xy = np.array(bottom + rest)
+    assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy) == (2, 10)
+    xy[11, 1] = 2.0**-60
+    assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy) == (-1, -1)
+
+
+def test_polyline_crossing_is_exact_on_nearly_collinear_samples():
+    # a triangle's samples: float orientations of three samples of one side
+    # round to 0 or to either sign, and must not make two of its segments
+    # touch
+    verts = np.array([[0.0, -0.03125], [0.03125, -0.0625], [-0.03125, 0.09375]])
+    u = np.arange(60)[:, None] / 60.0
+    xy = np.concatenate([a + u * (b - a) for a, b in zip(verts, np.roll(verts, -1, axis=0))])
+    assert _kernels.polyline_crossing(xy) == _crossing_oracle(xy) == (-1, -1)
 
 
 def test_polyline_crossing_finds_one_curl():
