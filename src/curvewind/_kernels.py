@@ -127,6 +127,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pieces import FULL_TURN_TOL, KIND_ARC, KIND_CUBIC, KIND_LINE
+from .pieces import _arc_xy, _bernstein, _bernstein_slope, _sweep_offset
 
 # status codes shared by the kernels
 OK = 0
@@ -174,18 +175,11 @@ _ORIENT_ABS = 2.0**-1070
 def _angle_in_sweep(a0, sweep, theta):
     """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
 
-    delta = (theta - a0 if sweep > 0.0 else a0 - theta) % math.tau
+    delta = _sweep_offset(theta, a0, math.copysign(1.0, sweep))
     span = abs(sweep)
     if delta <= span + _SWEEP_TOL:
         return min(delta / span, 1.0)
     return -1.0
-
-
-def _cubic_value(c0, c1, c2, c3, u):
-    """Value at u of the cubic with Bernstein coefficients c0..c3."""
-
-    v = 1.0 - u
-    return v * v * v * c0 + 3.0 * v * v * u * c1 + 3.0 * v * u * u * c2 + u * u * u * c3
 
 
 def _bisect_root(f, lo, hi, flo):
@@ -194,7 +188,7 @@ def _bisect_root(f, lo, hi, flo):
 
     while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        fm = _cubic_value(*f, mid)
+        fm = _bernstein(*f, mid)
         if fm == 0.0:
             return mid
         if (flo > 0.0) != (fm > 0.0):
@@ -296,15 +290,13 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                 if u - prev < 1e-11:
                     continue
                 prev = u
-                hx = _cubic_value(x0, x1, x2, x3, u)
-                hy = _cubic_value(y0, y1, y2, y3, u)
+                hx = _bernstein(x0, x1, x2, x3, u)
+                hy = _bernstein(y0, y1, y2, y3, u)
                 t = (hx - px) * vx + (hy - py) * vy
                 if t <= 0.0:
                     continue
-                v = 1.0 - u
-                c0, c1, c2 = 3.0 * v * v, 6.0 * v * u, 3.0 * u * u
-                tx = c0 * (x1 - x0) + c1 * (x2 - x1) + c2 * (x3 - x2)
-                ty = c0 * (y1 - y0) + c1 * (y2 - y1) + c2 * (y3 - y2)
+                tx = _bernstein_slope(x0, x1, x2, x3, u)
+                ty = _bernstein_slope(y0, y1, y2, y3, u)
                 out.append((t, i, u, tx, ty))
     return len(out), OK
 
@@ -379,18 +371,16 @@ def _split(ctl):
 def _arc_rows(arc):
     """Per-arc columns cx, cy, r, a0, sign of the sweep, the angular span on
     the arc (|sweep| + _SWEEP_TOL, infinite for a full circle), then both
-    end points, which ``math.cos``/``math.sin`` evaluate: a (10, k) array
-    for the k data rows ``arc``."""
+    end points, which ``_arc_xy`` evaluates with ``math``'s trig: a (10, k)
+    array for the k data rows ``arc``."""
 
     rows = []
     for cx, cy, r, a0, sweep in arc[:, :5].tolist():
-        a1 = a0 + sweep
         full = abs(abs(sweep) - math.tau) <= FULL_TURN_TOL
         rows.append((
             cx, cy, r, a0, math.copysign(1.0, sweep),
             math.inf if full else abs(sweep) + _SWEEP_TOL,
-            cx + r * math.cos(a0), cy + r * math.sin(a0),
-            cx + r * math.cos(a1), cy + r * math.sin(a1),
+            *_arc_xy(cx, cy, r, a0), *_arc_xy(cx, cy, r, a0 + sweep),
         ))
     return np.array(rows).reshape(-1, 10).T.copy()
 
@@ -451,7 +441,7 @@ def _in_sweep(wx, wy, a0, sign, span):
     sweeps, within _SWEEP_TOL (anywhere, for a full circle); ``a0``,
     ``sign`` and ``span`` are the arcs' ``_arc_rows`` rows."""
 
-    return np.mod(sign * (np.arctan2(wy, wx) - a0), math.tau) <= span
+    return _sweep_offset(np.arctan2(wy, wx), a0, sign) <= span
 
 
 def _log(ratio):
@@ -909,12 +899,13 @@ def _box_gaps(xy, cols):
     return P, Q, gx, gy
 
 
-def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
+def pair_scan(xy, ts, sep_floor, a, b, eps_levels):
     """Chord-gap scan driving the injectivity and inverse-modulus tables.
 
     Returns (min_gap, i_min, j_min, deltas) over pairs i < j of samples
-    with increasing parameters ``ts``.  ``min_gap`` is the shortest chord
-    among pairs whose wrap-aware parameter separation is >= sep_floor;
+    with increasing parameters ``ts`` in [a, b].  ``min_gap`` is the
+    shortest chord among pairs whose parameter separation, wrapped around
+    the period b - a, is >= sep_floor;
     among the pairs at exactly ``min_gap`` the witness is the smallest
     (i, j).  deltas[k] is the shortest chord among pairs admissible for
     eps_levels[k] (nondecreasing in k): separation >= eps and both
@@ -970,6 +961,7 @@ def pair_scan(xy, ts, period, sep_floor, a, b, eps_levels):
     bi = bj = -1
     if n < 2:
         return best, bi, bj, level_min
+    period = b - a
     cols = _scan_blocks(n)
     P, Q, gx, gy = _box_gaps(xy, cols)
     lower = np.nextafter(np.nextafter(np.hypot(gx, gy), 0.0), 0.0)

@@ -20,6 +20,7 @@ from . import _kernels
 from .curves import _MAX_GRID_CELLS, JordanCurve, _grid_size, _lattice
 from .errors import NoPathAtResolution, PointTooClose
 from .geometry import Point, as_point
+from .pieces import _lerp
 
 __all__ = [
     "ClearanceGrid",
@@ -135,7 +136,7 @@ class PolygonalJoin:
 def _segment_samples(p: Point, q: Point, spacing: float) -> np.ndarray:
     n = max(int(math.ceil(p.dist(q) / spacing)), 1)
     t = np.linspace(0.0, 1.0, n + 1)
-    return np.column_stack([p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)])
+    return np.column_stack([_lerp(p.x, q.x, t), _lerp(p.y, q.y, t)])
 
 
 def path_carrier_gap(jc: JordanCurve, vertices, spacing: float) -> float:
@@ -249,17 +250,15 @@ def polygonal_join(
     i = 0
     while i < len(vertices) - 1:
         step = len(vertices) - 1 - i
-        while step > 1 and not _segment_clear(
+        while not _segment_clear(
             jc, vertices[i], vertices[i + step], clearance, spacing, grid
         ):
+            if step == 1:
+                raise NoPathAtResolution(
+                    f"corridor found but could not be certified at spacing {spacing:.3e}",
+                    h,
+                )
             step //= 2
-        if step == 1 and not _segment_clear(
-            jc, vertices[i], vertices[i + 1], clearance, spacing, grid
-        ):
-            raise NoPathAtResolution(
-                f"corridor found but could not be certified at spacing {spacing:.3e}",
-                h,
-            )
         i += step
         pulled.append(vertices[i])
 

@@ -29,6 +29,8 @@ from .pieces import (
     CubicPiece,
     LinePiece,
     Piece,
+    _bernstein,
+    _lerp,
 )
 
 __all__ = [
@@ -80,7 +82,7 @@ def _row_points(kinds, data, piece, u):
 
     ``kinds`` and ``data`` are the flattened pieces of ``_kernels``;
     ``piece`` and ``u`` are 1-D and of one length.  Each kind takes one
-    numpy pass over its points with the expressions of its piece's
+    numpy pass over its points with the closed form of its piece's
     ``point``, so a curve point is the same float wherever it is taken:
     validation samples and the diameter's sub-sample.
     """
@@ -96,22 +98,13 @@ def _row_points(kinds, data, piece, u):
         r = data[piece[sel]].T
         uk = u[sel]
         if k == KIND_LINE:
-            x = r[0] + uk * (r[2] - r[0])
-            y = r[1] + uk * (r[3] - r[1])
+            out[sel] = _lerp(r[0:2], r[2:4], uk).T
         elif k == KIND_ARC:
             ang = r[3] + r[4] * uk
-            x = r[0] + r[2] * np.cos(ang)
-            y = r[1] + r[2] * np.sin(ang)
+            out[sel, 0] = r[0] + r[2] * np.cos(ang)
+            out[sel, 1] = r[1] + r[2] * np.sin(ang)
         else:
-            v = 1.0 - uk
-            b0 = v * v * v
-            b1 = 3.0 * v * v * uk
-            b2 = 3.0 * v * uk * uk
-            b3 = uk * uk * uk
-            x = b0 * r[0] + b1 * r[2] + b2 * r[4] + b3 * r[6]
-            y = b0 * r[1] + b1 * r[3] + b2 * r[5] + b3 * r[7]
-        out[sel, 0] = x
-        out[sel, 1] = y
+            out[sel] = _bernstein(r[0:2], r[2:4], r[4:6], r[6:8], uk).T
     return out
 
 
@@ -132,13 +125,9 @@ class CurveSpec:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"parameter interval must be finite with a < b, got {iv}")
         object.__setattr__(self, "interval", (a, b))
-        gaps = [
-            pieces[k].point(1.0).dist(pieces[k + 1].point(0.0))
-            for k in range(len(pieces) - 1)
-        ]
         # exact joints, the usual case, pass without measuring the extent
-        tol = JOINT_TOL * self._extent() if any(gaps) else 0.0
-        for k, gap in enumerate(gaps):
+        tol = self.closure_tol if any(self._gaps[:-1]) else 0.0
+        for k, gap in enumerate(self._gaps[:-1]):
             if gap > tol:
                 raise ValueError(
                     f"pieces {k} and {k + 1} do not meet: joint gap {gap:.3e}"
@@ -156,9 +145,17 @@ class CurveSpec:
     def n_pieces(self) -> int:
         return len(self.pieces)
 
+    @functools.cached_property
+    def _gaps(self) -> tuple[float, ...]:
+        """The gap from the end of each piece to the start of the next, the
+        last one's (the closure) to the first's."""
+
+        ps = self.pieces
+        return tuple(p.point(1.0).dist(q.point(0.0)) for p, q in zip(ps, ps[1:] + ps[:1]))
+
     @property
     def closure_gap(self) -> float:
-        return self.pieces[-1].point(1.0).dist(self.pieces[0].point(0.0))
+        return self._gaps[-1]
 
     @property
     def closure_tol(self) -> float:
@@ -533,9 +530,7 @@ def validate_jordan(
     xy = c.points(ts)
 
     eps_levels = np.array([f * period for f in _DEFAULT_EPS_FRACTIONS])
-    min_gap, i1, i2, deltas = _kernels.pair_scan(
-        xy, ts, period, h, a, b, eps_levels
-    )
+    min_gap, i1, i2, deltas = _kernels.pair_scan(xy, ts, h, a, b, eps_levels)
     loc1 = float(np.hypot(*(xy[(i1 + 1) % n_samp] - xy[i1])))
     loc2 = float(np.hypot(*(xy[(i2 + 1) % n_samp] - xy[i2])))
     threshold = _J1_FACTOR * min(loc1, loc2) * (h / h_eff)

@@ -36,6 +36,43 @@ _SIMILARITY_TOL = 1e-9
 _HODOGRAPH_DEPTH = 20
 
 
+# the pieces' closed forms, which every evaluator calls, so a curve point is
+# the same float wherever it is taken; all but _arc_xy take numpy arrays too
+
+
+def _lerp(a, b, u):
+    """The point at u of the segment from a to b, one coordinate."""
+
+    return a + u * (b - a)
+
+
+def _arc_xy(cx, cy, r, angle):
+    """The point at ``angle`` on the circle about (cx, cy) of radius r."""
+
+    return cx + r * math.cos(angle), cy + r * math.sin(angle)
+
+
+def _bernstein(c0, c1, c2, c3, u):
+    """Value at u of the cubic with Bernstein coefficients c0..c3."""
+
+    v = 1.0 - u
+    return v * v * v * c0 + 3.0 * v * v * u * c1 + 3.0 * v * u * u * c2 + u * u * u * c3
+
+
+def _bernstein_slope(c0, c1, c2, c3, u):
+    """Derivative in u of ``_bernstein(c0, c1, c2, c3, u)``."""
+
+    v = 1.0 - u
+    return 3.0 * v * v * (c1 - c0) + 6.0 * v * u * (c2 - c1) + 3.0 * u * u * (c3 - c2)
+
+
+def _sweep_offset(theta, a0, sign):
+    """How far the angle theta lies past a0 along a sweep of sign +-1.0,
+    reduced to [0, 2*pi)."""
+
+    return (sign * (theta - a0)) % math.tau
+
+
 def _seg_dist_origin(ax: float, ay: float, bx: float, by: float) -> float:
     ex, ey = bx - ax, by - ay
     denom = ex * ex + ey * ey
@@ -107,10 +144,8 @@ class LinePiece:
     kind = KIND_LINE
 
     def point(self, u: float) -> Point:
-        return Point(
-            self.start.x + u * (self.end.x - self.start.x),
-            self.start.y + u * (self.end.y - self.start.y),
-        )
+        s, e = self.start, self.end
+        return Point(_lerp(s.x, e.x, u), _lerp(s.y, e.y, u))
 
     def velocity(self, u: float) -> Point:
         return self.end - self.start
@@ -164,10 +199,7 @@ class ArcPiece:
 
     def point(self, u: float) -> Point:
         a = self.start_angle + self.sweep * u
-        return Point(
-            self.center.x + self.radius * math.cos(a),
-            self.center.y + self.radius * math.sin(a),
-        )
+        return Point(*_arc_xy(self.center.x, self.center.y, self.radius, a))
 
     def velocity(self, u: float) -> Point:
         a = self.start_angle + self.sweep * u
@@ -182,15 +214,14 @@ class ArcPiece:
         a0 = self.start_angle
         a1 = self.start_angle + self.sweep
         lo, hi = (a0, a1) if a1 >= a0 else (a1, a0)
-        xs = [self.point(0.0).x, self.point(1.0).x]
-        ys = [self.point(0.0).y, self.point(1.0).y]
+        pts = [self.point(0.0).as_tuple(), self.point(1.0).as_tuple()]
         k = math.floor(lo / (math.pi / 2))
         ang = k * math.pi / 2
         while ang <= hi:
             if ang >= lo:
-                xs.append(self.center.x + self.radius * math.cos(ang))
-                ys.append(self.center.y + self.radius * math.sin(ang))
+                pts.append(_arc_xy(self.center.x, self.center.y, self.radius, ang))
             ang += math.pi / 2
+        xs, ys = zip(*pts)
         return (min(xs), min(ys), max(xs), max(ys))
 
     def to_row(self) -> list[float]:
@@ -233,28 +264,17 @@ class CubicPiece:
         return (self.p0, self.p1, self.p2, self.p3)
 
     def point(self, u: float) -> Point:
-        v = 1.0 - u
-        b0 = v * v * v
-        b1 = 3.0 * v * v * u
-        b2 = 3.0 * v * u * u
-        b3 = u * u * u
+        p0, p1, p2, p3 = self.controls()
         return Point(
-            b0 * self.p0.x + b1 * self.p1.x + b2 * self.p2.x + b3 * self.p3.x,
-            b0 * self.p0.y + b1 * self.p1.y + b2 * self.p2.y + b3 * self.p3.y,
+            _bernstein(p0.x, p1.x, p2.x, p3.x, u),
+            _bernstein(p0.y, p1.y, p2.y, p3.y, u),
         )
 
     def velocity(self, u: float) -> Point:
-        v = 1.0 - u
-        c0 = 3.0 * v * v
-        c1 = 6.0 * v * u
-        c2 = 3.0 * u * u
+        p0, p1, p2, p3 = self.controls()
         return Point(
-            c0 * (self.p1.x - self.p0.x)
-            + c1 * (self.p2.x - self.p1.x)
-            + c2 * (self.p3.x - self.p2.x),
-            c0 * (self.p1.y - self.p0.y)
-            + c1 * (self.p2.y - self.p1.y)
-            + c2 * (self.p3.y - self.p2.y),
+            _bernstein_slope(p0.x, p1.x, p2.x, p3.x, u),
+            _bernstein_slope(p0.y, p1.y, p2.y, p3.y, u),
         )
 
     def hodograph(self) -> tuple[Point, Point, Point]:

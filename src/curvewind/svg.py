@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import CurveSpec
-from .pieces import ArcPiece, CubicPiece, LinePiece
+from .pieces import ArcPiece, CubicPiece, LinePiece, _arc_xy
 
 __all__ = ["render_svg"]
 
@@ -62,9 +62,7 @@ def _path_data(spec: CurveSpec, fr: _Frame) -> str:
             flag = 0 if piece.sweep > 0 else 1
             for k in range(1, n + 1):
                 a = piece.start_angle + piece.sweep * k / n
-                ex = piece.center.x + piece.radius * math.cos(a)
-                ey = piece.center.y + piece.radius * math.sin(a)
-                x, y = fr.map(ex, ey)
+                x, y = fr.map(*_arc_xy(piece.center.x, piece.center.y, piece.radius, a))
                 parts.append(
                     f"A {_fmt(r)} {_fmt(r)} 0 0 {flag} {_fmt(x)} {_fmt(y)}"
                 )

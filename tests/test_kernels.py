@@ -1263,7 +1263,9 @@ def _pair_scan_oracle(xy, ts, period, sep_floor, a, b, eps_levels):
 
 
 def _assert_scan_exact(xy, ts, period, sep, a, b, eps_levels):
-    got = _kernels.pair_scan(xy, ts, period, sep, a, b, eps_levels)
+    # the scan wraps pairs around the period b - a of its interval
+    assert period == b - a
+    got = _kernels.pair_scan(xy, ts, sep, a, b, eps_levels)
     want = _pair_scan_oracle(xy, ts, period, sep, a, b, eps_levels)
     assert got[:3] == want[:3]
     assert np.array_equal(got[3], want[3])
