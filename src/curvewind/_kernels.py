@@ -983,7 +983,7 @@ def pair_scan(xy, ts, sep_floor, a, b, eps_levels):
     # squares are taken on xs, ys (scaled by a power of two, exactly) and
     # chords on x, y; buf holds a step's squares, their addends and dt
     span = float(np.max(xy.max(axis=0) - xy.min(axis=0)))
-    e = math.frexp(span)[1] if 0.0 < span < np.inf else 0
+    e = math.frexp(span)[1]
     xs, ys = np.ldexp(xy[:, 0], -e), np.ldexp(xy[:, 1], -e)
     x, y = xy[:, 0].copy(), xy[:, 1].copy()
     bs = cols.shape[1]

@@ -31,6 +31,7 @@ from .pieces import (
     Piece,
     _bernstein,
     _lerp,
+    _linear_part,
 )
 
 __all__ = [
@@ -410,16 +411,21 @@ class CarrierIndex:
     def diam(self) -> float:
         """The curve's length scale: the float sqrt(max((x_i - x_j)**2 +
         (y_i - y_j)**2)) over the pairs i <= j of the points that
-        ``_SAMPLES_PER_PIECE`` describes, 64 rows of pairs at a time."""
+        ``_SAMPLES_PER_PIECE`` describes, 64 rows of pairs at a time.  As in
+        ``_kernels.pair_scan``, the squares are taken on the points times
+        the power of two that brings their largest coordinate span into
+        [0.5, 1), exactly, so none overflows at any scale."""
 
         s = _SAMPLES_PER_PIECE
         piece, k = divmod(np.arange(s) * self.kinds.shape[0], s)
-        x, y = _row_points(self.kinds, self.data, piece, (k + 0.5) / s).T
+        xy = _row_points(self.kinds, self.data, piece, (k + 0.5) / s)
+        e = math.frexp(float(np.max(xy.max(axis=0) - xy.min(axis=0))))[1]
+        x, y = np.ldexp(xy, -e).T
         sq = 0.0
         for i in range(0, s, 64):
             dx, dy = x[i : i + 64, None] - x[i:], y[i : i + 64, None] - y[i:]
             sq = max(sq, float((dx * dx + dy * dy).max()))
-        return math.sqrt(sq)
+        return math.ldexp(math.sqrt(sq), e)
 
     def max_radius(self) -> float:
         """Upper bound for max |z| over the carrier, from the pieces.
@@ -629,8 +635,8 @@ def transform_curve(jc: JordanCurve, t: Affine) -> JordanCurve:
 
     # the determinant scales like the squared norm of the linear part, so
     # the test means the same for a map of any size
-    a, b, c, d, _, _ = t.coeffs
-    if abs(t.det) <= 1e-12 * (a * a + b * b + c * c + d * d):
+    (a, b, c, d), _ = _linear_part(t.coeffs)
+    if abs(a * d - b * c) <= 1e-12 * (a * a + b * b + c * c + d * d):
         raise ValueError(f"transform is not invertible: det = {t.det!r}")
     pieces = tuple(p.transformed(t.coeffs) for p in jc.spec.pieces)
     spec = CurveSpec(pieces, jc.spec.interval)

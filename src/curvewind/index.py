@@ -312,7 +312,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
     band = jc.default_eps_band() if eps_band is None else float(eps_band)
     if not (math.isfinite(band) and band >= 0.0):
         raise ValueError(
-            f"eps_band must be a finite non-negative number, got {eps_band!r}"
+            f"eps_band must be a finite non-negative number, got {band!r}"
         )
     # a positive band decides lo <= 0 along with hi < band; a band of 0
     # leaves lo <= 0 alone to decide.  The query keeps the chords of its

@@ -101,10 +101,20 @@ def _tri_dist_origin(ax, ay, bx, by, cx, cy) -> float:
     )
 
 
-def _check_similarity(m: tuple[float, ...]) -> tuple[float, float]:
-    """Return (scale, det) of the linear part, requiring a similarity."""
+def _linear_part(m: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """The linear part (a, b, c, d) of the affine coefficients ``m`` times
+    2**-e, and e, which brings its largest entry into [0.5, 1): the product
+    is exact, and no square of it overflows at any scale."""
 
-    a, b, c, d = m[0], m[1], m[2], m[3]
+    e = math.frexp(max(abs(v) for v in m[:4]))[1]
+    return tuple(math.ldexp(v, -e) for v in m[:4]), e
+
+
+def _check_similarity(m: tuple[float, ...]) -> tuple[float, float]:
+    """Return (scale, det) of the linear part, requiring a similarity; det
+    is that of ``_linear_part``, of the same sign."""
+
+    (a, b, c, d), e = _linear_part(m)
     det = a * d - b * c
     col1 = a * a + c * c
     col2 = b * b + d * d
@@ -118,7 +128,7 @@ def _check_similarity(m: tuple[float, ...]) -> tuple[float, float]:
             "arc pieces only survive similarity transforms "
             "(uniform scale, rotation, reflection, translation)"
         )
-    return math.sqrt(scale2), det
+    return math.ldexp(math.sqrt(scale2), e), det
 
 
 def _apply(m: tuple[float, ...], p: Point) -> Point:

@@ -283,3 +283,18 @@ def test_join_gap_check_scales_with_the_curve(monkeypatch, scale):
             jc, (0.25 * scale, 0.5 * scale), (2.25 * scale, 0.5 * scale),
             clearance=0.02 * scale, h=0.02 * scale,
         )
+
+
+def test_join_takes_endpoints_at_the_documented_clearance(curves):
+    # endpoints 0.05 rad apart just outside the unit circle, with clearance
+    # c + 1.02h: the documented c + h, though most endpoint cells' centres
+    # miss the free-cell margin c + 0.957h
+    jc = curves["circle"]
+    c, h = 0.1, 0.05
+    r = 1.0 + c + 1.02 * h
+    for a in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False) + 0.1:
+        p1 = (r * math.cos(a), r * math.sin(a))
+        p2 = (r * math.cos(a + 0.05), r * math.sin(a + 0.05))
+        join = polygonal_join(jc, p1, p2, clearance=c, h=h)
+        assert join.gap >= c
+        assert join.vertices[0] == Point(*p1) and join.vertices[-1] == Point(*p2)

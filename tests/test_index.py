@@ -361,6 +361,47 @@ def test_verdicts_hold_at_any_scale(curves, scale):
             assert classify(scaled, (x * scale, y * scale)).verdict is want, name
 
 
+@given(
+    name=st.sampled_from(GOOD_FIXTURES),
+    k=st.integers(-40, 40),
+    uv=st.lists(st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)), min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_verdicts_hold_under_power_of_two_scalings(curves, name, k, uv):
+    # a power of two scales lines and cubics exactly, but an arc's start
+    # angle goes through atan2, so the verdicts are compared, not floats
+    jc = curves[name]
+    m = Affine.scaling(2.0**k).coeffs
+    scaled = validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
+    x0, y0, x1, y1 = jc.carrier.bbox
+    for u, v in uv:
+        x, y = x0 + u * (x1 - x0), y0 + v * (y1 - y0)
+        want = classify(jc, (x, y)).verdict
+        assert classify(scaled, (math.ldexp(x, k), math.ldexp(y, k))).verdict is want
+
+
+def test_the_kidney_scaled_by_2_to_the_520_keeps_its_verdicts(curves):
+    # squares of chords and of the map's entries pass 1e308 at this scale
+    jc = curves["kidney"]
+    s = 2.0**520
+    big = transform_curve(jc, Affine.scaling(s))
+    assert big.diameter() == s * jc.diameter()
+    rng = np.random.default_rng(5)
+    for p, c in sample_classified(jc, 30, rng):
+        assert classify(big, (p[0] * s, p[1] * s)).verdict is c.verdict
+
+
+@pytest.mark.parametrize("half", [1e160, 1e200, 1e300])
+def test_a_square_beyond_1e154_has_a_finite_band(half):
+    # the diameter's squared chords would overflow; the line distances
+    # still do at this scale (ROADMAP item 4), so no verdict is checked
+    corners = [Point(-half, -half), Point(half, -half), Point(half, half), Point(-half, half)]
+    spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(corners, corners[1:] + corners[:1])))
+    jc = validate_jordan(spec, h=1e-2, require_smooth=False)
+    assert jc.diameter() == pytest.approx(2.0 * math.sqrt(2.0) * half, rel=1e-2)
+    assert 0.0 < jc.default_eps_band() < math.inf
+
+
 def _diamond():
     verts = [Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0), Point(0.0, -1.0)]
     return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
