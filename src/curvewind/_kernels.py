@@ -170,6 +170,8 @@ _HYPOT_FLOOR = 2.0**-1020
 # _ORIENT_ABS, the round-off of products that underflow, has the exact sign
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_ABS = 2.0**-1070
+# bounds a line or arc distance's round-off over magnitudes (_exact_pieces)
+_EXACT_ERR = 8.0 * float(np.finfo(float).eps)
 
 
 def _angle_in_sweep(a0, sweep, theta):
@@ -235,8 +237,10 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
             cx, cy, r, a0, sweep = row[:5]
             ux, uy = px - cx, py - cy
             b = vx * ux + vy * uy
-            c = ux * ux + uy * uy - r * r
-            disc = b * b - c
+            # b*b - (|u|^2 - r^2) as r^2 - d^2, with d the distance from
+            # the centre to the ray's line: no cancellation near a tangent
+            d = abs(ux * vy - uy * vx)
+            disc = (r - d) * (r + d)
             if disc < 0.0:
                 continue
             sq = math.sqrt(disc)
@@ -685,8 +689,9 @@ def carrier_batch(
 ):
     """Carrier-distance enclosures for many points: returns (lo, hi) arrays.
 
-    Line and arc pieces are exact.  Cubic pieces refine control boxes until
-    each surviving box is small relative to its distance; every cubic's
+    Line and arc pieces are closed form, less their round-off in ``lo``
+    (``_exact_pieces``).  Cubic pieces refine control boxes until each
+    surviving box is small relative to its distance; every cubic's
     start point, and then the start point of every refinement node, lowers
     the upper bound, since it lies on the curve.  A node whose box cannot
     beat the running upper bound is dropped; everything below it is no
@@ -769,14 +774,32 @@ def _least_stopped(env, best_hi, lo_acc, bound):
 
 def _exact_pieces(geo, q, best_hi, lo_acc):
     """Lower ``best_hi`` and ``lo_acc`` in place to the line and arc
-    distances, one pass over all (point, piece) pairs of each kind."""
+    distances, one pass over all (point, piece) pairs of each kind.
+
+    ``best_hi`` takes each kind's least distance d as computed, ``lo_acc``
+    d less _EXACT_ERR (d + M), with M the largest |x0| + |y0| + |ex| + |ey|
+    of the lines or |cx| + |cy| + r (8 + |a0|) of the arcs.  That grows
+    with d, so taken of the least d it is the least of the pieces'.  In
+    units of u = 2**-53 a line's distance is off by at most 9 (d + M): M
+    from rounding ex, ey; 6 (d + M) from t, whose error is 6u |p - a| / |e|
+    along a segment of length |e| from a, with |p - a| <= d + |e|; 2 M to
+    form the foot; 3 d in the difference and hypot.  An arc's is off by at
+    most 4 d + 3 M on its sweep, from the offset to the centre, whose
+    length is at most d + r, hypot and - r; off it, by 3 M for each end,
+    through its rounded angle, cos, sin and sum, and 3.5 d in the
+    difference and hypot.  8 eps is 16u, with room for the terms in u**2.
+    A direction within _SWEEP_TOL past an arc's end takes the distance to
+    its circle, which is no larger.
+    """
 
     px, py = q[0][:, None], q[1][:, None]
     parts = []
     if geo.line.shape[1]:
         x0, y0, ex, ey, denom = geo.line
         t = np.clip(((px - x0) * ex + (py - y0) * ey) / denom, 0, 1)
-        parts.append(np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)))
+        d = np.hypot(px - (x0 + t * ex), py - (y0 + t * ey))
+        mag = np.abs(x0) + np.abs(y0) + np.abs(ex) + np.abs(ey)
+        parts.append((d, mag.max()))
     if geo.arc.shape[1]:
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         wx, wy = px - cx, py - cy
@@ -785,11 +808,12 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         ends = np.minimum(
             np.hypot(px - e0x, py - e0y), np.hypot(px - e1x, py - e1y)
         )
-        parts.append(np.where(on, rad, ends))
-    for d in parts:
+        mag = np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0))
+        parts.append((np.where(on, rad, ends), mag.max()))
+    for d, mag in parts:
         d = d.min(axis=1)
         np.minimum(best_hi, d, out=best_hi)
-        np.minimum(lo_acc, d, out=lo_acc)
+        np.minimum(lo_acc, d - _EXACT_ERR * (d + mag), out=lo_acc)
 
 
 def _cubic_pieces(geo, q, best_hi, lo_acc, stop, chords=None):

@@ -246,14 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", parents=[common], help="inside/outside verdicts")
     add_format(c, "csv", "json")
     where = c.add_mutually_exclusive_group()
-    where.add_argument(
-        "--point",
-        nargs=2,
-        type=_finite_float,
-        action="append",
-        metavar=("X", "Y"),
-        help="query point, repeatable",
-    )
+    _point_pair(where, "--point", action="append", help="query point, repeatable")
     where.add_argument("--grid", nargs=2, type=_positive_int, metavar=("NX", "NY"))
     c.add_argument(
         "--bounds", nargs=4, type=_finite_float, metavar=("X0", "Y0", "X1", "Y1")

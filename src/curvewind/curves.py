@@ -29,6 +29,7 @@ from .pieces import (
     CubicPiece,
     LinePiece,
     Piece,
+    _apply,
     _bernstein,
     _lerp,
     _linear_part,
@@ -160,7 +161,10 @@ class CurveSpec:
 
     @property
     def closure_tol(self) -> float:
-        return JOINT_TOL * self._extent()
+        """JOINT_TOL times the diameter of ``bbox``, for every joint gap."""
+
+        x0, y0, x1, y1 = self.bbox
+        return JOINT_TOL * math.hypot(x1 - x0, y1 - y0)
 
     @property
     def is_closed(self) -> bool:
@@ -235,12 +239,6 @@ class CurveSpec:
 
         x0, y0, x1, y1 = zip(*(p.bbox() for p in self.pieces))
         return (min(x0), min(y0), max(x1), max(y1))
-
-    def _extent(self) -> float:
-        """Diameter of ``bbox``, the length scale of the gaps."""
-
-        x0, y0, x1, y1 = self.bbox
-        return math.hypot(x1 - x0, y1 - y0)
 
 
 def _grid_size(nx: float, ny: float) -> tuple[int, int]:
@@ -329,14 +327,16 @@ class J2Certificate:
 class CarrierIndex:
     """Flattened pieces and the kernel arrays for distance queries.
 
-    Line and arc distances are exact.  Cubic distances refine de Casteljau
-    control boxes until each box that can still hold the nearest point has
-    a diagonal of at most ``_kernels._REFINE_REL_TOL`` times its distance;
-    the lower bound is the least such distance, and the upper bound the
-    nearest start point of a box visited.  The node that sets the lower
-    bound has such a diagonal, and its start point, which lies in its box,
-    has lowered the upper bound already, so (upper - lower) is at most
-    ``_REFINE_REL_TOL`` times the lower bound, plus round-off.
+    Line and arc distances are closed form, and the lower bound takes off
+    their round-off (``_kernels._exact_pieces``).  Cubic distances refine
+    de Casteljau control boxes until each box that can still hold the
+    nearest point has a diagonal of at most ``_kernels._REFINE_REL_TOL``
+    times its distance; the lower bound is the least such distance, and the
+    upper bound the nearest start point of a box visited.  The node that
+    sets the lower bound has such a diagonal, and its start point, which
+    lies in its box, has lowered the upper bound already, so (upper -
+    lower) is at most ``_REFINE_REL_TOL`` times the lower bound, plus
+    round-off.
     ``distance`` and ``distance_batch`` run the same kernel,
     ``_kernels.carrier_batch``, so one point gets one answer either way.
     ``build`` only wraps the flattened pieces and their bbox.  The
@@ -411,10 +411,8 @@ class CarrierIndex:
     def diam(self) -> float:
         """The curve's length scale: the float sqrt(max((x_i - x_j)**2 +
         (y_i - y_j)**2)) over the pairs i <= j of the points that
-        ``_SAMPLES_PER_PIECE`` describes, 64 rows of pairs at a time.  As in
-        ``_kernels.pair_scan``, the squares are taken on the points times
-        the power of two that brings their largest coordinate span into
-        [0.5, 1), exactly, so none overflows at any scale."""
+        ``_SAMPLES_PER_PIECE`` describes, 64 rows of pairs at a time, on the
+        points scaled as in ``_kernels.pair_scan``: no square overflows."""
 
         s = _SAMPLES_PER_PIECE
         piece, k = divmod(np.arange(s) * self.kinds.shape[0], s)
@@ -588,9 +586,7 @@ class Affine:
         return a * d - b * c
 
     def apply(self, p) -> Point:
-        p = as_point(p)
-        a, b, c, d, e, f = self.coeffs
-        return Point(a * p.x + b * p.y + e, c * p.x + d * p.y + f)
+        return _apply(self.coeffs, as_point(p))
 
     def __matmul__(self, other: "Affine") -> "Affine":
         a1, b1, c1, d1, e1, f1 = self.coeffs

@@ -67,8 +67,7 @@ def _bernstein_slope(c0, c1, c2, c3, u):
 
 
 def _sweep_offset(theta, a0, sign):
-    """How far the angle theta lies past a0 along a sweep of sign +-1.0,
-    reduced to [0, 2*pi)."""
+    """The angle from a0 to theta along a sweep of sign +-1.0, in [0, 2*pi)."""
 
     return (sign * (theta - a0)) % math.tau
 
@@ -102,9 +101,8 @@ def _tri_dist_origin(ax, ay, bx, by, cx, cy) -> float:
 
 
 def _linear_part(m: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
-    """The linear part (a, b, c, d) of the affine coefficients ``m`` times
-    2**-e, and e, which brings its largest entry into [0.5, 1): the product
-    is exact, and no square of it overflows at any scale."""
+    """The linear part (a, b, c, d) of the affine map ``m`` times 2**-e, and
+    e, which brings its largest entry into [0.5, 1): no square overflows."""
 
     e = math.frexp(max(abs(v) for v in m[:4]))[1]
     return tuple(math.ldexp(v, -e) for v in m[:4]), e
@@ -129,6 +127,13 @@ def _check_similarity(m: tuple[float, ...]) -> tuple[float, float]:
             "(uniform scale, rotation, reflection, translation)"
         )
     return math.ldexp(math.sqrt(scale2), e), det
+
+
+def _box(pts) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) around the (x, y) pairs ``pts``."""
+
+    xs, ys = zip(*pts)
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def _apply(m: tuple[float, ...], p: Point) -> Point:
@@ -165,12 +170,7 @@ class LinePiece:
         return L, L
 
     def bbox(self) -> tuple[float, float, float, float]:
-        return (
-            min(self.start.x, self.end.x),
-            min(self.start.y, self.end.y),
-            max(self.start.x, self.end.x),
-            max(self.start.y, self.end.y),
-        )
+        return _box((self.start.as_tuple(), self.end.as_tuple()))
 
     def to_row(self) -> list[float]:
         return [self.start.x, self.start.y, self.end.x, self.end.y, 0, 0, 0, 0]
@@ -231,8 +231,7 @@ class ArcPiece:
             if ang >= lo:
                 pts.append(_arc_xy(self.center.x, self.center.y, self.radius, ang))
             ang += math.pi / 2
-        xs, ys = zip(*pts)
-        return (min(xs), min(ys), max(xs), max(ys))
+        return _box(pts)
 
     def to_row(self) -> list[float]:
         return [
@@ -326,9 +325,7 @@ class CubicPiece:
         return lo, hi
 
     def bbox(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self.controls()]
-        ys = [p.y for p in self.controls()]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return _box([p.as_tuple() for p in self.controls()])
 
     def to_row(self) -> list[float]:
         return [

@@ -33,6 +33,11 @@ class _Frame:
             self.height - ((y - self.y0) * self.scale + self.pad),
         )
 
+    def xy(self, x: float, y: float) -> str:
+        """The point ``map`` takes (x, y) to, as path data."""
+
+        return " ".join(_fmt(v) for v in self.map(x, y))
+
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
@@ -49,12 +54,10 @@ def _frame_for(bbox: tuple[float, float, float, float], size: int) -> _Frame:
 
 def _path_data(spec: CurveSpec, fr: _Frame) -> str:
     start = spec.pieces[0].point(0.0)
-    sx, sy = fr.map(start.x, start.y)
-    parts = [f"M {_fmt(sx)} {_fmt(sy)}"]
+    parts = [f"M {fr.xy(start.x, start.y)}"]
     for piece in spec.pieces:
         if isinstance(piece, LinePiece):
-            x, y = fr.map(piece.end.x, piece.end.y)
-            parts.append(f"L {_fmt(x)} {_fmt(y)}")
+            parts.append(f"L {fr.xy(piece.end.x, piece.end.y)}")
         elif isinstance(piece, ArcPiece):
             n = max(1, int(math.ceil(abs(piece.sweep) / math.pi - 1e-12)))
             r = piece.radius * fr.scale
@@ -62,19 +65,11 @@ def _path_data(spec: CurveSpec, fr: _Frame) -> str:
             flag = 0 if piece.sweep > 0 else 1
             for k in range(1, n + 1):
                 a = piece.start_angle + piece.sweep * k / n
-                x, y = fr.map(*_arc_xy(piece.center.x, piece.center.y, piece.radius, a))
-                parts.append(
-                    f"A {_fmt(r)} {_fmt(r)} 0 0 {flag} {_fmt(x)} {_fmt(y)}"
-                )
+                end = _arc_xy(piece.center.x, piece.center.y, piece.radius, a)
+                parts.append(f"A {_fmt(r)} {_fmt(r)} 0 0 {flag} {fr.xy(*end)}")
         else:
             assert isinstance(piece, CubicPiece)
-            x1, y1 = fr.map(piece.p1.x, piece.p1.y)
-            x2, y2 = fr.map(piece.p2.x, piece.p2.y)
-            x3, y3 = fr.map(piece.p3.x, piece.p3.y)
-            parts.append(
-                f"C {_fmt(x1)} {_fmt(y1)} {_fmt(x2)} {_fmt(y2)} "
-                f"{_fmt(x3)} {_fmt(y3)}"
-            )
+            parts.append("C " + " ".join(fr.xy(p.x, p.y) for p in piece.controls()[1:]))
     if spec.is_closed:
         parts.append("Z")
     return " ".join(parts)

@@ -458,9 +458,16 @@ def test_a_ray_nearly_tangent_to_a_small_arc_fails_the_isolation_window():
         ray_crossing_index(jc, p, (-s, s))
     (t0, piece0, _), (t1, piece1, _) = exc.value.record
     assert piece0 == piece1 == 1
-    # the kernel's discriminant is the difference of two numbers near 1,
-    # about 4e-14, so the chord keeps only a few digits
-    assert t1 - t0 == pytest.approx(2.0 * r * math.sin(alpha), rel=1e-2)
+    # the kernel's discriminant is (r - d)(r + d), with d the distance from
+    # the centre to the ray: no cancellation, so the chord keeps its digits.
+    # The exact chord of these floats, with the direction as _ray_once
+    # normalises it, is 2e-8 off 2 r sin(alpha)
+    n = math.hypot(-s, s)
+    vx, vy = Fraction(-s / n), Fraction(s / n)
+    ux, uy = Fraction(p[0]) - Fraction(cx), Fraction(p[1]) - Fraction(cy)
+    vv, b = vx * vx + vy * vy, vx * ux + vy * uy
+    c = ux * ux + uy * uy - Fraction(jc.spec.pieces[1].radius) ** 2
+    assert t1 - t0 == pytest.approx(2.0 * math.sqrt(b * b - vv * c) / vv, rel=1e-8)
 
 
 def test_a_ray_at_slope_1e_5_to_a_line_piece_is_grazing():
@@ -633,11 +640,6 @@ def test_classify_at_band_0_never_takes_the_wrong_side(verts, probes, uniform):
             assert got is (Verdict.INSIDE if want else Verdict.OUTSIDE), p
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the line distance rounds a point on a vertical side 3.5e-18 off "
-    "it, a positive lower bound, so band 0 certifies a clearance it lacks",
-)
 def test_a_point_on_a_side_gets_no_side():
     # the probe 1e-12 diameters above the bottom left vertex, on the bottom
     # side's normal, lies exactly on the left side x = -1/32
@@ -645,6 +647,8 @@ def test_a_point_on_a_side_gets_no_side():
     spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
     jc = validate_jordan(spec, h=1e-2, require_smooth=False)
     p = (-0.03125, -0.031249999999887538)
+    # the line distance rounds to 3.5e-18; its round-off bound takes the
+    # lower bound to 0
     assert _exact_winding(verts, p) is None
     assert jc.carrier.distance(p)[0] == 0.0
     assert classify(jc, p, eps_band=0.0).verdict is Verdict.NEAR_CARRIER

@@ -432,6 +432,19 @@ def _carrier_batch_oracle(kinds, data, pts):
     m = pts.shape[0]
     best_hi = np.full(m, np.inf)
     lo_acc = np.full(m, np.inf)
+    # a lower bound takes off 8 eps (d + M), with M the largest magnitude
+    # of a piece of its kind
+    mag = {KIND_LINE: 0.0, KIND_ARC: 0.0}
+    for kind, row in zip(kinds, data):
+        if kind == KIND_LINE:
+            ex, ey = row[2] - row[0], row[3] - row[1]
+            mag[kind] = max(mag[kind], abs(row[0]) + abs(row[1]) + abs(ex) + abs(ey))
+        elif kind == KIND_ARC:
+            mag[kind] = max(mag[kind], abs(row[0]) + abs(row[1]) + row[2] * (8.0 + abs(row[3])))
+
+    def lower(d, kind):
+        return d - 8.0 * np.finfo(float).eps * (d + mag[kind])
+
     for i in range(kinds.shape[0]):
         kind = kinds[i]
         row = data[i]
@@ -441,7 +454,7 @@ def _carrier_batch_oracle(kinds, data, pts):
             t = np.clip(((px - row[0]) * ex + (py - row[1]) * ey) / denom, 0, 1)
             d = np.hypot(px - (row[0] + t * ex), py - (row[1] + t * ey))
             np.minimum(best_hi, d, out=best_hi)
-            np.minimum(lo_acc, d, out=lo_acc)
+            np.minimum(lo_acc, lower(d, kind), out=lo_acc)
         elif kind == KIND_ARC:
             cx, cy, r, a0, sweep = row[:5]
             wx, wy = px - cx, py - cy
@@ -463,7 +476,7 @@ def _carrier_batch_oracle(kinds, data, pts):
                 )
                 d = np.where(on, rad, np.minimum(d0, d1))
             np.minimum(best_hi, d, out=best_hi)
-            np.minimum(lo_acc, d, out=lo_acc)
+            np.minimum(lo_acc, lower(d, kind), out=lo_acc)
     # points are independent; blocks keep the refinement arrays in cache
     for s in range(0, m, 4096):
         e = min(m, s + 4096)
@@ -632,14 +645,17 @@ def test_least_distance_is_the_full_minimum(name):
 
 def test_least_distance_on_exact_ties():
     # the circle fixture is the unit circle: points on the concentric
-    # circles of radius 2 and 1/2 tie exactly on the axes
+    # circles of radius 2 and 1/2 tie exactly on the axes, at |r - 1| less
+    # the round-off bound
     ci, _ = _oracle_curve("circle")
     ang = np.linspace(0.0, TWO_PI, 37)
     axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     for r in (2.0, 0.5):
         ring = r * np.column_stack([np.cos(ang), np.sin(ang)])
         pts = np.concatenate([ring, r * axes])
-        assert np.count_nonzero(ci.distance_batch(pts)[0] == abs(r - 1.0)) >= 4
+        lo = ci.distance_batch(pts)[0]
+        assert abs(r - 1.0) - 1e-13 < lo[-1] < abs(r - 1.0)
+        assert np.count_nonzero(lo == lo[-1]) >= 4
         _assert_least_is_the_full_minimum(ci, pts)
 
 
@@ -1060,8 +1076,8 @@ def _ray_hits_oracle(kinds, data, px, py, vx, vy, out):
             cx, cy, r, a0, sweep = row[0], row[1], row[2], row[3], row[4]
             ux, uy = px - cx, py - cy
             b = vx * ux + vy * uy
-            c = ux * ux + uy * uy - r * r
-            disc = b * b - c
+            d = abs(ux * vy - uy * vx)
+            disc = (r - d) * (r + d)
             if disc < 0.0:
                 continue
             sq = math.sqrt(disc)
