@@ -746,7 +746,9 @@ def carrier_batch(
         if least:
             bound = min(bound, float(hi_b.min()))
     lo = np.minimum(lo_acc, best_hi)
-    np.maximum(lo, 0.0, out=lo)
+    # fmax: a bound that overflowed to NaN (line pieces past about 1e154)
+    # certifies no clearance
+    np.fmax(lo, 0.0, out=lo)
     return lo, best_hi
 
 

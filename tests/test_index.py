@@ -393,13 +393,17 @@ def test_the_kidney_scaled_by_2_to_the_520_keeps_its_verdicts(curves):
 
 @pytest.mark.parametrize("half", [1e160, 1e200, 1e300])
 def test_a_square_beyond_1e154_has_a_finite_band(half):
-    # the diameter's squared chords would overflow; the line distances
-    # still do at this scale (ROADMAP item 4), so no verdict is checked
+    # the diameter's squared chords would overflow.  The line distances
+    # still do at this scale (ROADMAP item 4): their NaN certifies no
+    # clearance, so a point on a side gets no side
     corners = [Point(-half, -half), Point(half, -half), Point(half, half), Point(-half, half)]
     spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(corners, corners[1:] + corners[:1])))
     jc = validate_jordan(spec, h=1e-2, require_smooth=False)
     assert jc.diameter() == pytest.approx(2.0 * math.sqrt(2.0) * half, rel=1e-2)
     assert 0.0 < jc.default_eps_band() < math.inf
+    on_side = (half, 0.3 * half)
+    assert jc.carrier.distance(on_side)[0] == 0.0
+    assert classify(jc, on_side).verdict is Verdict.NEAR_CARRIER
 
 
 def _diamond():
