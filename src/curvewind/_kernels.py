@@ -646,7 +646,8 @@ class CarrierGeometry(NamedTuple):
     the complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons``.  Run tree: ``_run_tree``, whose first nodes are
     the cubics, so the first columns of ``node_lo`` and ``node_hi`` are
-    the cubics' control boxes.
+    the cubics' control boxes.  ``slack``: _EXACT_ERR times the largest
+    magnitude of a line and of an arc (``_exact_pieces``).
     """
 
     line: np.ndarray
@@ -659,6 +660,7 @@ class CarrierGeometry(NamedTuple):
     node_e0: np.ndarray
     node_e1: np.ndarray
     node_parent: np.ndarray
+    slack: tuple[float, float]
 
 
 def carrier_geometry(kinds, data):
@@ -668,6 +670,11 @@ def carrier_geometry(kinds, data):
     ex, ey = x1 - x0, y1 - y0
     line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
     arc = _arc_rows(data[kinds == KIND_ARC])
+    cx, cy, r, a0 = arc[:4]
+    mag = (
+        np.abs(x0) + np.abs(y0) + np.abs(ex) + np.abs(ey),
+        np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0)),
+    )
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
     return CarrierGeometry(
@@ -681,6 +688,7 @@ def carrier_geometry(kinds, data):
         node_e0=node_e0,
         node_e1=node_e1,
         node_parent=node_parent,
+        slack=tuple(_EXACT_ERR * float(m.max(initial=0.0)) for m in mag),
     )
 
 
@@ -780,8 +788,9 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
 
     ``best_hi`` takes each kind's least distance d as computed, ``lo_acc``
     d less _EXACT_ERR (d + M), with M the largest |x0| + |y0| + |ex| + |ey|
-    of the lines or |cx| + |cy| + r (8 + |a0|) of the arcs.  That grows
-    with d, so taken of the least d it is the least of the pieces'.  In
+    of the lines or |cx| + |cy| + r (8 + |a0|) of the arcs (``geo.slack``
+    holds _EXACT_ERR M).  That grows with d, so taken of the least d it is
+    the least of the pieces'.  In
     units of u = 2**-53 a line's distance is off by at most 9 (d + M): M
     from rounding ex, ey; 6 (d + M) from t, whose error is 6u |p - a| / |e|
     along a segment of length |e| from a, with |p - a| <= d + |e|; 2 M to
@@ -799,9 +808,7 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     if geo.line.shape[1]:
         x0, y0, ex, ey, denom = geo.line
         t = np.clip(((px - x0) * ex + (py - y0) * ey) / denom, 0, 1)
-        d = np.hypot(px - (x0 + t * ex), py - (y0 + t * ey))
-        mag = np.abs(x0) + np.abs(y0) + np.abs(ex) + np.abs(ey)
-        parts.append((d, mag.max()))
+        parts.append((np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)), geo.slack[0]))
     if geo.arc.shape[1]:
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         wx, wy = px - cx, py - cy
@@ -810,12 +817,11 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
         ends = np.minimum(
             np.hypot(px - e0x, py - e0y), np.hypot(px - e1x, py - e1y)
         )
-        mag = np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0))
-        parts.append((np.where(on, rad, ends), mag.max()))
-    for d, mag in parts:
+        parts.append((np.where(on, rad, ends), geo.slack[1]))
+    for d, slack in parts:
         d = d.min(axis=1)
         np.minimum(best_hi, d, out=best_hi)
-        np.minimum(lo_acc, d - _EXACT_ERR * (d + mag), out=lo_acc)
+        np.minimum(lo_acc, d * (1.0 - _EXACT_ERR) - slack, out=lo_acc)
 
 
 def _cubic_pieces(geo, q, best_hi, lo_acc, stop, chords=None):

@@ -232,9 +232,8 @@ def polygonal_join(
     # Python ints: grid_path walks back cell by cell in Python, where
     # numpy scalars are slow
     start, goal = zip(rows.tolist(), cols.tolist())
-    # an endpoint with clearance + h can lie in a cell whose centre misses
-    # clearance + h * _FREE_MARGIN, so the search enters both endpoint cells;
-    # _segment_clear still certifies every segment on the grid's free cells
+    # an endpoint cell's centre may miss clearance + h * _FREE_MARGIN, so the
+    # search enters it; _segment_clear certifies on the grid's free cells
     free = grid.free.copy()
     free[rows, cols] = 1
     cells = _kernels.grid_path(free, start, goal)

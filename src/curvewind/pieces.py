@@ -38,8 +38,6 @@ _HODOGRAPH_DEPTH = 20
 
 # the pieces' closed forms, which every evaluator calls, so a curve point is
 # the same float wherever it is taken; all but _arc_xy take numpy arrays too
-
-
 def _lerp(a, b, u):
     """The point at u of the segment from a to b, one coordinate."""
 
@@ -67,7 +65,7 @@ def _bernstein_slope(c0, c1, c2, c3, u):
 
 
 def _sweep_offset(theta, a0, sign):
-    """The angle from a0 to theta along a sweep of sign +-1.0, in [0, 2*pi)."""
+    """The angle from a0 to theta along a sweep of sign +-1.0, modulo 2*pi."""
 
     return (sign * (theta - a0)) % math.tau
 

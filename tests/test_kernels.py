@@ -443,7 +443,8 @@ def _carrier_batch_oracle(kinds, data, pts):
             mag[kind] = max(mag[kind], abs(row[0]) + abs(row[1]) + row[2] * (8.0 + abs(row[3])))
 
     def lower(d, kind):
-        return d - 8.0 * np.finfo(float).eps * (d + mag[kind])
+        err = 8.0 * np.finfo(float).eps
+        return d * (1.0 - err) - err * mag[kind]
 
     for i in range(kinds.shape[0]):
         kind = kinds[i]
