@@ -790,17 +790,16 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     d less _EXACT_ERR (d + M), with M the largest |x0| + |y0| + |ex| + |ey|
     of the lines or |cx| + |cy| + r (8 + |a0|) of the arcs (``geo.slack``
     holds _EXACT_ERR M).  That grows with d, so taken of the least d it is
-    the least of the pieces'.  In
-    units of u = 2**-53 a line's distance is off by at most 9 (d + M): M
-    from rounding ex, ey; 6 (d + M) from t, whose error is 6u |p - a| / |e|
-    along a segment of length |e| from a, with |p - a| <= d + |e|; 2 M to
-    form the foot; 3 d in the difference and hypot.  An arc's is off by at
-    most 4 d + 3 M on its sweep, from the offset to the centre, whose
-    length is at most d + r, hypot and - r; off it, by 3 M for each end,
-    through its rounded angle, cos, sin and sum, and 3.5 d in the
-    difference and hypot.  8 eps is 16u, with room for the terms in u**2.
-    A direction within _SWEEP_TOL past an arc's end takes the distance to
-    its circle, which is no larger.
+    the least of the pieces'.  In units of u = 2**-53 a line's distance is
+    off by at most 9 (d + M): M from rounding ex, ey; 6 (d + M) from t,
+    whose error is 6u |p - a| / |e| along a segment of length |e| from a,
+    with |p - a| <= d + |e|; 2 M to form the foot; 3 d in the difference
+    and hypot.  An arc's is off by at most 4 d + 3 M on its sweep, from
+    the offset to the centre, whose length is at most d + r, hypot and
+    - r; off it, by 3 M for each end, through its rounded angle, cos, sin
+    and sum, and 3.5 d in the difference and hypot.  8 eps is 16u, with
+    room for the terms in u**2.  A direction within _SWEEP_TOL past an
+    arc's end takes the distance to its circle, which is no larger.
     """
 
     px, py = q[0][:, None], q[1][:, None]
