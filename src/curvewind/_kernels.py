@@ -9,8 +9,9 @@ rows before hitting these functions:
 
 Each kernel has one implementation.  ``ray_hits_point`` is the only one
 that walks the pieces for one query point: a plain Python loop over
-floats that solves lines and arcs in closed form and brackets and bisects
-each cubic's sign changes.  The batch kernels (``winding_batch``,
+floats that solves lines and arcs in closed form and finds each cubic's
+sign changes by de Casteljau subdivision of its Bernstein offsets from
+the ray's line, down to brackets of width _ROOT_TOL.  The batch kernels (``winding_batch``,
 ``carrier_batch``, ``grid_path``) are vectorised numpy over all query
 points or grid cells at once: lines and arcs take one closed-form pass
 over all (point, piece) pairs, cubics refine all their (point, piece)
@@ -135,8 +136,7 @@ ON_CARRIER = 1
 # no kernel returns NODE_LIMIT any more; only the benchmark tracer reads it
 NODE_LIMIT = 2
 
-# cubic ray brackets this narrow are bisected to _ROOT_TOL
-_BRACKET_WIDTH = 1e-4
+# cubic ray brackets are halved until they are this narrow
 _ROOT_TOL = 1e-12
 # an angle this far past either end of an arc's sweep still lies on it
 _SWEEP_TOL = 1e-12
@@ -182,22 +182,6 @@ def _angle_in_sweep(a0, sweep, theta):
     if delta <= span + _SWEEP_TOL:
         return min(delta / span, 1.0)
     return -1.0
-
-
-def _bisect_root(f, lo, hi, flo):
-    """The sign change of the Bernstein cubic ``f`` on [lo, hi] to within
-    _ROOT_TOL; ``flo`` is its value at lo."""
-
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = _bernstein(*f, mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0.0) != (fm > 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def ray_hits_point(kinds, data, px, py, vx, vy, out):
@@ -269,7 +253,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                     g0 < 0.0 and g1 < 0.0 and g2 < 0.0 and g3 < 0.0
                 ):
                     continue
-                if uhi - ulo > _BRACKET_WIDTH:
+                if uhi - ulo > _ROOT_TOL:
                     # de Casteljau split at the midpoint
                     m01 = 0.5 * (g0 + g1)
                     m12 = 0.5 * (g1 + g2)
@@ -285,7 +269,7 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                 elif g3 == 0.0 and uhi == 1.0:
                     roots.append(1.0)
                 elif (g0 > 0.0) != (g3 > 0.0):
-                    roots.append(_bisect_root(f, ulo, uhi, g0))
+                    roots.append(0.5 * (ulo + uhi))
             roots.sort()
             # adjacent brackets re-find a shared root within ~2 * _ROOT_TOL;
             # genuine distinct crossings are never that close in parameter

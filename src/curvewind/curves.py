@@ -372,14 +372,18 @@ class CarrierIndex:
         kinds, data = spec._rows
         return cls(kinds=kinds, data=data, bbox=spec.bbox)
 
-    def distance(self, z, need: float | None = None) -> tuple[float, float]:
+    def distance(
+        self, z, need: float | None = None, chords: list | None = None
+    ) -> tuple[float, float]:
         """Certified [lower, upper] enclosure of the distance to the carrier,
         only as tight as deciding ``lower >= need`` takes when ``need`` is
-        given."""
+        given.  An empty list ``chords`` collects the winding chords of the
+        cubic refinement, which ``_kernels.winding_batch`` sums where
+        ``lower > 0`` (``_kernels`` module docstring)."""
 
         p = as_point(z)
         return _kernels.carrier_dist_point(
-            self.kinds, self.data, None, None, p.x, p.y, self.geometry, need
+            self.kinds, self.data, None, None, p.x, p.y, self.geometry, need, chords
         )
 
     def distance_batch(

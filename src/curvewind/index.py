@@ -73,9 +73,8 @@ _MAX_RAYS = 32
 _JOINT_U_TOL = 1e-8
 _ISOLATION_FRACTION = 1e-6
 # boundary witnesses start their normal probes this many diameters off the
-# curve and halve the offset at most this often
+# curve and halve the offset until it is below four times the band
 _WITNESS_START = 0.05
-_WITNESS_HALVINGS = 40
 
 
 def _ray_direction(k: int) -> tuple[float, float]:
@@ -164,24 +163,12 @@ class Classification:
         return 0
 
 
-def _clearance(jc: JordanCurve, p: Point, need: float):
-    """``jc.carrier.distance(p, need)`` together with the winding chords
-    its cubic refinement collected: returns (lo, hi, chords).  Where lo > 0
-    the chords are ``winding_batch``'s (``_kernels`` module docstring)."""
-
-    ci = jc.carrier
-    chords: list = []
-    lo, hi = _kernels.carrier_dist_point(
-        ci.kinds, ci.data, None, None, p.x, p.y, ci.geometry, need, chords
-    )
-    return lo, hi, chords
-
-
 def _require_clear(jc: JordanCurve, p: Point) -> list:
     """Raise PointTooClose unless p has a certified positive clearance;
     returns the winding chords of the query that certified it."""
 
-    lo, _, chords = _clearance(jc, p, _LEAST_POSITIVE)
+    chords: list = []
+    lo, _ = jc.carrier.distance(p, _LEAST_POSITIVE, chords)
     if lo <= 0.0:
         raise PointTooClose(f"cannot certify ({p.x!r}, {p.y!r}) away from the carrier")
     return chords
@@ -317,7 +304,8 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
     # a positive band decides lo <= 0 along with hi < band; a band of 0
     # leaves lo <= 0 alone to decide.  The query keeps the chords of its
     # cubic refinement, which are the winding's wherever lo > 0
-    lo, hi, chords = _clearance(jc, p, max(band, _LEAST_POSITIVE))
+    chords: list = []
+    lo, hi = jc.carrier.distance(p, max(band, _LEAST_POSITIVE), chords)
     if hi < band or lo <= 0.0:
         # hi < band: certified near.  lo <= 0: cannot certify any clearance,
         # so the conservative call is also near-carrier.
@@ -488,9 +476,9 @@ def boundary_witnesses(jc: JordanCurve, params) -> tuple[Witness, ...]:
         nx, ny = -v.y / vn, v.x / vn
         delta = _WITNESS_START * jc.diameter()
         found = None
-        for _ in range(_WITNESS_HALVINGS):
-            if delta < 4.0 * band:
-                break
+        # a band that underflows to 0 (diameters below about 1e-317) leaves
+        # delta reaching 0 to end the loop
+        while delta >= 4.0 * band and delta > 0.0:
             p1 = Point(z.x + delta * nx, z.y + delta * ny)
             p2 = Point(z.x - delta * nx, z.y - delta * ny)
             try:

@@ -969,7 +969,7 @@ def test_winding_on_an_arcs_chord_is_half_a_turn(sweep):
 # never binds on the test curves.
 _STACK_CAP = 256
 _HIT_CAP = 256
-_BRACKET_WIDTH = _kernels._BRACKET_WIDTH
+_BRACKET_WIDTH = 1e-4
 _ROOT_TOL = _kernels._ROOT_TOL
 OK, ON_CARRIER = _kernels.OK, _kernels.ON_CARRIER
 
