@@ -11,12 +11,13 @@ Each kernel has one implementation.  ``ray_hits_point`` is the only one
 that walks the pieces for one query point: a plain Python loop over
 floats that solves lines and arcs in closed form and finds each cubic's
 sign changes by de Casteljau subdivision of its Bernstein offsets from
-the ray's line, down to brackets of width _ROOT_TOL.  The batch kernels (``winding_batch``,
-``carrier_batch``, ``grid_path``) are vectorised numpy over all query
-points or grid cells at once: lines and arcs take one closed-form pass
-over all (point, piece) pairs, cubics refine all their (point, piece)
-pairs of a block of points together, one subdivision level per step (in
-the winding kernel only the pairs that the run tree below leaves open),
+the ray's line, down to brackets of width _ROOT_TOL.  The batch kernels
+(``winding_batch``, ``carrier_batch``, ``grid_path``) are vectorised
+numpy over all query points or grid cells at once: lines and arcs take
+one closed-form pass over all (point, piece) pairs, cubics refine all
+their (point, piece) pairs of a block of points together, one
+subdivision level per step (in the winding kernel only the pairs that
+the run tree below leaves open),
 ``carrier_dist_point`` is ``carrier_batch`` on one point, and
 ``winding_batch`` takes the cubic chords that ``carrier_batch`` collected
 in place of its own refinement when it is given them (see the end of this
@@ -203,18 +204,22 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
             x0, y0, x1, y1 = row[:4]
             ex, ey = x1 - x0, y1 - y0
             rx, ry = x0 - px, y0 - py
-            den = vx * ey - vy * ex
             elen = math.hypot(ex, ey)
-            if abs(den) <= 1e-14 * elen:
-                perp = rx * vy - ry * vx
+            # ex and ey times an exact power of two s, which brings the
+            # larger into [0.5, 1): no product with rx or ry overflows
+            s = math.ldexp(1.0, -math.frexp(max(abs(ex), abs(ey)))[1])
+            sx, sy = ex * s, ey * s
+            den = vx * sy - vy * sx
+            perp = rx * vy - ry * vx
+            if abs(den) <= 1e-14 * elen * s:
                 if abs(perp) <= 1e-12 * elen:
                     f0 = rx * vx + ry * vy
                     f1 = (x1 - px) * vx + (y1 - py) * vy
                     if f0 > 0.0 or f1 > 0.0:
                         return len(out), ON_CARRIER
                 continue
-            t = (rx * ey - ry * ex) / den
-            u = (rx * vy - ry * vx) / den
+            t = (rx * sy - ry * sx) / den
+            u = perp * s / den
             if -1e-12 <= u <= 1.0 + 1e-12 and t > 0.0:
                 out.append((t, i, min(1.0, max(0.0, u)), ex, ey))
         elif kind == KIND_ARC:
@@ -626,8 +631,10 @@ class CarrierGeometry(NamedTuple):
     """Per-curve arrays for ``carrier_batch`` and ``winding_batch``,
     independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, ex^2 + ey^2.  Arcs: ``_arc_rows``.  Chords:
-    the complex chord ends of the lines, then of the arcs.  Cubics:
+    Lines: rows x0, y0, ex, ey, ex^2 + ey^2, with ex and ey times
+    2**-line_exp, which brings the largest of them into [0.5, 1): no
+    square or product with a coordinate overflows.  Arcs: ``_arc_rows``.
+    Chords: the complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons``.  Run tree: ``_run_tree``, whose first nodes are
     the cubics, so the first columns of ``node_lo`` and ``node_hi`` are
     the cubics' control boxes.  ``slack``: _EXACT_ERR times the largest
@@ -635,6 +642,7 @@ class CarrierGeometry(NamedTuple):
     """
 
     line: np.ndarray
+    line_exp: int
     arc: np.ndarray
     e0: np.ndarray
     e1: np.ndarray
@@ -652,17 +660,20 @@ def carrier_geometry(kinds, data):
 
     x0, y0, x1, y1 = data[kinds == KIND_LINE, :4].T
     ex, ey = x1 - x0, y1 - y0
-    line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
     arc = _arc_rows(data[kinds == KIND_ARC])
     cx, cy, r, a0 = arc[:4]
     mag = (
         np.abs(x0) + np.abs(y0) + np.abs(ex) + np.abs(ey),
         np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0)),
     )
+    e = math.frexp(float(np.abs([ex, ey]).max(initial=0.0)))[1]
+    ex, ey = np.ldexp(ex, -e), np.ldexp(ey, -e)
+    line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
     return CarrierGeometry(
         line=line,
+        line_exp=e,
         arc=arc,
         e0=np.concatenate([x0 + 1j * y0, arc[6] + 1j * arc[7]]),
         e1=np.concatenate([x1 + 1j * y1, arc[8] + 1j * arc[9]]),
@@ -789,9 +800,13 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     px, py = q[0][:, None], q[1][:, None]
     parts = []
     if geo.line.shape[1]:
+        # ex and ey are scaled by 2**-e, so t and the foot are rescaled by
+        # the same exact power of two
         x0, y0, ex, ey, denom = geo.line
-        t = np.clip(((px - x0) * ex + (py - y0) * ey) / denom, 0, 1)
-        parts.append((np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)), geo.slack[0]))
+        e = geo.line_exp
+        t = np.clip(np.ldexp(((px - x0) * ex + (py - y0) * ey) / denom, -e), 0, 1)
+        fx, fy = x0 + np.ldexp(t * ex, e), y0 + np.ldexp(t * ey, e)
+        parts.append((np.hypot(px - fx, py - fy), geo.slack[0]))
     if geo.arc.shape[1]:
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         wx, wy = px - cx, py - cy
@@ -1198,7 +1213,10 @@ def _forward(seg, chord):
     positive dot product.
     """
 
-    dots = seg[:, :, 0] * chord[:, None, 0] + seg[:, :, 1] * chord[:, None, 1]
+    # a product that overflows reads inf or NaN, which only keeps a block
+    # pair for the exact test
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = seg[:, :, 0] * chord[:, None, 0] + seg[:, :, 1] * chord[:, None, 1]
     return (dots > 0.0).all(axis=1)
 
 
@@ -1209,11 +1227,13 @@ def _orient(p, q, r):
     passes the float signs it proves; the rest, float zeros among them,
     are decided on the floats as exact integers."""
 
-    (ux, uy), (vx, vy) = (q - p).T, (r - p).T
-    a, b = ux * vy, uy * vx
-    out = np.sign(a - b)
-    err = _ORIENT_ERR * (np.abs(a) + np.abs(b)) + _ORIENT_ABS
-    k = np.flatnonzero(~(np.abs(a - b) > err))
+    # an overflow reads inf or NaN, which the filter passes to the exact test
+    with np.errstate(over="ignore", invalid="ignore"):
+        (ux, uy), (vx, vy) = (q - p).T, (r - p).T
+        a, b = ux * vy, uy * vx
+        out = np.sign(a - b)
+        err = _ORIENT_ERR * (np.abs(a) + np.abs(b)) + _ORIENT_ABS
+        k = np.flatnonzero(~(np.abs(a - b) > err))
     if k.size:
         m, e = np.frexp(np.stack([p[k], q[k], r[k]]))
         e = (e - e.min()).astype(object)

@@ -193,15 +193,16 @@ class CurveSpec:
 
         self._params(t)
         a, b = self.interval
+        first, last = self._deriv_ends
         n = self.n_pieces
         scale = n / (b - a)
         s = (t - a) * scale
         if side == "right":
-            if t >= b - EVAL_TOL * (b - a):
+            if t >= last:
                 raise ValueError("no right derivative at the interval end")
             k = int(math.floor(s + EVAL_TOL))
         elif side == "left":
-            if t <= a + EVAL_TOL * (b - a):
+            if t <= first:
                 raise ValueError("no left derivative at the interval start")
             k = int(math.ceil(s - EVAL_TOL)) - 1
         else:
@@ -209,6 +210,15 @@ class CurveSpec:
         k = min(max(k, 0), n - 1)
         u = min(max(s - k, 0.0), 1.0)
         return self.pieces[k].velocity(u).scaled(scale)
+
+    @property
+    def _deriv_ends(self) -> tuple[float, float]:
+        """(a, b) moved ``EVAL_TOL`` interval lengths inwards: ``deriv``
+        takes a left derivative only above the first and a right one only
+        below the second."""
+
+        a, b = self.interval
+        return a + EVAL_TOL * (b - a), b - EVAL_TOL * (b - a)
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         """Vectorised evaluation at global parameters (shape (m, 2)).

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["Point"]
 
@@ -49,12 +53,32 @@ class Point:
         return (self.x, self.y)
 
 
+def _is_real(v) -> bool:
+    # bool and numpy's bool_ are numbers to Python, never coordinates; a
+    # float is tested first, as the cheap common case
+    return type(v) is float or (
+        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    )
+
+
 def as_point(p) -> Point:
-    """Coerce a Point, complex, or (x, y) pair into a Point."""
+    """Coerce a Point, a complex, or a length-2 sequence or 1-D array of
+    real numbers into a Point.  Anything else, a string, a mapping, a set
+    or a pair of bools among them, raises TypeError."""
 
     if isinstance(p, Point):
         return p
     if isinstance(p, complex):
         return Point(p.real, p.imag)
-    x, y = p
-    return Point(float(x), float(y))
+    xy = p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p
+    # tuple and list are Sequences; naming them first skips the slower
+    # abstract class check for them
+    if (
+        isinstance(xy, (tuple, list, Sequence))
+        and not isinstance(xy, (str, bytes, bytearray))
+        and len(xy) == 2
+        and _is_real(xy[0])
+        and _is_real(xy[1])
+    ):
+        return Point(float(xy[0]), float(xy[1]))
+    raise TypeError(f"expected a point: a Point, a complex or an (x, y) pair, got {p!r}")

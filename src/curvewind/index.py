@@ -462,13 +462,14 @@ def boundary_witnesses(jc: JordanCurve, params) -> tuple[Witness, ...]:
     probe scale collapses to the near-carrier band first.
     """
 
-    a, b = jc.interval
+    # the right derivative, but the left one where deriv has no right one
+    last = jc.spec._deriv_ends[1]
     band = jc.default_eps_band()
     out: list[Witness] = []
     for t in params:
         t = float(t)
         z = jc.eval(t)
-        side = "right" if t < b else "left"
+        side = "right" if t < last else "left"
         v = jc.deriv(t, side)
         vn = v.norm()
         if vn <= 0.0:

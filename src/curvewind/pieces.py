@@ -244,12 +244,17 @@ class ArcPiece:
         ]
 
     def transformed(self, m: tuple[float, ...]) -> "ArcPiece":
+        """The arc under the similarity ``m``.  Its first column turns the
+        x axis by ``turn``, so an angle a maps to turn + a, or to turn - a
+        when ``m`` reflects: a scaling keeps the start angle exactly."""
+
         scale, det = _check_similarity(m)
-        c = _apply(m, self.center)
-        p0 = _apply(m, self.point(0.0))
-        a0 = math.atan2(p0.y - c.y, p0.x - c.x)
-        sweep = self.sweep if det > 0 else -self.sweep
-        return ArcPiece(c, self.radius * scale, a0, sweep)
+        turn = math.atan2(m[2], m[0])
+        if det > 0:
+            a0, sweep = turn + self.start_angle, self.sweep
+        else:
+            a0, sweep = turn - self.start_angle, -self.sweep
+        return ArcPiece(_apply(m, self.center), self.radius * scale, a0, sweep)
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,20 @@ def test_transform_curve_similarity_and_validation(curves):
         assert jt.eval(float(u)).dist(t.apply(p)) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["ellipse", "rounded-square", "circle"])
+def test_a_power_of_two_keeps_every_arc_angle(name):
+    # the start angle is the old one plus the map's turn, 0 for a scaling,
+    # so the scaled curve is the same floats times 2**k
+    jc = validate_jordan(fixture(name), h=1e-2)
+    for k in (-520, -7, 3, 10, 520):
+        big = transform_curve(jc, Affine.scaling(2.0**k))
+        for p, q in zip(jc.spec.pieces, big.spec.pieces):
+            if isinstance(p, ArcPiece):
+                assert (q.start_angle, q.sweep) == (p.start_angle, p.sweep)
+                assert q.radius == math.ldexp(p.radius, k)
+        assert big.diameter() == math.ldexp(jc.diameter(), k)
+
+
 def test_transform_curve_rejects_singular(curves):
     singular = Affine((1.0, 0.0, 2.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="invertible"):

@@ -31,6 +31,21 @@ def test_as_point_accepts_pairs_and_complex():
     assert as_point((1.0, 2.0)) == Point(1.0, 2.0)
     assert as_point(1.0 + 2.0j) == Point(1.0, 2.0)
     assert as_point(Point(3.0, 4.0)) == Point(3.0, 4.0)
+    assert as_point([1, 2.5]) == Point(1.0, 2.5)
+    assert as_point(np.array([[0.5, -1.0], [2.0, 3.0]])[1]) == Point(2.0, 3.0)
+    assert as_point((np.float32(0.5), np.int64(3))) == Point(0.5, 3.0)
+    assert as_point(np.complex128(1.0 - 2.0j)) == Point(1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["12", b"12", {1.0: 2.0, 3.0: 4.0}, {1.0, 2.0}, (True, False), (np.True_, 1.0),
+     np.array([True, False]), (1.0, 2.0, 3.0), ("1", "2"), np.zeros((1, 2)), 1.0, None],
+    ids=repr,
+)
+def test_as_point_refuses_what_is_not_a_pair_of_numbers(bad):
+    with pytest.raises(TypeError, match="expected a point"):
+        as_point(bad)
 
 
 def test_segment_rejects_degenerate():

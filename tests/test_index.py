@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,18 @@ def test_boundary_witnesses_on_any_parameter_interval():
     assert deltas[0] == deltas[1] == deltas[2]
 
 
+def test_boundary_witnesses_just_below_the_interval_end():
+    # deriv has no right derivative within EVAL_TOL interval lengths of b,
+    # so the witness takes the left one there, as it does at b
+    jc = validate_jordan(kidney(), h=1e-2)
+    a, b = jc.interval
+    ws = boundary_witnesses(jc, [b - 1e-13 * (b - a), math.nextafter(b, 0.0), b])
+    for w in ws:
+        assert classify(jc, w.inside).verdict is Verdict.INSIDE
+        assert classify(jc, w.outside).verdict is Verdict.OUTSIDE
+    assert ws[0].delta == ws[1].delta == ws[2].delta
+
+
 def test_segment_integral_matches_quadrature():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -347,12 +360,8 @@ def test_affine_invariance_of_verdicts(curves):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_verdicts_hold_at_any_scale(curves, scale):
-    # the pieces are scaled one by one: transform_curve refuses maps this
-    # far from unit size
-    m = Affine.scaling(scale).coeffs
     for name, jc in curves.items():
-        spec = CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces))
-        scaled = validate_jordan(spec, h=1e-2)
+        scaled = transform_curve(jc, Affine.scaling(scale))
         x0, y0, x1, y1 = jc.carrier.bbox
         rng = np.random.default_rng(0)
         pts = rng.uniform((x0 - 0.1, y0 - 0.1), (x1 + 0.1, y1 + 0.1), size=(60, 2))
@@ -368,8 +377,9 @@ def test_verdicts_hold_at_any_scale(curves, scale):
 )
 @settings(max_examples=40, deadline=None)
 def test_verdicts_hold_under_power_of_two_scalings(curves, name, k, uv):
-    # a power of two scales lines and cubics exactly, but an arc's start
-    # angle goes through atan2, so the verdicts are compared, not floats
+    # a power of two scales every piece exactly, an arc's start angle
+    # included (test_a_power_of_two_keeps_every_arc_angle); the verdicts
+    # are what the library promises to keep
     jc = curves[name]
     m = Affine.scaling(2.0**k).coeffs
     scaled = validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
@@ -393,9 +403,8 @@ def test_the_kidney_scaled_by_2_to_the_520_keeps_its_verdicts(curves):
 
 @pytest.mark.parametrize("half", [1e160, 1e200, 1e300])
 def test_a_square_beyond_1e154_has_a_finite_band(half):
-    # the diameter's squared chords would overflow.  The line distances
-    # still do at this scale (ROADMAP item 4): their NaN certifies no
-    # clearance, so a point on a side gets no side
+    # the diameter's squared chords, the line distances' squared lengths
+    # and the ray's products with a side would all overflow unscaled
     corners = [Point(-half, -half), Point(half, -half), Point(half, half), Point(-half, half)]
     spec = CurveSpec(tuple(LinePiece(p, q) for p, q in zip(corners, corners[1:] + corners[:1])))
     jc = validate_jordan(spec, h=1e-2, require_smooth=False)
@@ -404,6 +413,26 @@ def test_a_square_beyond_1e154_has_a_finite_band(half):
     on_side = (half, 0.3 * half)
     assert jc.carrier.distance(on_side)[0] == 0.0
     assert classify(jc, on_side).verdict is Verdict.NEAR_CARRIER
+    for p, d, verdict in [
+        ((0.5 * half, 0.0), 0.5 * half, Verdict.INSIDE),
+        ((3.0 * half, 0.0), 2.0 * half, Verdict.OUTSIDE),
+    ]:
+        lo, hi = jc.carrier.distance(p)
+        assert lo == pytest.approx(d, rel=1e-12) and hi == pytest.approx(d, rel=1e-12)
+        c = classify(jc, p)
+        assert c.verdict is verdict
+        assert [r.t for r in c.crossings] == pytest.approx([half - p[0]] if c.winding.rounded else [])
+
+
+@pytest.mark.parametrize("name", ["kidney", "ellipse"])
+def test_curves_scaled_by_2_to_the_520_validate_without_overflow(curves, name):
+    # every float filter that can overflow at this scale is scaled or
+    # falls through to an exact test without a warning
+    jc = curves[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = transform_curve(jc, Affine.scaling(2.0**520))
+    assert big.diameter() == 2.0**520 * jc.diameter()
 
 
 def _diamond():

@@ -76,3 +76,5 @@ def test_traced_classify_counts_its_winding():
     assert c.verdict is index.Verdict.INSIDE
     assert tracer.under("_kernels.winding_batch", "index.classify") == 1
     assert tracer.under("_kernels.winding_batch", "index.classify", "points") == 1
+    # its clearance query goes through the carrier index
+    assert tracer.under("curves.CarrierIndex.distance", "index.classify") == 1
