@@ -631,10 +631,11 @@ class CarrierGeometry(NamedTuple):
     """Per-curve arrays for ``carrier_batch`` and ``winding_batch``,
     independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, ex^2 + ey^2, with ex and ey times
-    2**-line_exp, which brings the largest of them into [0.5, 1): no
-    square or product with a coordinate overflows.  Arcs: ``_arc_rows``.
-    Chords: the complex chord ends of the lines, then of the arcs.  Cubics:
+    Lines: rows x0, y0, ex, ey, sx, sy, (sx^2 + sy^2) 2**e, where (sx, sy)
+    is (ex, ey) times the power of two 2**-e that brings the largest of
+    them into [0.5, 1), so no square or product with a coordinate
+    overflows (``_exact_pieces``).  Arcs: ``_arc_rows``.  Chords: the
+    complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons``.  Run tree: ``_run_tree``, whose first nodes are
     the cubics, so the first columns of ``node_lo`` and ``node_hi`` are
     the cubics' control boxes.  ``slack``: _EXACT_ERR times the largest
@@ -642,7 +643,6 @@ class CarrierGeometry(NamedTuple):
     """
 
     line: np.ndarray
-    line_exp: int
     arc: np.ndarray
     e0: np.ndarray
     e1: np.ndarray
@@ -667,13 +667,13 @@ def carrier_geometry(kinds, data):
         np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0)),
     )
     e = math.frexp(float(np.abs([ex, ey]).max(initial=0.0)))[1]
-    ex, ey = np.ldexp(ex, -e), np.ldexp(ey, -e)
-    line = np.array([x0, y0, ex, ey, ex * ex + ey * ey]).reshape(5, -1)
+    sx, sy = np.ldexp(ex, -e), np.ldexp(ey, -e)
+    denom = np.ldexp(sx * sx + sy * sy, e)
+    line = np.array([x0, y0, ex, ey, sx, sy, denom]).reshape(7, -1)
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
     return CarrierGeometry(
         line=line,
-        line_exp=e,
         arc=arc,
         e0=np.concatenate([x0 + 1j * y0, arc[6] + 1j * arc[7]]),
         e1=np.concatenate([x1 + 1j * y1, arc[8] + 1j * arc[9]]),
@@ -800,13 +800,11 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     px, py = q[0][:, None], q[1][:, None]
     parts = []
     if geo.line.shape[1]:
-        # ex and ey are scaled by 2**-e, so t and the foot are rescaled by
-        # the same exact power of two
-        x0, y0, ex, ey, denom = geo.line
-        e = geo.line_exp
-        t = np.clip(np.ldexp(((px - x0) * ex + (py - y0) * ey) / denom, -e), 0, 1)
-        fx, fy = x0 + np.ldexp(t * ex, e), y0 + np.ldexp(t * ey, e)
-        parts.append((np.hypot(px - fx, py - fy), geo.slack[0]))
+        # numerator and denominator both carry the factor 2**-e, so t is
+        # the unscaled quotient to the bit
+        x0, y0, ex, ey, sx, sy, denom = geo.line
+        t = np.clip(((px - x0) * sx + (py - y0) * sy) / denom, 0, 1)
+        parts.append((np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)), geo.slack[0]))
     if geo.arc.shape[1]:
         cx, cy, r, a0, sign, span, e0x, e0y, e1x, e1y = geo.arc
         wx, wy = px - cx, py - cy
