@@ -69,7 +69,7 @@ def as_point(p) -> Point:
     if isinstance(p, Point):
         return p
     if isinstance(p, complex):
-        return Point(p.real, p.imag)
+        return Point(float(p.real), float(p.imag))
     xy = p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p
     # tuple and list are Sequences; naming them first skips the slower
     # abstract class check for them

@@ -34,7 +34,8 @@ def test_as_point_accepts_pairs_and_complex():
     assert as_point([1, 2.5]) == Point(1.0, 2.5)
     assert as_point(np.array([[0.5, -1.0], [2.0, 3.0]])[1]) == Point(2.0, 3.0)
     assert as_point((np.float32(0.5), np.int64(3))) == Point(0.5, 3.0)
-    assert as_point(np.complex128(1.0 - 2.0j)) == Point(1.0, -2.0)
+    z = as_point(np.complex128(1.0 - 2.0j))
+    assert z == Point(1.0, -2.0) and type(z.x) is float and type(z.y) is float
 
 
 @pytest.mark.parametrize(
