@@ -185,7 +185,7 @@ def _angle_in_sweep(a0, sweep, theta):
     return -1.0
 
 
-def ray_hits_point(kinds, data, px, py, vx, vy, out):
+def ray_hits_point(kinds, data, geo, px, py, vx, vy, out):
     """All forward ray/carrier intersections, unsorted.
 
     Every hit at a positive ray parameter counts as forward: callers shoot
@@ -193,22 +193,21 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
     true hit lies nearer than.  ``out`` is an empty list;
     each hit is appended to it as a tuple (t, piece, u, tan_x, tan_y).
     Returns (len(out), status) where status is OK, or ON_CARRIER as soon as
-    a collinear segment overlap turns up.  Tangential (even-order) contacts
+    the ray overlaps a line piece or a straight stretch of a cubic.  Tangential (even-order) contacts
     are deliberately not reported: they contribute an even crossing count,
     so parity is unaffected; near-tangencies that do split into close root
-    pairs are caught later by the isolation window.
+    pairs are caught later by the isolation window.  ``geo`` is the
+    curve's ``carrier_geometry``, whose line rows give each line's edge
+    scaled by s against overflow.
     """
 
+    lines = iter(geo.line.T.tolist())
     for i, (kind, row) in enumerate(zip(kinds.tolist(), data.tolist())):
         if kind == KIND_LINE:
             x0, y0, x1, y1 = row[:4]
-            ex, ey = x1 - x0, y1 - y0
+            _, _, ex, ey, sx, sy, _, s = next(lines)
             rx, ry = x0 - px, y0 - py
             elen = math.hypot(ex, ey)
-            # ex and ey times an exact power of two s, which brings the
-            # larger into [0.5, 1): no product with rx or ry overflows
-            s = math.ldexp(1.0, -math.frexp(max(abs(ex), abs(ey)))[1])
-            sx, sy = ex * s, ey * s
             den = vx * sy - vy * sx
             perp = rx * vy - ry * vx
             if abs(den) <= 1e-14 * elen * s:
@@ -257,6 +256,16 @@ def ray_hits_point(kinds, data, px, py, vx, vy, out):
                 if (g0 > 0.0 and g1 > 0.0 and g2 > 0.0 and g3 > 0.0) or (
                     g0 < 0.0 and g1 < 0.0 and g2 < 0.0 and g3 < 0.0
                 ):
+                    continue
+                if g0 == 0.0 and g1 == 0.0 and g2 == 0.0 and g3 == 0.0:
+                    # this stretch lies on the ray's line, where halving
+                    # never ends; as for a line, it overlaps the ray unless
+                    # the control points' hull lies behind the origin
+                    if any(
+                        (xk - px) * vx + (yk - py) * vy > 0.0
+                        for xk, yk in ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
+                    ):
+                        return len(out), ON_CARRIER
                     continue
                 if uhi - ulo > _ROOT_TOL:
                     # de Casteljau split at the midpoint
@@ -631,10 +640,10 @@ class CarrierGeometry(NamedTuple):
     """Per-curve arrays for ``carrier_batch`` and ``winding_batch``,
     independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, sx, sy, (sx^2 + sy^2) 2**e, where (sx, sy)
-    is (ex, ey) times the power of two 2**-e that brings the largest of
-    them into [0.5, 1), so no square or product with a coordinate
-    overflows (``_exact_pieces``).  Arcs: ``_arc_rows``.  Chords: the
+    Lines: rows x0, y0, ex, ey, sx, sy, (sx^2 + sy^2) / s, s, where
+    (sx, sy) is the line's (ex, ey) times the power of two s that brings
+    the larger of |ex| and |ey| into [0.5, 1), so no square or product
+    with a coordinate overflows (``_exact_pieces``, ``ray_hits_point``).  Arcs: ``_arc_rows``.  Chords: the
     complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons``.  Run tree: ``_run_tree``, whose first nodes are
     the cubics, so the first columns of ``node_lo`` and ``node_hi`` are
@@ -666,10 +675,10 @@ def carrier_geometry(kinds, data):
         np.abs(x0) + np.abs(y0) + np.abs(ex) + np.abs(ey),
         np.abs(cx) + np.abs(cy) + r * (8.0 + np.abs(a0)),
     )
-    e = math.frexp(float(np.abs([ex, ey]).max(initial=0.0)))[1]
+    e = np.frexp(np.maximum(np.abs(ex), np.abs(ey)))[1]
     sx, sy = np.ldexp(ex, -e), np.ldexp(ey, -e)
     denom = np.ldexp(sx * sx + sy * sy, e)
-    line = np.array([x0, y0, ex, ey, sx, sy, denom]).reshape(7, -1)
+    line = np.array([x0, y0, ex, ey, sx, sy, denom, np.ldexp(1.0, -e)]).reshape(8, -1)
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
     return CarrierGeometry(
@@ -800,9 +809,9 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     px, py = q[0][:, None], q[1][:, None]
     parts = []
     if geo.line.shape[1]:
-        # numerator and denominator both carry the factor 2**-e, so t is
-        # the unscaled quotient to the bit
-        x0, y0, ex, ey, sx, sy, denom = geo.line
+        # numerator and denominator both carry the factor s, so t is the
+        # unscaled quotient to the bit
+        x0, y0, ex, ey, sx, sy, denom, _ = geo.line
         t = np.clip(((px - x0) * sx + (py - y0) * sy) / denom, 0, 1)
         parts.append((np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)), geo.slack[0]))
     if geo.arc.shape[1]:

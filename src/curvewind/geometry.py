@@ -54,11 +54,8 @@ class Point:
 
 
 def _is_real(v) -> bool:
-    # bool and numpy's bool_ are numbers to Python, never coordinates; a
-    # float is tested first, as the cheap common case
-    return type(v) is float or (
-        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-    )
+    # bool and numpy's bool_ are numbers to Python, never coordinates
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
 def as_point(p) -> Point:
@@ -71,10 +68,8 @@ def as_point(p) -> Point:
     if isinstance(p, complex):
         return Point(float(p.real), float(p.imag))
     xy = p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p
-    # tuple and list are Sequences; naming them first skips the slower
-    # abstract class check for them
     if (
-        isinstance(xy, (tuple, list, Sequence))
+        isinstance(xy, Sequence)
         and not isinstance(xy, (str, bytes, bytearray))
         and len(xy) == 2
         and _is_real(xy[0])

@@ -243,7 +243,9 @@ def _ray_once(jc: JordanCurve, p: Point, direction: Point):
     # kernels measure the ray parameter as arc length, so normalise here
     vx, vy = direction.x / norm, direction.y / norm
     hits = []
-    _, status = _kernels.ray_hits_point(carrier.kinds, carrier.data, p.x, p.y, vx, vy, hits)
+    _, status = _kernels.ray_hits_point(
+        carrier.kinds, carrier.data, carrier.geometry, p.x, p.y, vx, vy, hits
+    )
     if status == _kernels.ON_CARRIER:
         raise DegenerateRay("ray runs along a straight piece")
     hits.sort(key=lambda h: h[0])

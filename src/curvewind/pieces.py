@@ -246,7 +246,9 @@ class ArcPiece:
     def transformed(self, m: tuple[float, ...]) -> "ArcPiece":
         """The arc under the similarity ``m``.  Its first column turns the
         x axis by ``turn``, so an angle a maps to turn + a, or to turn - a
-        when ``m`` reflects: a scaling keeps the start angle exactly."""
+        when ``m`` reflects.  ``fmod`` by 2 pi is exact and keeps any
+        angle below 2 pi in size as it is: a scaling keeps the start angle
+        exactly, and a chain of maps cannot let it grow."""
 
         scale, det = _check_similarity(m)
         turn = math.atan2(m[2], m[0])
@@ -254,6 +256,7 @@ class ArcPiece:
             a0, sweep = turn + self.start_angle, self.sweep
         else:
             a0, sweep = turn - self.start_angle, -self.sweep
+        a0 = math.fmod(a0, math.tau)
         return ArcPiece(_apply(m, self.center), self.radius * scale, a0, sweep)
 
 

@@ -423,6 +423,16 @@ def test_a_power_of_two_keeps_every_arc_angle(name):
                 assert (q.start_angle, q.sweep) == (p.start_angle, p.sweep)
                 assert q.radius == math.ldexp(p.radius, k)
         assert big.diameter() == math.ldexp(jc.diameter(), k)
+    # a chain of rotations turns each start angle by 100 radians in all,
+    # but keeps it below 2 pi in size, on the rotated arc
+    m = Affine.rotation(2.5).coeffs
+    for p in jc.spec.pieces:
+        if isinstance(p, ArcPiece):
+            q, z = p, p.point(0.0)
+            for _ in range(40):
+                q, z = q.transformed(m), Affine.rotation(2.5).apply(z)
+            assert abs(q.start_angle) < math.tau
+            assert q.point(0.0).dist(z) < 1e-12
 
 
 def test_transform_curve_rejects_singular(curves):

@@ -37,7 +37,7 @@ from curvewind.fixtures import kidney, rounded_square
 from curvewind.geometry import Point
 from curvewind import index
 from curvewind.index import _JOINT_U_TOL
-from curvewind.pieces import ArcPiece, LinePiece
+from curvewind.pieces import ArcPiece, CubicPiece, LinePiece
 
 from conftest import GOOD_FIXTURES, comb, sample_classified
 
@@ -515,13 +515,33 @@ def test_a_ray_at_slope_1e_5_to_a_line_piece_is_grazing():
     assert classify(jc, (-1.0, 5e-5)).verdict is Verdict.OUTSIDE
 
 
+def test_a_ray_along_a_straight_cubic_side_is_retried():
+    # a stadium whose flat sides are straight cubics: the +x ray from
+    # (3, 1) passes behind the top side, and from (-3, 1) runs along it,
+    # so classify tries the next direction
+    spec = CurveSpec((
+        CubicPiece(Point(1.0, 1.0), Point(1 / 3, 1.0), Point(-1 / 3, 1.0), Point(-1.0, 1.0)),
+        ArcPiece(Point(-1.0, 0.0), 1.0, math.pi / 2, math.pi),
+        CubicPiece(Point(-1.0, -1.0), Point(-1 / 3, -1.0), Point(1 / 3, -1.0), Point(1.0, -1.0)),
+        ArcPiece(Point(1.0, 0.0), 1.0, -math.pi / 2, math.pi),
+    ))
+    jc = validate_jordan(spec, h=1e-2)
+    right = classify(jc, (3.0, 1.0))
+    assert (right.verdict, right.rays_tried) == (Verdict.OUTSIDE, 1)
+    with pytest.raises(DegenerateRay, match="straight piece"):
+        ray_crossing_index(jc, (-3.0, 1.0), (1.0, 0.0))
+    left = classify(jc, (-3.0, 1.0))
+    assert left.verdict is Verdict.OUTSIDE and left.rays_tried > 1
+    assert classify(jc, (0.0, 0.5)).verdict is Verdict.INSIDE
+
+
 def _one_hit(hit):
     """A stand-in for ``_kernels.ray_hits_point`` that reports ``hit``
     (t, piece, u, tan_x, tan_y) on every ray, and the rays it was asked."""
 
     rays = []
 
-    def fake(kinds, data, px, py, vx, vy, out):
+    def fake(kinds, data, geo, px, py, vx, vy, out):
         rays.append((vx, vy))
         out.append(hit)
         return len(out), _kernels.OK

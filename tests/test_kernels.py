@@ -131,7 +131,9 @@ def _ray(kinds, data, p, v):
     """One ray's hits as an (n, 5) array of (t, piece, u, tan_x, tan_y) rows."""
 
     hits = []
-    _, status = _kernels.ray_hits_point(kinds, data, p[0], p[1], v[0], v[1], hits)
+    _, status = _kernels.ray_hits_point(
+        kinds, data, _kernels.carrier_geometry(kinds, data), p[0], p[1], v[0], v[1], hits
+    )
     return np.array(hits, dtype=float).reshape(-1, 5), status
 
 
@@ -151,6 +153,19 @@ def test_ray_collinear_overlap_flagged():
     kinds, data = _rows([LinePiece(Point(1.0, 0.0), Point(2.0, 0.0))])
     _, status = _ray(kinds, data, (0.0, 0.0), (1.0, 0.0))
     assert status == _kernels.ON_CARRIER
+
+
+def test_ray_along_a_straight_cubic_is_flagged_or_missed():
+    # every Bernstein offset is exactly 0, so halving never separates a
+    # root: ahead of the origin the ray runs along the carrier, behind it
+    # the cubic gives no hit
+    cubic = CubicPiece(Point(1.0, 1.0), Point(1 / 3, 1.0), Point(-1 / 3, 1.0), Point(-1.0, 1.0))
+    kinds, data = _rows([cubic])
+    _, status = _ray(kinds, data, (-3.0, 1.0), (1.0, 0.0))
+    assert status == _kernels.ON_CARRIER
+    hits, status = _ray(kinds, data, (3.0, 1.0), (1.0, 0.0))
+    assert status == _kernels.OK
+    assert hits.shape[0] == 0
 
 
 def test_ray_hits_circle_twice_from_outside():
@@ -1239,7 +1254,9 @@ def test_ray_hits_match_stack_kernel_oracle(name):
     on_carrier = most = 0
     for (px, py), (vx, vy) in cases:
         hits = []
-        n, status = _kernels.ray_hits_point(ci.kinds, ci.data, px, py, vx, vy, hits)
+        n, status = _kernels.ray_hits_point(
+            ci.kinds, ci.data, ci.geometry, px, py, vx, vy, hits
+        )
         rows = np.empty((_HIT_CAP, 6))
         want_n, want_status = _ray_hits_oracle(ci.kinds, ci.data, px, py, vx, vy, rows)
         assert want_status != NODE_LIMIT
