@@ -54,8 +54,13 @@ class Point:
 
 
 def _is_real(v) -> bool:
-    # bool and numpy's bool_ are numbers to Python, never coordinates
-    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    # bool and numpy's bool_ are numbers to Python, never coordinates.  A
+    # float, the common case, skips the abstract class checks, as tuple and
+    # list do below: with both, perfbench's classify op_p50_ms read 1.9%
+    # lower, better in 9 of 10 alternating pairs
+    return type(v) is float or (
+        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    )
 
 
 def as_point(p) -> Point:
@@ -69,7 +74,7 @@ def as_point(p) -> Point:
         return Point(float(p.real), float(p.imag))
     xy = p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p
     if (
-        isinstance(xy, Sequence)
+        isinstance(xy, (tuple, list, Sequence))
         and not isinstance(xy, (str, bytes, bytearray))
         and len(xy) == 2
         and _is_real(xy[0])
