@@ -9,9 +9,9 @@ rows before hitting these functions:
 
 Each kernel has one implementation.  ``ray_hits_point`` is the only one
 that walks the pieces for one query point: a plain Python loop over
-floats that solves lines and arcs in closed form and finds each cubic's
-sign changes by de Casteljau subdivision of its Bernstein offsets from
-the ray's line, down to brackets of width _ROOT_TOL.  The batch kernels
+floats that counts the ray's crossings by the side-change rule below,
+lines and arcs in closed form and cubics by de Casteljau subdivision of
+their control polygons.  The batch kernels
 (``winding_batch``, ``carrier_batch``, ``grid_path``) are vectorised
 numpy over all query points or grid cells at once: lines and arcs take
 one closed-form pass over all (point, piece) pairs, cubics refine all
@@ -23,6 +23,31 @@ the run tree below leaves open),
 in place of its own refinement when it is given them (see the end of this
 docstring).  The sample-pair kernels (``pair_scan``,
 ``polyline_crossing``) run over the sample pairs of many blocks at once.
+
+Ray crossings as side changes (``ray_hits_point``): a point q has the
+offset f = (q - p) x v from the line of the ray from p along v, the ray
+parameter t = (q - p) . v, and the side s = (f >= 0), read as 1 or 0.
+Along the closed chain of stretches (``_ray_stretches``: the pieces, and
+a line across each joint whose end floats differ), a stretch whose hull
+lies wholly ahead of p (every t > 0) adds s(start) - s(end); one whose
+hull lies behind p or on one side of the ray's line adds nothing; only
+one that straddles both lines through p is split.  A line is decided in
+closed form: it meets the ray's line at t* = (t0 f1 - t1 f0) / (f1 - f0).
+A cubic splits its control polygon by de Casteljau.  An arc is decided by
+its disk and its end floats, cut where needed where its circle meets the
+perpendicular through p.  This is the half-open rule of Hormann and
+Agathos ("The point in polygon problem for arbitrary polygons", 2001),
+and since the index changes by +-1 wherever the curve crosses a line (the
+paper's Proposition jun04p1), the count is the winding number, exactly:
+
+* the sum telescopes over shared end floats, so a float side that is
+  wrong at a shared point moves a crossing across it but keeps the total;
+* p has a certified clearance lo > 0, so every ahead or behind decision
+  is made at least lo from p;
+* tangencies and runs along the ray need no special case.
+
+No root is found and no ray is retried.  The one failure is a cubic
+bracket that still straddles both lines after _REFINE_LEVELS halvings.
 
 Threshold carrier queries: most callers of ``carrier_batch`` only ask
 whether a point's distance is at least some ``need``, as in Bishop's
@@ -129,7 +154,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pieces import FULL_TURN_TOL, KIND_ARC, KIND_CUBIC, KIND_LINE
-from .pieces import _arc_xy, _bernstein, _bernstein_slope, _sweep_offset
+from .pieces import _arc_xy, _sweep_offset
 
 # status codes shared by the kernels
 OK = 0
@@ -137,8 +162,6 @@ ON_CARRIER = 1
 # no kernel returns NODE_LIMIT any more; only the benchmark tracer reads it
 NODE_LIMIT = 2
 
-# cubic ray brackets are halved until they are this narrow
-_ROOT_TOL = 1e-12
 # an angle this far past either end of an arc's sweep still lies on it
 _SWEEP_TOL = 1e-12
 # a point this far from an arc's circle, relative to the radius, and within
@@ -147,8 +170,9 @@ _ON_ARC_TOL = 1e-12
 # cubic carrier-distance nodes are finished once their box diagonal is at
 # most this times their distance
 _REFINE_REL_TOL = 1e-3
-# subdivision levels of the carrier-distance refinement; a node that
-# reaches the last one is finished as it stands
+# subdivision levels of the carrier-distance refinement, where a node that
+# reaches the last one is finished as it stands, and of a cubic ray bracket,
+# which puts its point ON_CARRIER there
 _REFINE_LEVELS = 80
 # a cubic winding node this many halvings deep, of parameter width 2**-44
 # (below 1e-13), whose box still holds the point puts it ON_CARRIER; fewer
@@ -175,131 +199,105 @@ _ORIENT_ABS = 2.0**-1070
 _EXACT_ERR = 8.0 * float(np.finfo(float).eps)
 
 
-def _angle_in_sweep(a0, sweep, theta):
-    """Local parameter u in [0, 1] if theta lies on the sweep, else -1."""
+def _halves(c0, c1, c2, c3):
+    """The de Casteljau halves at u = 1/2 of Bernstein coefficients c0..c3."""
 
-    delta = _sweep_offset(theta, a0, math.copysign(1.0, sweep))
-    span = abs(sweep)
-    if delta <= span + _SWEEP_TOL:
-        return min(delta / span, 1.0)
-    return -1.0
+    m01, m12, m23 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c3)
+    a, b = 0.5 * (m01 + m12), 0.5 * (m12 + m23)
+    m = 0.5 * (a + b)
+    return (c0, m01, a, m), (m, b, m23, c3)
 
 
-def ray_hits_point(kinds, data, geo, px, py, vx, vy, out):
-    """All forward ray/carrier intersections, unsorted.
+def ray_hits_point(geo, px, py, vx, vy, out):
+    """The signed crossings of the ray from (px, py) along the unit
+    direction (vx, vy): one record per counted stretch.
 
-    Every hit at a positive ray parameter counts as forward: callers shoot
-    rays only from points with a certified positive clearance, which no
-    true hit lies nearer than.  ``out`` is an empty list;
-    each hit is appended to it as a tuple (t, piece, u, tan_x, tan_y).
-    Returns (len(out), status) where status is OK, or ON_CARRIER as soon as
-    the ray overlaps a line piece or a straight stretch of a cubic.  Tangential (even-order) contacts
-    are deliberately not reported: they contribute an even crossing count,
-    so parity is unaffected; near-tangencies that do split into close root
-    pairs are caught later by the isolation window.  ``geo`` is the
-    curve's ``carrier_geometry``, whose line rows give each line's edge
-    scaled by s against overflow.
+    Each counted stretch is appended to ``out`` as a tuple (piece, u0, u1,
+    sign): the curve passes across the ray's line within piece parameters
+    [u0, u1] ahead of the point, from the side f >= 0 to f < 0 for sign +1
+    and back for -1.  A gap stretch between the unequal end floats of
+    pieces k and k + 1 is recorded as (k, 1.0, 1.0, sign).  ``out`` ends
+    sorted.  Returns (len(out), status): OK, or ON_CARRIER where a cubic
+    bracket still straddles both lines through the point after
+    _REFINE_LEVELS halvings.  ``geo`` is the curve's ``carrier_geometry``;
+    the module docstring gives the rule and why its sum is the winding
+    number.
     """
 
-    lines = iter(geo.line.T.tolist())
-    for i, (kind, row) in enumerate(zip(kinds.tolist(), data.tolist())):
-        if kind == KIND_LINE:
-            x0, y0, x1, y1 = row[:4]
-            _, _, ex, ey, sx, sy, _, s = next(lines)
-            rx, ry = x0 - px, y0 - py
-            elen = math.hypot(ex, ey)
-            den = vx * sy - vy * sx
-            perp = rx * vy - ry * vx
-            if abs(den) <= 1e-14 * elen * s:
-                if abs(perp) <= 1e-12 * elen:
-                    f0 = rx * vx + ry * vy
-                    f1 = (x1 - px) * vx + (y1 - py) * vy
-                    if f0 > 0.0 or f1 > 0.0:
-                        return len(out), ON_CARRIER
+    for i, x0, y0, x1, y1, ua, ub in geo.ray_lines:
+        f0 = (x0 - px) * vy - (y0 - py) * vx
+        f1 = (x1 - px) * vy - (y1 - py) * vx
+        if (f0 >= 0.0) == (f1 >= 0.0):
+            continue
+        t0 = (x0 - px) * vx + (y0 - py) * vy
+        t1 = (x1 - px) * vx + (y1 - py) * vy
+        if t0 <= 0.0 and t1 <= 0.0:
+            continue
+        # where the line meets the ray's line, t* = (t0 f1 - t1 f0) /
+        # (f1 - f0), written so that no product can overflow
+        if (t0 > 0.0 and t1 > 0.0) or t0 + (t1 - t0) * (f0 / (f0 - f1)) > 0.0:
+            out.append((i, ua, ub, 1 if f0 >= 0.0 else -1))
+    for i, cx, cy, r, a0, sweep, x0, y0, x1, y1 in geo.ray_arcs:
+        tc = (cx - px) * vx + (cy - py) * vy
+        if tc + r <= 0.0:
+            continue
+        s0 = (x0 - px) * vy - (y0 - py) * vx >= 0.0
+        s1 = (x1 - px) * vy - (y1 - py) * vx >= 0.0
+        if tc - r > 0.0:
+            if s0 != s1:
+                out.append((i, 0.0, 1.0, 1 if s0 else -1))
+            continue
+        fc = (cx - px) * vy - (cy - py) * vx
+        if s0 == s1 and abs(fc) > r:
+            continue
+        # the circle meets the perpendicular through the point where
+        # f = fc + b, b = -+h: cut the arc there, so that each part lies
+        # wholly ahead of the point or wholly behind it
+        sign, span = math.copysign(1.0, sweep), abs(sweep)
+        # sqrt(r^2 - tc^2) without a square to underflow or overflow
+        h = math.sqrt(r - abs(tc)) * math.sqrt(r + abs(tc))
+        cuts = [(0.0, s0), (span, s1)]
+        for b in (-h, h):
+            theta = math.atan2(-tc * vy - b * vx, -tc * vx + b * vy)
+            d = _sweep_offset(theta, a0, sign)
+            if d < span:
+                cuts.append((d, fc + b >= 0.0))
+        cuts.sort()
+        for (da, sa), (db, sb) in zip(cuts, cuts[1:]):
+            mid = a0 + sign * 0.5 * (da + db)
+            if sa != sb and tc + r * (math.cos(mid) * vx + math.sin(mid) * vy) > 0.0:
+                out.append((i, da / span, db / span, 1 if sa else -1))
+    for i, x0, y0, x1, y1, x2, y2, x3, y3 in geo.ray_cubics:
+        # the control points' offsets f and ray parameters t are the
+        # Bernstein coefficients of f and t along the cubic
+        g0 = (x0 - px) * vy - (y0 - py) * vx
+        g1 = (x1 - px) * vy - (y1 - py) * vx
+        g2 = (x2 - px) * vy - (y2 - py) * vx
+        g3 = (x3 - px) * vy - (y3 - py) * vx
+        if (g0 >= 0.0) == (g1 >= 0.0) == (g2 >= 0.0) == (g3 >= 0.0):
+            continue
+        h = (
+            (x0 - px) * vx + (y0 - py) * vy,
+            (x1 - px) * vx + (y1 - py) * vy,
+            (x2 - px) * vx + (y2 - py) * vy,
+            (x3 - px) * vx + (y3 - py) * vy,
+        )
+        brackets = [(0.0, 1.0, 0, (g0, g1, g2, g3), h)]
+        while brackets:
+            ulo, uhi, level, g, h = brackets.pop()
+            if min(g) >= 0.0 or max(g) < 0.0 or max(h) <= 0.0:
                 continue
-            t = (rx * sy - ry * sx) / den
-            u = perp * s / den
-            if -1e-12 <= u <= 1.0 + 1e-12 and t > 0.0:
-                out.append((t, i, min(1.0, max(0.0, u)), ex, ey))
-        elif kind == KIND_ARC:
-            cx, cy, r, a0, sweep = row[:5]
-            ux, uy = px - cx, py - cy
-            b = vx * ux + vy * uy
-            # b*b - (|u|^2 - r^2) as r^2 - d^2, with d the distance from
-            # the centre to the ray's line: no cancellation near a tangent
-            d = abs(ux * vy - uy * vx)
-            disc = (r - d) * (r + d)
-            if disc < 0.0:
+            if min(h) > 0.0:
+                if (g[0] >= 0.0) != (g[3] >= 0.0):
+                    out.append((i, ulo, uhi, 1 if g[0] >= 0.0 else -1))
                 continue
-            sq = math.sqrt(disc)
-            for t in (-b - sq, -b + sq):
-                if t <= 0.0:
-                    continue
-                hx, hy = ux + t * vx, uy + t * vy
-                u = _angle_in_sweep(a0, sweep, math.atan2(hy, hx))
-                if u >= 0.0:
-                    out.append((t, i, u, -hy * sweep, hx * sweep))
-        else:
-            x0, y0, x1, y1, x2, y2, x3, y3 = row
-            # the control points' signed offsets from the ray line are the
-            # Bernstein coefficients of the curve's offset
-            f = (
-                (x0 - px) * vy - (y0 - py) * vx,
-                (x1 - px) * vy - (y1 - py) * vx,
-                (x2 - px) * vy - (y2 - py) * vx,
-                (x3 - px) * vy - (y3 - py) * vx,
-            )
-            roots = []
-            brackets = [(0.0, 1.0, *f)]
-            while brackets:
-                ulo, uhi, g0, g1, g2, g3 = brackets.pop()
-                if (g0 > 0.0 and g1 > 0.0 and g2 > 0.0 and g3 > 0.0) or (
-                    g0 < 0.0 and g1 < 0.0 and g2 < 0.0 and g3 < 0.0
-                ):
-                    continue
-                if g0 == 0.0 and g1 == 0.0 and g2 == 0.0 and g3 == 0.0:
-                    # this stretch lies on the ray's line, where halving
-                    # never ends; as for a line, it overlaps the ray unless
-                    # the control points' hull lies behind the origin
-                    if any(
-                        (xk - px) * vx + (yk - py) * vy > 0.0
-                        for xk, yk in ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
-                    ):
-                        return len(out), ON_CARRIER
-                    continue
-                if uhi - ulo > _ROOT_TOL:
-                    # de Casteljau split at the midpoint
-                    m01 = 0.5 * (g0 + g1)
-                    m12 = 0.5 * (g1 + g2)
-                    m23 = 0.5 * (g2 + g3)
-                    ga = 0.5 * (m01 + m12)
-                    gb = 0.5 * (m12 + m23)
-                    gm = 0.5 * (ga + gb)
-                    mid = 0.5 * (ulo + uhi)
-                    brackets.append((ulo, mid, g0, m01, ga, gm))
-                    brackets.append((mid, uhi, gm, gb, m23, g3))
-                elif g0 == 0.0:
-                    roots.append(ulo)
-                elif g3 == 0.0 and uhi == 1.0:
-                    roots.append(1.0)
-                elif (g0 > 0.0) != (g3 > 0.0):
-                    roots.append(0.5 * (ulo + uhi))
-            roots.sort()
-            # adjacent brackets re-find a shared root within ~2 * _ROOT_TOL;
-            # genuine distinct crossings are never that close in parameter
-            prev = -1.0
-            for u in roots:
-                if u - prev < 1e-11:
-                    continue
-                prev = u
-                hx = _bernstein(x0, x1, x2, x3, u)
-                hy = _bernstein(y0, y1, y2, y3, u)
-                t = (hx - px) * vx + (hy - py) * vy
-                if t <= 0.0:
-                    continue
-                tx = _bernstein_slope(x0, x1, x2, x3, u)
-                ty = _bernstein_slope(y0, y1, y2, y3, u)
-                out.append((t, i, u, tx, ty))
+            if level == _REFINE_LEVELS:
+                return len(out), ON_CARRIER
+            mid = 0.5 * (ulo + uhi)
+            (gl, gr), (hl, hr) = _halves(*g), _halves(*h)
+            brackets.append((mid, uhi, level + 1, gr, hr))
+            brackets.append((ulo, mid, level + 1, gl, hl))
+    out.sort()
     return len(out), OK
 
 
@@ -640,15 +638,16 @@ class CarrierGeometry(NamedTuple):
     """Per-curve arrays for ``carrier_batch`` and ``winding_batch``,
     independent of the queries.
 
-    Lines: rows x0, y0, ex, ey, sx, sy, (sx^2 + sy^2) / s, s, where
-    (sx, sy) is the line's (ex, ey) times the power of two s that brings
-    the larger of |ex| and |ey| into [0.5, 1), so no square or product
-    with a coordinate overflows (``_exact_pieces``, ``ray_hits_point``).  Arcs: ``_arc_rows``.  Chords: the
+    Lines: rows x0, y0, ex, ey, sx, sy, (sx^2 + sy^2) / s, where (sx, sy)
+    is the line's (ex, ey) times the power of two s that brings the larger
+    of |ex| and |ey| into [0.5, 1), so no square or product with a
+    coordinate overflows (``_exact_pieces``).  Arcs: ``_arc_rows``.  Chords: the
     complex chord ends of the lines, then of the arcs.  Cubics:
     ``_control_polygons``.  Run tree: ``_run_tree``, whose first nodes are
     the cubics, so the first columns of ``node_lo`` and ``node_hi`` are
     the cubics' control boxes.  ``slack``: _EXACT_ERR times the largest
-    magnitude of a line and of an arc (``_exact_pieces``).
+    magnitude of a line and of an arc (``_exact_pieces``).  ``ray_lines``,
+    ``ray_arcs``, ``ray_cubics``: ``_ray_stretches``, for ``ray_hits_point``.
     """
 
     line: np.ndarray
@@ -662,6 +661,9 @@ class CarrierGeometry(NamedTuple):
     node_e1: np.ndarray
     node_parent: np.ndarray
     slack: tuple[float, float]
+    ray_lines: tuple
+    ray_arcs: tuple
+    ray_cubics: tuple
 
 
 def carrier_geometry(kinds, data):
@@ -678,9 +680,10 @@ def carrier_geometry(kinds, data):
     e = np.frexp(np.maximum(np.abs(ex), np.abs(ey)))[1]
     sx, sy = np.ldexp(ex, -e), np.ldexp(ey, -e)
     denom = np.ldexp(sx * sx + sy * sy, e)
-    line = np.array([x0, y0, ex, ey, sx, sy, denom, np.ldexp(1.0, -e)]).reshape(8, -1)
+    line = np.array([x0, y0, ex, ey, sx, sy, denom]).reshape(7, -1)
     ctl = _control_polygons(kinds, data)
     node_lo, node_hi, node_e0, node_e1, node_parent = _run_tree(ctl)
+    ray_lines, ray_arcs, ray_cubics = _ray_stretches(kinds, data, arc)
     return CarrierGeometry(
         line=line,
         arc=arc,
@@ -693,7 +696,44 @@ def carrier_geometry(kinds, data):
         node_e1=node_e1,
         node_parent=node_parent,
         slack=tuple(_EXACT_ERR * float(m.max(initial=0.0)) for m in mag),
+        ray_lines=ray_lines,
+        ray_arcs=ray_arcs,
+        ray_cubics=ray_cubics,
     )
+
+
+def _ray_stretches(kinds, data, arc):
+    """The closed chain of stretches ``ray_hits_point`` walks, by kind:
+    tuples (piece, row...) for lines, arcs and cubics.
+
+    Rows: a line's x0, y0, x1, y1, 0.0, 1.0 (the last two are the parameter
+    interval it records); an arc's cx, cy, r, a0, sweep and the end floats
+    of ``_arc_rows``; a cubic's eight control coordinates.  Wherever a
+    piece's end floats differ from the next piece's start floats (arc ends
+    come from cos and sin), a line (k, end of k, start of k + 1, 1.0, 1.0)
+    bridges the gap after piece k, so every stretch starts on the floats
+    that the one before it in the chain ends on.
+    """
+
+    rows = ([], [], [])
+    ends = []
+    arcs = iter(arc.T.tolist())
+    for i, (kind, row) in enumerate(zip(kinds.tolist(), data.tolist())):
+        if kind == KIND_LINE:
+            rows[0].append((i, *row[:4], 0.0, 1.0))
+            ends.append((row[0:2], row[2:4]))
+        elif kind == KIND_ARC:
+            a = next(arcs)
+            rows[1].append((i, *row[:5], *a[6:10]))
+            ends.append((a[6:8], a[8:10]))
+        else:
+            rows[2].append((i, *row))
+            ends.append((row[0:2], row[6:8]))
+    for k, (_, end) in enumerate(ends):
+        start = ends[(k + 1) % len(ends)][0]
+        if end != start:
+            rows[0].append((k, *end, *start, 1.0, 1.0))
+    return tuple(map(tuple, rows))
 
 
 def carrier_batch(
@@ -811,7 +851,7 @@ def _exact_pieces(geo, q, best_hi, lo_acc):
     if geo.line.shape[1]:
         # numerator and denominator both carry the factor s, so t is the
         # unscaled quotient to the bit
-        x0, y0, ex, ey, sx, sy, denom, _ = geo.line
+        x0, y0, ex, ey, sx, sy, denom = geo.line
         t = np.clip(((px - x0) * sx + (py - y0) * sy) / denom, 0, 1)
         parts.append((np.hypot(px - (x0 + t * ex), py - (y0 + t * ey)), geo.slack[0]))
     if geo.arc.shape[1]:

@@ -11,7 +11,6 @@ __all__ = [
     "NonSmoothPiece",
     "PointTooClose",
     "BudgetNotMet",
-    "DegenerateRay",
     "OracleDisagreement",
     "WitnessNotFound",
     "NoPathAtResolution",
@@ -78,15 +77,6 @@ class PointTooClose(CurveError):
 class BudgetNotMet(CurveError):
     """A winding integral is not certified: its distance to the nearest
     integer plus its round-off budget reaches the residual limit."""
-
-
-class DegenerateRay(CurveError):
-    """A ray produced a non-transversal, joint-ambiguous, or crowded hit."""
-
-    def __init__(self, reason: str, record=None):
-        self.reason = reason
-        self.record = record
-        super().__init__(reason)
 
 
 class OracleDisagreement(CurveError):

@@ -11,12 +11,18 @@ whose box holds the point just as the winding does; that query hands over
 those chords, and ``_kernels.winding_batch`` sums them with the rest
 without refining the cubics again, to the same floats as its own
 refinement, which ``region_grid`` runs on its grid alone.
-The second oracle counts transversal crossings of a ray from p, each
-signed by the side the curve crosses to; a ray that meets a joint, grazes
-a piece or runs along one counts nothing and is retried in the next
-golden-angle direction.  The index changes by exactly the sign at each
-crossing (the paper's Proposition jun04p1), so the signed count along a
-ray to infinity is the winding number itself, not only its parity.
+The second oracle counts the signed crossings of the +x ray from p as
+side changes (``_kernels.ray_hits_point``): with s = (f >= 0) for a
+curve point's offset f from the ray's line, a stretch of curve wholly
+ahead of p adds s(start) - s(end), stretches behind p or on one side of
+the line add nothing, and only those that straddle both lines through p
+are split.  The index changes by +-1 wherever the curve crosses a line
+(the paper's Proposition jun04p1), so the count is the winding number
+itself, and exactly: the sum telescopes over shared end floats, p's
+certified clearance lo > 0 keeps every ahead or behind decision at least
+lo from p, and tangencies and runs along the ray need no special case.
+No ray is retried; a cubic that the subdivision cap cannot place raises
+:class:`PointTooClose`, as ``winding_number`` does on the carrier.
 ``classify`` runs both and raises :class:`OracleDisagreement` on any
 mismatch rather than guessing.
 """
@@ -34,7 +40,6 @@ from . import _kernels
 from .curves import JordanCurve, _grid_size, _lattice
 from .errors import (
     BudgetNotMet,
-    DegenerateRay,
     OracleDisagreement,
     PointTooClose,
     WitnessNotFound,
@@ -67,22 +72,9 @@ _RESIDUAL_LIMIT = 0.25
 # the least positive float: lo >= it decides lo > 0
 _LEAST_POSITIVE = math.ulp(0.0)
 
-_MIN_CROSS_ANGLE = 1e-4
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-_MAX_RAYS = 32
-_JOINT_U_TOL = 1e-8
-_ISOLATION_FRACTION = 1e-6
 # boundary witnesses start their normal probes this many diameters off the
 # curve and halve the offset until it is below four times the band
 _WITNESS_START = 0.05
-
-
-def _ray_direction(k: int) -> tuple[float, float]:
-    """Unit direction of ``classify``'s k-th ray, k golden angles
-    counterclockwise from +x."""
-
-    theta = k * _GOLDEN_ANGLE
-    return (math.cos(theta), math.sin(theta))
 
 
 class Verdict(str, Enum):
@@ -112,14 +104,15 @@ class WindingResult:
 
 @dataclass(frozen=True, slots=True)
 class CrossingRecord:
-    """One transversal ray/carrier crossing; ``sign`` is +1 where the curve
-    crosses the ray from its right to its left, and -1 the other way."""
+    """One counted stretch of a ray's crossing count: the curve passes
+    across the ray within parameters [u0, u1] of ``piece``, ahead of the
+    ray's origin.  ``sign`` is +1 where it passes from the ray's right (or
+    the ray's line) to its left, and -1 the other way.  A gap between the
+    end floats of pieces k and k + 1 is recorded on piece k as [1, 1]."""
 
-    t: float
     piece: int
-    u: float
-    point: tuple[float, float]
-    angle: float
+    u0: float
+    u1: float
     sign: int
 
 
@@ -142,11 +135,9 @@ class Classification:
 
     @property
     def ray_direction(self) -> tuple[float, float] | None:
-        """Unit direction of the ray that counted, the last one tried."""
+        """Unit direction of the ray that counted: +x, when one did."""
 
-        if self.rays_tried == 0:
-            return None
-        return _ray_direction(self.rays_tried - 1)
+        return (1.0, 0.0) if self.rays_tried else None
 
     @property
     def crossing_parity(self) -> int | None:
@@ -226,59 +217,29 @@ def _certified(residual, budget):
 
 
 def _ray_once(jc: JordanCurve, p: Point, direction: Point):
-    """One ray shot: returns sorted transversal crossings or raises DegenerateRay.
-
-    Every counted hit crosses the interior of a piece at an angle.  A ray
-    that runs along a straight piece, passes within ``_JOINT_U_TOL`` of a
-    joint, grazes a piece (a zero tangent has angle 0) or has two hits
-    closer than the isolation window is degenerate, and ``classify``
-    retries it in a new direction.  Every hit past the origin counts: p has
-    a certified clearance lo > 0, and no crossing lies nearer than lo.
-    """
+    """The counted stretches of the ray from p along ``direction``, as
+    records in piece order; raises PointTooClose where a cubic cannot be
+    placed within the kernel's subdivision cap."""
 
     carrier = jc.carrier
     norm = direction.norm()
     if norm <= 0.0:
         raise ValueError("ray direction must be nonzero")
-    # kernels measure the ray parameter as arc length, so normalise here
-    vx, vy = direction.x / norm, direction.y / norm
+    # the arc rule compares ray parameters with radii, so normalise here
     hits = []
     _, status = _kernels.ray_hits_point(
-        carrier.kinds, carrier.data, carrier.geometry, p.x, p.y, vx, vy, hits
+        carrier.geometry, p.x, p.y, direction.x / norm, direction.y / norm, hits
     )
     if status == _kernels.ON_CARRIER:
-        raise DegenerateRay("ray runs along a straight piece")
-    hits.sort(key=lambda h: h[0])
-
-    iso = _ISOLATION_FRACTION * carrier.diam
-    records: list[CrossingRecord] = []
-    for i, (t, piece, u, tx, ty) in enumerate(hits):
-        if u <= _JOINT_U_TOL or u >= 1.0 - _JOINT_U_TOL:
-            raise DegenerateRay(
-                f"ray passes through a joint: hit at u = {u!r} on piece {piece}"
-            )
-        if i > 0 and t - hits[i - 1][0] <= iso:
-            raise DegenerateRay(
-                f"two hits only {t - hits[i - 1][0]:.3e} apart along the ray",
-                record=(hits[i - 1][:3], (t, piece, u)),
-            )
-        cross = vx * ty - vy * tx
-        dot = vx * tx + vy * ty
-        angle = math.atan2(abs(cross), abs(dot))
-        if angle < _MIN_CROSS_ANGLE:
-            raise DegenerateRay(
-                f"grazing hit: tangent within {angle:.2e} rad of the ray"
-            )
-        hit = (p.x + t * vx, p.y + t * vy)
-        records.append(CrossingRecord(t, piece, u, hit, angle, 1 if cross > 0.0 else -1))
-
-    return tuple(records)
+        raise PointTooClose(f"cannot place the ray's crossings from ({p.x!r}, {p.y!r})")
+    return tuple(CrossingRecord(*h) for h in hits)
 
 
 def ray_crossing_index(
     jc: JordanCurve, z, direction=(1.0, 0.0)
 ) -> tuple[int, tuple[CrossingRecord, ...]]:
-    """Crossing parity of a single ray; raises DegenerateRay when unsafe."""
+    """Crossing parity of a single ray and its counted stretches; the signs
+    sum to the winding number."""
 
     p = as_point(z)
     _require_clear(jc, p)
@@ -289,9 +250,8 @@ def ray_crossing_index(
 def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classification:
     """Classify z inside/outside/near-carrier with both oracles in agreement.
 
-    Rays start along +x and rotate by the golden angle on each degenerate
-    retry.  A signed crossing count other than the rounded winding, or
-    than 0 or +-1 (a Jordan curve's index), raises
+    The ray runs along +x.  A signed crossing count other than the rounded
+    winding, or than 0 or +-1 (a Jordan curve's index), raises
     :class:`OracleDisagreement`; it is never downgraded to a verdict.
     ``eps_band`` defaults to ``jc.default_eps_band()``; a band that is not
     finite and non-negative raises ValueError.
@@ -327,14 +287,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
             f"{wind.error_budget:.3e} exceeds {_RESIDUAL_LIMIT}"
         )
 
-    for k in range(_MAX_RAYS):
-        try:
-            records = _ray_once(jc, p, Point(*_ray_direction(k)))
-            break
-        except DegenerateRay as exc:
-            last = exc
-    else:
-        raise last
+    records = _ray_once(jc, p, Point(1.0, 0.0))
     signed = sum(r.sign for r in records)
     if signed != wind.rounded or abs(signed) > 1:
         raise OracleDisagreement((p.x, p.y), wind, signed)
@@ -344,7 +297,7 @@ def classify(jc: JordanCurve, z, eps_band: float | None = None) -> Classificatio
         verdict=Verdict.INSIDE if signed else Verdict.OUTSIDE,
         winding=wind,
         crossings=records,
-        rays_tried=k + 1,
+        rays_tried=1,
         carrier_bounds=(lo, hi),
     )
 
@@ -487,7 +440,7 @@ def boundary_witnesses(jc: JordanCurve, params) -> tuple[Witness, ...]:
             try:
                 c1 = classify(jc, p1)
                 c2 = classify(jc, p2)
-            except (DegenerateRay, BudgetNotMet, PointTooClose):
+            except (BudgetNotMet, PointTooClose):
                 delta *= 0.5
                 continue
             verdicts = {c1.verdict, c2.verdict}
