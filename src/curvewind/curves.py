@@ -508,6 +508,23 @@ def _speed_profile(spec: CurveSpec):
     return tuple(lows), tuple(highs)
 
 
+def _crossing_polyline(c: CurveSpec, ts, xy):
+    """The closed polyline for ``polyline_crossing`` and its parameters:
+    the samples ``xy`` at ``ts`` of every piece but a line, which enters as
+    its start point at its start parameter."""
+
+    kinds, data = c._rows
+    a, b = c.interval
+    n = c.n_pieces
+    ks = np.clip(np.floor((ts - a) * n / (b - a)).astype(int), 0, n - 1)
+    keep = kinds[ks] != KIND_LINE
+    lines = np.flatnonzero(kinds == KIND_LINE)
+    order = np.argsort(np.concatenate([ks[keep], lines]), kind="stable")
+    pts = np.concatenate([xy[keep], data[lines, :2]])[order]
+    params = np.concatenate([ts[keep], a + lines * ((b - a) / n)])[order]
+    return pts, params
+
+
 def validate_jordan(
     c: CurveSpec,
     h: float = 1e-3,
@@ -557,10 +574,14 @@ def validate_jordan(
     if min_gap < threshold or min_gap == 0.0:
         raise J1Failure(float(ts[i1]), float(ts[i2]), float(min_gap), threshold)
     # a transversal crossing can fall between samples, half a step from the
-    # nearest sample pair; the sample polyline still crosses itself there
-    c1, c2 = _kernels.polyline_crossing(xy)
+    # nearest sample pair; the sample polyline still crosses itself there.
+    # A line piece enters as its start point alone, so the polyline runs
+    # along the line itself and not along its rounded samples, between
+    # which a vertex exactly on the line could hide
+    pts, params = _crossing_polyline(c, ts, xy)
+    c1, c2 = _kernels.polyline_crossing(pts)
     if c1 >= 0:
-        raise J1Failure(float(ts[c1]), float(ts[c2]), 0.0, threshold)
+        raise J1Failure(float(params[c1]), float(params[c2]), 0.0, threshold)
 
     entries = tuple(
         (float(e), float(d))

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvewind import (
     Affine,
@@ -355,9 +358,30 @@ def test_a_repeated_point_fails_injectivity():
     assert abs(err.t2 - err.t1) >= 1e-3
 
 
-def _pinched_pentagon(x):
-    verts = [Point(0.0, 0.0), Point(4.0, 0.0), Point(4.0, 3.0), Point(x, 0.0), Point(0.0, 3.0)]
+def _pinched_pentagon(x, m=(1, 0, 0, 1)):
+    """The pentagon whose fourth vertex (x, 0) lies on its first edge,
+    mapped by the integer matrix m, row by row."""
+
+    a, b, c, d = m
+    verts = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (x, 0.0), (0.0, 3.0)]
+    verts = [Point(a * u + b * v, c * u + d * v) for u, v in verts]
     return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))
+
+
+def _vertex_on_a_side(spec):
+    """Exact referee: whether a polygon's vertex lies on a side that does
+    not end at it."""
+
+    verts = [(Fraction(p.start.x), Fraction(p.start.y)) for p in spec.pieces]
+    n = len(verts)
+    for k, (qx, qy) in enumerate(verts):
+        for j in range(n):
+            (ax, ay), (bx, by) = verts[j], verts[(j + 1) % n]
+            if k in (j, (j + 1) % n) or (bx - ax) * (qy - ay) != (by - ay) * (qx - ax):
+                continue
+            if min(ax, bx) <= qx <= max(ax, bx) and min(ay, by) <= qy <= max(ay, by):
+                return True
+    return False
 
 
 def test_a_vertex_on_an_edge_fails_injectivity():
@@ -372,6 +396,22 @@ def test_a_vertex_on_an_edge_fails_injectivity():
     for x in rng.uniform(0.5, 3.5, 200):
         with pytest.raises(J1Failure):
             validate_jordan(_pinched_pentagon(float(x)), h=1e-3, require_smooth=False)
+
+
+@given(
+    k=st.integers(513, 3583),
+    m=st.sampled_from([(3, -1, 1, 3), (5, -3, 3, 5), (7, -2, 2, 7)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_mapped_vertex_on_an_edge_fails_injectivity(k, m):
+    # the pinched pentagon with x on the 1/1024 grid, mapped by an exact
+    # integer similarity: its fourth vertex still lies exactly on its first
+    # edge, which is now sloped, so the edge's rounded samples can all miss
+    # the vertex on one side.  The edge enters the crossing test as itself
+    spec = _pinched_pentagon(k / 1024, m)
+    assert _vertex_on_a_side(spec)
+    with pytest.raises(J1Failure):
+        validate_jordan(spec, h=1e-3, require_smooth=False)
 
 
 def test_cusp_rejected_unless_allowed():
