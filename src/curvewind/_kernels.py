@@ -197,6 +197,10 @@ _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_ABS = 2.0**-1070
 # bounds a line or arc distance's round-off over magnitudes (_exact_pieces)
 _EXACT_ERR = 8.0 * float(np.finfo(float).eps)
+# a chord ratio whose denominator is 0, or below the normal range (where
+# numpy's complex division overflows), is not finite, and puts its point
+# ON_CARRIER with no warning (_wind_chords, _add_chords)
+_RATIO_ERRORS = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _halves(c0, c1, c2, c3):
@@ -411,11 +415,12 @@ def winding_batch(kinds, geo, pts, chords=None):
     total = np.zeros(m, dtype=complex)
     nodes = np.zeros(m, dtype=np.int64)
     status = np.zeros(m, dtype=np.int64)
-    if chords is not None:
-        _wind_block(geo, pts, total, nodes, status, chords)
-        return total, nodes, status
-    for blk in _point_blocks(m, geo.e0.size + geo.node_parent.size):
-        _wind_block(geo, pts[blk], total[blk], nodes[blk], status[blk])
+    with np.errstate(**_RATIO_ERRORS):
+        if chords is not None:
+            _wind_block(geo, pts, total, nodes, status, chords)
+            return total, nodes, status
+        for blk in _point_blocks(m, geo.e0.size + geo.node_parent.size):
+            _wind_block(geo, pts[blk], total[blk], nodes[blk], status[blk])
     return total, nodes, status
 
 
@@ -471,9 +476,8 @@ def _wind_chords(e0, e1, arc, z):
     """
 
     zc = z[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (e1 - zc) / (e0 - zc)
-        term = _log(ratio)
+    ratio = (e1 - zc) / (e0 - zc)
+    term = _log(ratio)
     bad = ~np.isfinite(term)
     na = arc.shape[1]
     if na:
@@ -568,7 +572,8 @@ def _held_chords(node, outside, idx, z, level, chords):
 def _add_chords(chords, total, nodes, status):
     """Add the (idx, ratio) chords to the block's ``total`` and ``nodes``
     in place, all logs in one call, each point's terms summed in the order
-    given; an (idx, None) entry puts its points ON_CARRIER."""
+    given; an (idx, None) entry, or a ratio whose log is not finite, puts
+    its points ON_CARRIER."""
 
     b = total.shape[0]
     for i, ratio in chords:
@@ -577,6 +582,10 @@ def _add_chords(chords, total, nodes, status):
     chords = [c for c in chords if c[1] is not None]
     idx = np.concatenate([i for i, _ in chords])
     term = _log(np.concatenate([r for _, r in chords]))
+    bad = ~np.isfinite(term)
+    if bad.any():
+        status[idx[bad]] = ON_CARRIER
+        term[bad] = 0.0
     total += np.bincount(idx, term.real, b) + 1j * np.bincount(idx, term.imag, b)
     nodes += np.bincount(idx, minlength=b)
 
@@ -792,7 +801,8 @@ def carrier_batch(
                     _least_stopped, best_hi=hi_b, lo_acc=lo_b, bound=bound
                 )
             part = None if chords is None else []
-            _cubic_pieces(geo, q, hi_b, lo_b, stop, part)
+            with np.errstate(**_RATIO_ERRORS):
+                _cubic_pieces(geo, q, hi_b, lo_b, stop, part)
             if part:
                 chords += [(i + blk.start, r) for i, r in part]
         if least:

@@ -74,6 +74,11 @@ _MAX_SAMPLES = 1 << 22
 # region and clearance grids take at most this many cells (256 MB of
 # centres)
 _MAX_GRID_CELLS = 1 << 24
+# the smallest diameter of the pieces' bounding box that validation
+# accepts: below it, a point a fraction of the diameter off the curve is
+# nearer the chord ends than the least normal float, 2**-1022, and the
+# winding's complex division no longer returns a finite ratio
+_MIN_DIAMETER = 2.0**-1021
 # the carrier diameter is the largest distance among this many points:
 # every n-th of the centres of this many equal steps of each of n pieces
 _SAMPLES_PER_PIECE = 512
@@ -537,7 +542,9 @@ def validate_jordan(
     the start parameters of two sample segments that cross); otherwise
     returns the curve with J1/J2 certificates and a distance index attached.
     Raises ValueError, before sampling, for an h that is not finite and
-    positive or that would take more than ``_MAX_SAMPLES`` samples.
+    positive or that would take more than ``_MAX_SAMPLES`` samples, and
+    for a curve whose pieces' bounding box has a diameter below
+    ``_MIN_DIAMETER`` (2**-1021, about 4.5e-308).
     """
 
     if not (h > 0.0 and math.isfinite(h)):
@@ -549,6 +556,13 @@ def validate_jordan(
         raise ValueError(
             f"h={h!r} on an interval of length {period!r} with {c.n_pieces} "
             f"pieces takes more than {_MAX_SAMPLES} samples"
+        )
+    x0, y0, x1, y1 = c.bbox
+    diam = math.hypot(x1 - x0, y1 - y0)
+    if not diam >= _MIN_DIAMETER:
+        raise ValueError(
+            f"a curve of diameter {diam!r} is smaller than the least "
+            f"supported, {_MIN_DIAMETER!r}"
         )
     gap = c.closure_gap
     tol = c.closure_tol

@@ -435,6 +435,33 @@ def test_curves_scaled_by_2_to_the_520_validate_without_overflow(curves, name):
     assert big.diameter() == 2.0**520 * jc.diameter()
 
 
+def _tiny_square(k):
+    m = Affine.scaling(2.0**-k).coeffs
+    return CurveSpec(tuple(p.transformed(m) for p in rounded_square().pieces))
+
+
+@pytest.mark.parametrize("k", [1040, 1060])
+def test_a_curve_below_the_least_diameter_is_refused(k):
+    # the rounded square scaled by 2^-1040 or 2^-1060 once validated and
+    # then failed its queries with overflow warnings; it is refused before
+    # sampling now, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="smaller than the least supported"):
+            validate_jordan(_tiny_square(k), h=1e-3)
+
+
+def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
+    # just above the least diameter, every step runs with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        jc = validate_jordan(_tiny_square(1020), h=1e-3)
+        assert classify(jc, (0.0, 0.0)).verdict is Verdict.INSIDE
+        (w,) = boundary_witnesses(jc, [0.5])
+        assert classify(jc, w.inside).verdict is Verdict.INSIDE
+        assert classify(jc, w.outside).verdict is Verdict.OUTSIDE
+
+
 def _diamond():
     verts = [Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0), Point(0.0, -1.0)]
     return CurveSpec(tuple(LinePiece(p, q) for p, q in zip(verts, verts[1:] + verts[:1])))

@@ -933,7 +933,8 @@ def _winding_batch_flat(kinds, geo, pts):
     for blk in _kernels._point_blocks(m, kinds.shape[0]):
         z = pts[blk, 0] + 1j * pts[blk, 1]
         if geo.e0.size:
-            total[blk], on = _kernels._wind_chords(geo.e0, geo.e1, geo.arc, z)
+            with np.errstate(**_kernels._RATIO_ERRORS):
+                total[blk], on = _kernels._wind_chords(geo.e0, geo.e1, geo.arc, z)
             nodes[blk] = geo.e0.size
             status[blk] = np.where(on, _kernels.ON_CARRIER, _kernels.OK)
         if geo.ctl.shape[2]:
