@@ -1242,15 +1242,15 @@ def _ray_hits_oracle(kinds, data, px, py, vx, vy, out):
 
 
 _RAY_CURVES = _ORACLE_CURVES + ["comb"]
-# the direction of classify's k-th ray when it retried degenerate rays
+# successive multiples of it spread directions evenly around the circle
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 def _ray_cases(spec, ci):
     """(point, unit direction) pairs: 200 seeded points around the curve,
-    each shot along +x, along the next three golden-angle directions that
-    classify once retried in and through a random piece joint; then a ray along each
-    of the first five line pieces, from behind its start."""
+    each shot along +x, along the next three golden-angle directions and
+    through a random piece joint; then a ray along each of the first five
+    line pieces, from behind its start."""
 
     x0, y0, x1, y1 = ci.bbox
     pad = 0.2 * ci.diam
