@@ -923,7 +923,7 @@ def _cubic_pieces(geo, q, best_hi, lo_acc, stop, chords=None):
     node = geo.ctl
     for level in range(_REFINE_LEVELS):
         live = db < best_hi[idx]
-        done = diag <= _REFINE_REL_TOL * db + 1e-15
+        done = diag <= _REFINE_REL_TOL * db
         if level == _REFINE_LEVELS - 1:
             done[:] = True
         np.minimum.at(lo_acc, idx, np.where(live & done, db, np.inf))

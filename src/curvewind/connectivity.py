@@ -267,7 +267,7 @@ def polygonal_join(
         pulled.append(vertices[i])
 
     gap = path_carrier_gap(jc, pulled, spacing)
-    if gap < clearance - 1e-12 * jc.diameter():
+    if gap < clearance:
         raise NoPathAtResolution(
             f"string-pulled path lost clearance: {gap:.3e} < {clearance:.3e}", h
         )

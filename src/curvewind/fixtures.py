@@ -32,7 +32,7 @@ def arc_through(p0: Point, pm: Point, p1: Point) -> ArcPiece:
     d = 2.0 * (
         p0.x * (pm.y - p1.y) + pm.x * (p1.y - p0.y) + p1.x * (p0.y - pm.y)
     )
-    if abs(d) < 1e-12:
+    if d == 0.0:
         raise ValueError("arc_through needs non-collinear points")
     s0 = p0.x * p0.x + p0.y * p0.y
     sm = pm.x * pm.x + pm.y * pm.y

@@ -410,7 +410,7 @@ def _refine_cubic_oracle(row, px, py, best_hi, lo_acc, rel_tol):
             if idx.size == 0:
                 break
         diag = np.hypot(xmax - xmin, ymax - ymin)
-        done = diag <= rel_tol * db + 1e-15
+        done = diag <= rel_tol * db
         if _level == 79:
             done = np.ones_like(done)
         if done.any():
