@@ -197,9 +197,9 @@ _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_ABS = 2.0**-1070
 # bounds a line or arc distance's round-off over magnitudes (_exact_pieces)
 _EXACT_ERR = 8.0 * float(np.finfo(float).eps)
-# a chord ratio whose denominator is 0, or below the normal range (where
-# numpy's complex division overflows), is not finite, and puts its point
-# ON_CARRIER with no warning (_wind_chords, _add_chords)
+# a chord ratio whose denominator is 0 is not finite, and puts its point
+# ON_CARRIER with no warning (_wind_chords, _add_chords); _ratio's first
+# division may also overflow
 _RATIO_ERRORS = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
@@ -449,6 +449,22 @@ def _in_sweep(wx, wy, a0, sign, span):
     return _sweep_offset(np.arctan2(wy, wx), a0, sign) <= span
 
 
+def _ratio(num, den):
+    """num / den elementwise, finite wherever den is not 0 and the
+    quotient is in range.
+
+    numpy divides complex numbers by way of 1 / den, which overflows once
+    |den| is below about 2**-1024; the entries that come out non-finite
+    are divided again with both parts scaled by 2**64, which is exact.
+    """
+
+    out = num / den
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = (num[bad] * 2.0**64) / (den[bad] * 2.0**64)
+    return out
+
+
 def _log(ratio):
     """Principal complex log of ``ratio``, elementwise.
 
@@ -476,7 +492,7 @@ def _wind_chords(e0, e1, arc, z):
     """
 
     zc = z[:, None]
-    ratio = (e1 - zc) / (e0 - zc)
+    ratio = _ratio(e1 - zc, e0 - zc)
     term = _log(ratio)
     bad = ~np.isfinite(term)
     na = arc.shape[1]
@@ -518,7 +534,7 @@ def _tree_cut(geo, z):
     # the cut: excluded, and the parent is not
     i, n = np.divmod(np.flatnonzero(out > excl[:, geo.node_parent]), nn)
     zi = z[i]
-    cut = (i, (geo.node_e1[n] - zi) / (geo.node_e0[n] - zi))
+    cut = (i, _ratio(geo.node_e1[n] - zi, geo.node_e0[n] - zi))
     return cut, out[:, : geo.ctl.shape[2]]
 
 
@@ -561,7 +577,7 @@ def _held_chords(node, outside, idx, z, level, chords):
     a = outside.nonzero()[0]
     ends = node[0::3, :, a]
     w = (ends[:, 0] + 1j * ends[:, 1]) - z[idx[a]]
-    chords.append((idx[a], w[1] / w[0]))
+    chords.append((idx[a], _ratio(w[1], w[0])))
     rest = (~outside).nonzero()[0]
     if level == _WIND_LEVELS:
         chords.append((idx[rest], None))
