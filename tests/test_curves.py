@@ -29,6 +29,7 @@ from curvewind import (
 from curvewind.fixtures import (
     FIXTURES,
     _catmull_rom_loop,
+    arc_through,
     cubic_blob,
     figure_eight,
     fixture,
@@ -667,3 +668,20 @@ def test_reparametrize_preserves_geometry_and_verdicts():
     for p in [(0.2, 0.1), (1.4, 1.4), (-0.8, 0.3)]:
         assert classify(jc, p).verdict == classify(jm, p).verdict
         assert winding_number(jc, p).rounded == winding_number(jm, p).rounded
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-100])
+def test_arc_through_small_non_collinear_points(r):
+    # the half circle over [0, 2r]; only exactly collinear points are
+    # refused, whatever their scale
+    arc = arc_through(Point(0.0, 0.0), Point(r, r), Point(2.0 * r, 0.0))
+    assert arc.center.x == pytest.approx(r, rel=1e-12)
+    assert abs(arc.center.y) <= 1e-12 * r
+    assert arc.radius == pytest.approx(r, rel=1e-12)
+    assert arc.sweep == pytest.approx(-math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-100])
+def test_arc_through_exactly_collinear_points_raises(s):
+    with pytest.raises(ValueError, match="non-collinear"):
+        arc_through(Point(0.0, 0.0), Point(s, s), Point(2.0 * s, 2.0 * s))

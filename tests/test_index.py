@@ -452,7 +452,11 @@ def test_a_curve_below_the_least_diameter_is_refused(k):
 
 
 def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
-    # just above the least diameter, every step runs with no warning
+    # just above the least diameter, every step runs with no warning, and
+    # points 2 to 1000 bands off the carrier keep their verdicts: no length
+    # ends a cubic refinement, and chord ratios that numpy's complex
+    # division would overflow stay finite
+    rng = np.random.default_rng(1020)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         jc = validate_jordan(_tiny_square(1020), h=1e-3)
@@ -460,6 +464,71 @@ def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
         (w,) = boundary_witnesses(jc, [0.5])
         assert classify(jc, w.inside).verdict is Verdict.INSIDE
         assert classify(jc, w.outside).verdict is Verdict.OUTSIDE
+        for name in GOOD_FIXTURES:
+            unit = validate_jordan(fixtures.fixture(name), h=1e-2)
+            tiny = _scaled(unit, -1020)
+            for p in _shell_points(unit, rng, 20):
+                want = classify(unit, p).verdict
+                assert want is not Verdict.NEAR_CARRIER
+                q = (math.ldexp(p[0], -1020), math.ldexp(p[1], -1020))
+                assert classify(tiny, q).verdict is want, (name, p)
+            if name in ("blob", "kidney"):
+                a, b = tiny.interval
+                for w in boundary_witnesses(tiny, [a + 0.1 * (b - a), a + 0.45 * (b - a), a + 0.8 * (b - a)]):
+                    assert classify(tiny, w.inside).verdict is Verdict.INSIDE
+                    assert classify(tiny, w.outside).verdict is Verdict.OUTSIDE
+
+
+def _scaled(jc, k):
+    """``jc``'s curve scaled by exactly 2**k, validated."""
+
+    m = Affine.scaling(2.0**k).coeffs
+    return validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
+
+
+def _shell_point(jc, t, bands, side):
+    """The point ``bands`` default bands off the curve point at ``t``,
+    along its normal, on ``side`` (+-1)."""
+
+    p, d = jc.eval(t), jc.deriv(t)
+    off = side * bands * jc.default_eps_band() / math.hypot(d.x, d.y)
+    return (p.x - off * d.y, p.y + off * d.x)
+
+
+def _shell_points(jc, rng, n):
+    """``n`` shell points, 2 to 1000 bands out, log-uniform, either side."""
+
+    a, b = jc.interval
+    return [
+        _shell_point(jc, float(t), float(np.exp(e)), float(s))
+        for t, e, s in zip(
+            rng.uniform(a, b, n),
+            rng.uniform(math.log(2.0), math.log(1000.0), n),
+            rng.choice([-1.0, 1.0], n),
+        )
+    ]
+
+
+@given(
+    name=st.sampled_from(GOOD_FIXTURES),
+    k=st.integers(-1020, 1000),
+    u=st.floats(0.0, 0.99),
+    bands=st.floats(2.0, 1000.0),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_shell_points_keep_their_verdicts_at_every_scale(curves, name, k, u, bands, side):
+    # a point 2 to 1000 bands off the curve, and its image under an exact
+    # scaling by 2**k anywhere in the float range, get the same verdict
+    jc = curves[name]
+    a, b = jc.interval
+    p = _shell_point(jc, a + u * (b - a), bands, side)
+    want = classify(jc, p).verdict
+    assert want is not Verdict.NEAR_CARRIER
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = classify(_scaled(jc, k), (math.ldexp(p[0], k), math.ldexp(p[1], k))).verdict
+    assert got is want
 
 
 def _diamond():
