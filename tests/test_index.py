@@ -369,6 +369,13 @@ def test_verdicts_hold_at_any_scale(curves, scale):
             assert classify(scaled, (x * scale, y * scale)).verdict is want, name
 
 
+def _scaled(jc, k):
+    """``jc``'s curve scaled by exactly 2**k, validated."""
+
+    m = Affine.scaling(2.0**k).coeffs
+    return validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
+
+
 @given(
     name=st.sampled_from(GOOD_FIXTURES),
     k=st.integers(-40, 40),
@@ -380,8 +387,7 @@ def test_verdicts_hold_under_power_of_two_scalings(curves, name, k, uv):
     # included (test_a_power_of_two_keeps_every_arc_angle); the verdicts
     # are what the library promises to keep
     jc = curves[name]
-    m = Affine.scaling(2.0**k).coeffs
-    scaled = validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
+    scaled = _scaled(jc, k)
     x0, y0, x1, y1 = jc.carrier.bbox
     for u, v in uv:
         x, y = x0 + u * (x1 - x0), y0 + v * (y1 - y0)
@@ -451,7 +457,7 @@ def test_a_curve_below_the_least_diameter_is_refused(k):
             validate_jordan(_tiny_square(k), h=1e-3)
 
 
-def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
+def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served(curves):
     # just above the least diameter, every step runs with no warning, and
     # points 2 to 1000 bands off the carrier keep their verdicts: no length
     # ends a cubic refinement, and chord ratios that numpy's complex
@@ -464,8 +470,7 @@ def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
         (w,) = boundary_witnesses(jc, [0.5])
         assert classify(jc, w.inside).verdict is Verdict.INSIDE
         assert classify(jc, w.outside).verdict is Verdict.OUTSIDE
-        for name in GOOD_FIXTURES:
-            unit = validate_jordan(fixtures.fixture(name), h=1e-2)
+        for name, unit in curves.items():
             tiny = _scaled(unit, -1020)
             for p in _shell_points(unit, rng, 20):
                 want = classify(unit, p).verdict
@@ -477,13 +482,6 @@ def test_a_curve_scaled_by_2_to_the_minus_1020_is_still_served():
                 for w in boundary_witnesses(tiny, [a + 0.1 * (b - a), a + 0.45 * (b - a), a + 0.8 * (b - a)]):
                     assert classify(tiny, w.inside).verdict is Verdict.INSIDE
                     assert classify(tiny, w.outside).verdict is Verdict.OUTSIDE
-
-
-def _scaled(jc, k):
-    """``jc``'s curve scaled by exactly 2**k, validated."""
-
-    m = Affine.scaling(2.0**k).coeffs
-    return validate_jordan(CurveSpec(tuple(p.transformed(m) for p in jc.spec.pieces)), h=1e-2)
 
 
 def _shell_point(jc, t, bands, side):
