@@ -49,6 +49,13 @@ paper's Proposition jun04p1), the count is the winding number, exactly:
 No root is found and no ray is retried.  The one failure is a cubic
 bracket that still straddles both lines after _REFINE_LEVELS halvings.
 
+Cubic carrier distances refine de Casteljau control boxes.  A node is
+finished once its box diagonal is at most _REFINE_REL_TOL times its box
+distance, or at level _REFINE_LEVELS - 1.  The rule holds no length, so a
+scaling by a power of two finishes the same nodes; a point on a cubic,
+whose held nodes have distance 0 and never finish by width, refines to
+the level cap.
+
 Threshold carrier queries: most callers of ``carrier_batch`` only ask
 whether a point's distance is at least some ``need``, as in Bishop's
 dichotomy "d >= r or d < r + eps", which an approximation decides.  Given
@@ -174,9 +181,11 @@ _REFINE_REL_TOL = 1e-3
 # reaches the last one is finished as it stands, and of a cubic ray bracket,
 # which puts its point ON_CARRIER there
 _REFINE_LEVELS = 80
-# a cubic winding node this many halvings deep, of parameter width 2**-44
-# (below 1e-13), whose box still holds the point puts it ON_CARRIER; fewer
-# than _REFINE_LEVELS, so a carrier_batch query reaches it too
+# a cubic winding node this many halvings deep whose box still holds the
+# point puts it ON_CARRIER; fewer than _REFINE_LEVELS, so a carrier_batch
+# query reaches it too.  A depth, not a length: deeper float de Casteljau
+# nodes stop tracking the curve, and their chords can make the winding
+# disagree with the ray where the ray still counts right
 _WIND_LEVELS = 44
 # (point, piece) pairs per block of query points in the batch kernels
 _PAIR_BLOCK = 1 << 17
@@ -768,16 +777,17 @@ def carrier_batch(
 
     Line and arc pieces are closed form, less their round-off in ``lo``
     (``_exact_pieces``).  Cubic pieces refine control boxes until each
-    surviving box is small relative to its distance; every cubic's
-    start point, and then the start point of every refinement node, lowers
-    the upper bound, since it lies on the curve.  A node whose box cannot
-    beat the running upper bound is dropped; everything below it is no
-    nearer than the final bound, so the enclosure is the one a full
-    refinement gives, in whatever order nodes are visited.  ``geo`` is the
-    curve's ``carrier_geometry``; only it, ``kinds`` and ``pts`` are read.
-    ``data``, ``samples`` and ``offsets`` keep their places only because
-    ``perfbench/tracing.py`` counts the points as the fifth argument;
-    ``CarrierIndex`` passes None for ``samples`` and ``offsets``.
+    surviving box is small relative to its distance, or reaches the level
+    cap (module docstring); every cubic's start point, and then the start
+    point of every refinement node, lowers the upper bound, since it lies on
+    the curve.  A node whose box cannot beat the running upper bound is
+    dropped; everything below it is no nearer than the final bound, so the
+    enclosure is the one a full refinement gives, in whatever order nodes
+    are visited.  ``geo`` is the curve's ``carrier_geometry``; only it,
+    ``kinds`` and ``pts`` are read.  ``data``, ``samples`` and ``offsets``
+    keep their places only because ``perfbench/tracing.py`` counts the
+    points as the fifth argument; ``CarrierIndex`` passes None for
+    ``samples`` and ``offsets``.
 
     ``need``, one number or one per point, makes this a threshold query:
     a point stops refining once the stop rule in the module docstring

@@ -346,12 +346,15 @@ class CarrierIndex:
     their round-off (``_kernels._exact_pieces``).  Cubic distances refine
     de Casteljau control boxes until each box that can still hold the
     nearest point has a diagonal of at most ``_kernels._REFINE_REL_TOL``
-    times its distance; the lower bound is the least such distance, and the
-    upper bound the nearest start point of a box visited.  The node that
-    sets the lower bound has such a diagonal, and its start point, which
-    lies in its box, has lowered the upper bound already, so (upper -
-    lower) is at most ``_REFINE_REL_TOL`` times the lower bound, plus
-    round-off.
+    times its distance, or has been halved ``_kernels._REFINE_LEVELS - 1``
+    times; the lower bound is the least such distance, and the upper bound
+    the nearest start point of a box visited.  The node that sets the
+    lower bound has such a diagonal unless it reached the cap, and its
+    start point, which lies in its box, has lowered the upper bound
+    already, so (upper - lower) is at most ``_REFINE_REL_TOL`` times the
+    lower bound, plus round-off, or the diagonal of a box at the cap.  No
+    length enters the rule, so it is the same at every scale; a point on a
+    cubic refines to the cap.
     ``distance`` and ``distance_batch`` run the same kernel,
     ``_kernels.carrier_batch``, so one point gets one answer either way.
     ``build`` only wraps the flattened pieces and their bbox.  The
